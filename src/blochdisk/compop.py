@@ -16,8 +16,9 @@ from .core import (AnalyticMap, Blaschke, BlochParams, Composed, HarmonicMap,
 from .extremal import LIP_CONSTANT
 from .norms import (DEFAULT_PLAN, SamplingPlan, bloch_weight, hardy_norm,
                     weight_from_gap)
-from .numerics import (TWO_PI, dyadic_radius, extrapolate_to_zero, fit_slope,
-                       gl_panel_columns, sup_search, tanh_radii)
+from .numerics import (TWO_PI, area_uniform_points, dyadic_radius,
+                       extrapolate_to_zero, fit_slope, gl_panel_columns,
+                       sup_search, tanh_radii)
 
 __all__ = [
     "CriterionReport", "is_admissible_symbol", "compose",
@@ -35,6 +36,7 @@ STABILIZATION_TOL = 1e-4
 SLOPE_THRESHOLD = 0.05
 _TRUNCATION_LO = 4
 _TRUNCATION_HI = 24
+_STABLE_RUNGS = 3
 
 
 @dataclass(frozen=True)
@@ -125,6 +127,13 @@ def schwarz_pick_ratio(phi: AnalyticMap, z):
     return (1.0 - np.abs(z) ** 2) * np.abs(phi.deriv(z)) / (1.0 - np.abs(w) ** 2)
 
 
+def _stabilized(rel_changes) -> bool:
+    """Whether the last three relative changes of a ladder all lie below the
+    stabilization tolerance; a ladder with fewer changes has not shown it."""
+    tail = rel_changes[-_STABLE_RUNGS:]
+    return len(tail) == _STABLE_RUNGS and all(c < STABILIZATION_TOL for c in tail)
+
+
 # --------------------------------------------------------------------------
 # Bloch -> Hardy criterion integral
 # --------------------------------------------------------------------------
@@ -170,7 +179,7 @@ def bloch_to_hardy_criterion(phi: AnalyticMap, params: BlochParams, p: float,
     vals = [v for _, v in evidence]
     scale = max(abs(vals[-1]), 1e-300)
     rel_changes = [abs(vals[i] - vals[i - 1]) / scale for i in range(1, len(vals))]
-    stabilized = all(c < STABILIZATION_TOL for c in rel_changes[-3:])
+    stabilized = _stabilized(rel_changes)
     xs = [k * math.log(2.0) for k in ks[-8:]]
     slope = fit_slope(xs, vals[-8:])
 
@@ -258,7 +267,7 @@ def hardy_to_bloch_verdict(phi: AnalyticMap, params: BlochParams, p: float,
                    for i in range(1, len(running))]
     xs = [math.log(2.0) * (j + 1) for j in range(len(running))][-8:]
     slope = fit_slope(xs, running[-8:])
-    stabilized = all(c < STABILIZATION_TOL for c in rel_changes[-3:])
+    stabilized = _stabilized(rel_changes)
 
     diagnostics = {
         "growth_fit_slope": slope,
@@ -272,12 +281,13 @@ def hardy_to_bloch_verdict(phi: AnalyticMap, params: BlochParams, p: float,
         return CriterionReport("inconclusive", None, evidence, diagnostics)
 
     radii, angle_grid = plan.sup_grid()
-    sup_q, _, res = sup_search(q_values, radii, angle_grid, plan.golden_iters)
-    sup_q = max(sup_q, running[-1])
+    zgrid = radii[:, None] * np.exp(1j * angle_grid)[None, :]
+    qgrid = q_values(zgrid)
+    sup_q, _, res = sup_search(q_values, radii, angle_grid, plan.golden_iters,
+                               values=qgrid)
     diagnostics["bounded"] = True
     diagnostics["sup_resolution"] = float(res[0])
 
-    zgrid = radii[:, None] * np.exp(1j * angle_grid)[None, :]
     phi_mod = np.abs(phi.eval(zgrid))
     sup_phi = float(np.max(phi_mod))
     diagnostics["sup_phi"] = sup_phi
@@ -285,7 +295,6 @@ def hardy_to_bloch_verdict(phi: AnalyticMap, params: BlochParams, p: float,
         return CriterionReport("vacuously-compact", float(sup_q), evidence,
                                diagnostics)
 
-    qgrid = q_values(zgrid)
     band_maxima = []
     band_ks = []
     for k in range(1, 19):
@@ -384,8 +393,7 @@ def bounded_below_probe(phi: AnalyticMap, r: float, epsilon: float,
     keep = ratio > epsilon
     candidates = w_img[keep]
 
-    rng = np.random.default_rng(seed)
-    targets = np.sqrt(rng.random(samples)) * np.exp(1j * TWO_PI * rng.random(samples))
+    targets = area_uniform_points(np.random.default_rng(seed), samples)
     hits = 0
     unmatched = []
     for w in targets:

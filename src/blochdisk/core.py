@@ -129,6 +129,13 @@ class Polynomial(AnalyticMap):
     def _horner(coeffs, z):
         if not coeffs:
             return z * 0j
+        if isinstance(z, np.ndarray):
+            # in place: one result buffer instead of two temporaries per term
+            acc = 0j * z + coeffs[-1]
+            for c in reversed(coeffs[:-1]):
+                acc *= z
+                acc += c
+            return acc
         acc = 0j
         for c in reversed(coeffs):
             acc = acc * z + c

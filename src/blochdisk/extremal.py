@@ -15,7 +15,7 @@ from .core import (AnalyticMap, DegeneratePairError, HarmonicMap,
 from .metrics import rho
 from .norms import (DEFAULT_PLAN, SamplingPlan, bloch_functional,
                     bloch_seminorm, bloch_weight)
-from .numerics import TWO_PI
+from .numerics import TWO_PI, area_uniform_points
 
 __all__ = [
     "LIP_CONSTANT", "a0", "psi", "ExtremalSolution", "m_root",
@@ -248,10 +248,7 @@ def lipschitz_scan(f: HarmonicMap, pairs: int, seed: int,
     if seminorm <= 1e-12:
         raise ZeroSeminormError("lipschitz scan needs a nonzero seminorm")
 
-    rng = np.random.default_rng(seed)
-    radius = np.sqrt(rng.random(2 * pairs))
-    angle = TWO_PI * rng.random(2 * pairs)
-    z = radius * np.exp(1j * angle)
+    z = area_uniform_points(np.random.default_rng(seed), 2 * pairs)
     z1, z2 = z[:pairs], z[pairs:]
     s1, s2 = _structured_pairs(plan)
     z1 = np.concatenate([z1, s1])

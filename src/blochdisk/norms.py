@@ -36,8 +36,9 @@ class SamplingPlan:
     angular_resolution: starting count of roots of unity (power of two, >= 8);
     radial_j: ladder depth, radii r_j = 1 - 2^-j for j = 1..radial_j;
     refinement_tol: relative stabilization target for self-refining averages;
-    sup_radii x sup_angles: supremum-search grid; golden_iters: local
-    golden-section refinement depth around the best grid cell.
+    sup_radii x sup_angles: supremum-search grid; golden_iters: depth of
+    the local refinement around the grid peaks, stated as golden-section
+    steps (each peak's final bracket is at most that narrow).
     """
 
     angular_resolution: int = 256
@@ -236,27 +237,26 @@ def bloch_seminorm(f, params: BlochParams | None = None,
                    plan: SamplingPlan | None = None) -> NormEstimate:
     """sup_z Lambda_f(z) * omega(chi(|z|)) over the disk.
 
-    Grid search followed by golden-section refinement around the best cell.
-    If the angular ridge maxima keep growing up the radial ladder (ratio test
-    over the last rungs), the verdict is infinite.
+    The functional is evaluated once on the plan's supremum grid, whose rows
+    include the radial ladder.  If the angular ridge maxima along the ladder
+    rows keep growing (ratio test over the last rungs), the verdict is
+    infinite; otherwise the grid peaks are refined by ``sup_search``.
     """
     params = params or classical_params()
     plan = plan or DEFAULT_PLAN
     objective = _functional_on_grid(f, params)
 
-    angles = np.arange(plan.sup_angles) * (TWO_PI / plan.sup_angles)
-    phases = np.exp(1j * angles)
-    ridge = []
-    for r in plan.ladder:
-        ridge.append(float(np.max(objective(r * phases))))
+    radii, angles = plan.sup_grid()
+    values = objective(radii[:, None] * np.exp(1j * angles)[None, :])
+    rows = np.searchsorted(radii, plan.ladder)
+    ridge = np.max(values[rows], axis=1).tolist()
     evidence = tuple(zip(plan.ladder, ridge))
     if _growing(ridge):
         return NormEstimate(math.inf, False, evidence,
                             resolution=float(ridge[-1] - ridge[-2]))
 
-    radii, angle_grid = plan.sup_grid()
-    value, _, res = sup_search(objective, radii, angle_grid, plan.golden_iters)
-    value = max(value, max(ridge))
+    value, _, res = sup_search(objective, radii, angles, plan.golden_iters,
+                               values=values)
     return NormEstimate(float(value), True, evidence, resolution=float(res[0]))
 
 

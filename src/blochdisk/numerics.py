@@ -7,11 +7,16 @@ from functools import lru_cache
 
 import numpy as np
 
+from .core import BlochDiskError
+
 TWO_PI = 2.0 * math.pi
 INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# Interior nodes of a bracket [c - h, c + h] sampled per search round: 15
+# evenly spaced ones, the centre included.
+_ROUND_OFFSETS = np.arange(-7, 8) / 8.0
 
 
-class QuadratureError(RuntimeError):
+class QuadratureError(BlochDiskError, RuntimeError):
     """A self-refining quadrature failed to stabilize.
 
     Carries the last two partial values so callers can surface them.
@@ -20,35 +25,6 @@ class QuadratureError(RuntimeError):
     def __init__(self, message, last_values=None):
         super().__init__(message)
         self.last_values = last_values
-
-
-def refine_circle_mean(values_at, start_nodes=256, rel_tol=1e-6,
-                       max_nodes=2 ** 20, post=None):
-    """Trapezoid mean of a 2*pi-periodic sample with node doubling.
-
-    ``values_at(theta)`` maps an angle array to real values.  ``post`` maps the
-    raw mean to the reported quantity; refinement stops once two successive
-    reports agree to ``rel_tol`` (relative).  Node counts double with full
-    reuse of previous samples.  Returns ``(report, nodes_used)``.
-    """
-    if post is None:
-        post = lambda m: m
-    n = 1 << max(3, (int(start_nodes) - 1).bit_length())
-    theta = np.arange(n) * (TWO_PI / n)
-    total = float(np.sum(values_at(theta)))
-    report = post(total / n)
-    while True:
-        fresh = (np.arange(n) + 0.5) * (TWO_PI / n)
-        total += float(np.sum(values_at(fresh)))
-        n *= 2
-        new_report = post(total / n)
-        if abs(new_report - report) <= rel_tol * max(1.0, abs(new_report)):
-            return new_report, n
-        if n >= max_nodes:
-            raise QuadratureError(
-                f"circle mean failed to stabilize within {n} nodes",
-                last_values=(report, new_report))
-        report = new_report
 
 
 @lru_cache(maxsize=None)
@@ -79,25 +55,32 @@ def gl_panel_columns(fn2, a, b, nodes=16):
 
 
 def golden_max(fn, a, b, iters=40):
-    """Golden-section maximum of a scalar function on [a, b].
+    """Maxima of a unimodal function on a batch of brackets [a, b] at once.
 
-    Assumes unimodality on the bracket; returns ``(x, fn(x), width)`` where
-    width is the final bracket size.
+    Simultaneous-evaluation search (Avriel & Wilde, 1966): each round makes
+    one call of ``fn`` on the 15 evenly spaced interior nodes of every bracket
+    and keeps the two cells beside each bracket's best node, so every width
+    shrinks by 2/16 per round.  ``ceil(iters * log(INV_GOLDEN) / log(2/16))``
+    rounds (10 for ``iters=40``) leave each bracket at most as wide as
+    ``iters`` golden-section steps would.
+
+    ``a`` and ``b`` are bracket ends of a common shape S (scalars included);
+    ``fn`` maps an array of shape S + (15,) to values of the same shape.
+    Returns ``(x, fn(x), width)``, each of shape S: x is the best node, which
+    is the centre of the final bracket, and width is that bracket's size, but
+    never less than the float spacing at x, below which nodes coincide.
     """
-    c = b - INV_GOLDEN * (b - a)
-    d = a + INV_GOLDEN * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - INV_GOLDEN * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + INV_GOLDEN * (b - a)
-            fd = fn(d)
-    x = 0.5 * (a + b)
-    return x, fn(x), b - a
+    a = np.asarray(a, dtype=float)
+    centre = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    rounds = max(1, math.ceil(iters * math.log(INV_GOLDEN) / math.log(2.0 / 16.0)))
+    for _ in range(rounds):
+        nodes = centre[..., None] + half[..., None] * _ROUND_OFFSETS
+        vals = np.asarray(fn(nodes), dtype=float)
+        value = np.max(vals, axis=-1)
+        centre = centre + half * _ROUND_OFFSETS[np.argmax(vals, axis=-1)]
+        half = half / 8.0
+    return centre, value, np.maximum(2.0 * half, np.spacing(np.abs(centre)))
 
 
 def aitken_limit(values):
@@ -169,19 +152,23 @@ def _grid_local_maxima(vals):
     return np.argwhere(mask)
 
 
-def sup_search(objective, radii, angles, golden_iters=40, refine_top=4):
+def sup_search(objective, radii, angles, golden_iters=40, refine_top=4,
+               values=None):
     """Grid maximum of ``objective(z)`` over polar samples plus local refinement.
 
-    The strongest few grid-local maxima are each refined by golden-section
-    sweeps alternating radius and angle, which guards against near-tied peaks
-    resolving differently off-grid.  ``objective`` must accept complex ndarray
-    input (scalars included).  Returns ``(value, argmax_z,
-    (radius_width, angle_width))``.
+    The strongest ``refine_top`` grid-local maxima are refined together, which
+    guards against near-tied peaks resolving differently off-grid: two rounds
+    of a radial then an angular ``golden_max`` stage, each stage covering all
+    peaks in one objective call per search round.  ``objective`` must accept
+    complex ndarrays of any shape and act elementwise.  ``values``, when
+    given, are the objective's values on the grid ``radii x angles`` and save
+    its evaluation.  Returns ``(value, argmax_z, (radius_width,
+    angle_width))``, the widths being the winning peak's final brackets.
     """
     r = np.asarray(radii, dtype=float)
     th = np.asarray(angles, dtype=float)
     zgrid = r[:, None] * np.exp(1j * th)[None, :]
-    vals = np.asarray(objective(zgrid), dtype=float)
+    vals = np.asarray(objective(zgrid) if values is None else values, dtype=float)
     peaks = _grid_local_maxima(vals)
     order = np.argsort(vals[peaks[:, 0], peaks[:, 1]])[::-1]
     peaks = peaks[order[:refine_top]]
@@ -190,22 +177,24 @@ def sup_search(objective, radii, angles, golden_iters=40, refine_top=4):
     best_val = float(np.max(vals))
     best_z = complex(zgrid[np.unravel_index(int(np.argmax(vals)), vals.shape)])
     best_res = (float(r[1] - r[0]) if len(r) > 1 else 0.0, dth)
-    for i, j in peaks:
-        r_lo = r[i - 1] if i > 0 else 0.0
-        r_hi = r[i + 1] if i + 1 < len(r) else r[-1]
-        r_best, t_best = float(r[i]), float(th[j])
-        wr = wa = float(r_hi - r_lo)
-        for _ in range(2):
-            r_best, _, wr = golden_max(
-                lambda s: float(objective(s * np.exp(1j * t_best))),
-                r_lo, r_hi, golden_iters)
-            t_best, _, wa = golden_max(
-                lambda t: float(objective(r_best * np.exp(1j * t))),
-                t_best - dth, t_best + dth, golden_iters)
-            r_lo = max(0.0, r_best - 2.0 * wr)
-            r_hi = min(float(r[-1]), r_best + 2.0 * wr)
-        z_star = r_best * math.cos(t_best) + 1j * r_best * math.sin(t_best)
-        refined = float(objective(z_star))
-        if refined > best_val:
-            best_val, best_z, best_res = refined, z_star, (wr, wa)
+    if not len(peaks):
+        return best_val, best_z, best_res
+    i, j = peaks[:, 0], peaks[:, 1]
+    r_lo = np.where(i > 0, r[np.maximum(i - 1, 0)], 0.0)
+    r_hi = r[np.minimum(i + 1, len(r) - 1)]
+    t_best = th[j]
+    for _ in range(2):
+        ray = np.exp(1j * t_best)[:, None]
+        r_best, _, wr = golden_max(lambda s: objective(s * ray), r_lo, r_hi,
+                                   golden_iters)
+        ring = r_best[:, None]
+        t_best, refined, wa = golden_max(lambda t: objective(ring * np.exp(1j * t)),
+                                         t_best - dth, t_best + dth, golden_iters)
+        r_lo = np.maximum(0.0, r_best - 2.0 * wr)
+        r_hi = np.minimum(r[-1], r_best + 2.0 * wr)
+    k = int(np.argmax(refined))
+    if refined[k] > best_val:
+        best_val = float(refined[k])
+        best_z = complex(r_best[k] * np.exp(1j * t_best[k]))
+        best_res = (float(wr[k]), float(wa[k]))
     return best_val, best_z, best_res

@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from blochdisk import (Mobius, ParameterRangeError, Polynomial,
@@ -243,6 +244,26 @@ class TestMain:
         assert code == 2
         doc = json.loads(capsys.readouterr().out)
         assert doc["result"]["verdict"] == "inconclusive"
+
+    def test_one_rung_verdict_is_inconclusive(self, capsys):
+        code = main(["compop-verdict", "--phi", "identity", "--plan-j", "1"])
+        assert code == 2
+        assert json.loads(capsys.readouterr().out)["result"]["verdict"] == "inconclusive"
+
+    def test_exit_one_on_quadrature_error(self, capsys, monkeypatch):
+        import blochdisk.cli as cli_mod
+
+        class Chaotic:  # circle samples too rough for the trapezoid rule
+            def eval(self, z):
+                theta = np.angle(np.asarray(z, dtype=complex))
+                return 2.0 + np.sin(1e8 * theta + 1e7 * theta ** 2)
+
+        monkeypatch.setattr(cli_mod, "resolve_function", lambda spec: Chaotic())
+        code = main(["hardy-norm", "--func", "chaotic", "--p", "2"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: circle mean did not stabilize")
 
     def test_out_and_csv_files(self, tmp_path, capsys):
         out = tmp_path / "report.json"

@@ -17,7 +17,8 @@ from blochdisk import (BlochParams, CriterionReport, HarmonicMap,
                        hardy_to_bloch_verdict, is_admissible_symbol,
                        lambda_f, mobius, schwarz_pick_ratio)
 from blochdisk import test_function as kernel_test_function
-from blochdisk.compop import PROBE_RADIUS_SUP
+from blochdisk.compop import PROBE_RADIUS_SUP, _stabilized
+from blochdisk.norms import SamplingPlan
 
 from conftest import disk_samples, random_polynomial_pair
 
@@ -224,6 +225,23 @@ class TestHardyToBlochVerdict:
         assert rep.diagnostics["band_decay_slope"] < -0.05
         bands = rep.diagnostics["band_maxima"]
         assert bands[-1] < bands[0]
+
+    @pytest.mark.parametrize("phi", [IDENTITY, HALF, CONSTANT, Mobius(0.4)])
+    def test_one_rung_is_inconclusive(self, phi):
+        # a one-rung ladder has no relative change, so nothing has stabilized
+        rep = hardy_to_bloch_verdict(phi, CLASSICAL, 2.0, SamplingPlan(radial_j=1))
+        assert rep.verdict == "inconclusive"
+        assert rep.diagnostics["last_rel_changes"] == []
+
+    def test_stabilization_needs_three_changes(self):
+        for j in (2, 3):
+            rep = hardy_to_bloch_verdict(HALF, CLASSICAL, 2.0, SamplingPlan(radial_j=j))
+            assert rep.verdict == "inconclusive"
+        rep = hardy_to_bloch_verdict(HALF, CLASSICAL, 2.0, SamplingPlan(radial_j=4))
+        assert rep.verdict == "vacuously-compact"
+        assert not _stabilized([])
+        assert not _stabilized([0.0, 0.0])
+        assert _stabilized([1.0, 0.0, 0.0, 0.0])
 
     def test_evidence_running_sup_monotone(self):
         rep = hardy_to_bloch_verdict(HALF, CLASSICAL, 2.0)

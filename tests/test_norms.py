@@ -7,15 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blochdisk import (BlochParams, ParameterRangeError,
-                       Polynomial, PowerKernel, QuadratureError,
+from blochdisk import (BlochParams, Mobius, ParameterRangeError,
+                       Polynomial, PowerKernel, PowerMajorant, QuadratureError,
                        QuadraticExtremal, as_harmonic, bloch_functional,
                        bloch_norm, bloch_seminorm, bloch_weight, classical_params,
                        compose, g_function, g_norm_check, hardy_mean,
-                       hardy_norm, mobius, power_mean_inequality_check)
+                       hardy_norm, lambda_f, mobius, power_mean_inequality_check)
 from blochdisk.core import DivergentIntegralError
 from blochdisk.extremal import AntiderivativeExtremal
 from blochdisk.norms import SamplingPlan
+from blochdisk.numerics import TWO_PI
 
 from conftest import (ReciprocalGap, disk_samples, g_sq_oracle,
                       parseval_mean_sq, random_polynomial_pair)
@@ -188,6 +189,24 @@ class TestBlochSeminorm:
     def test_infinite_verdict(self):
         est = bloch_seminorm(ReciprocalGap())
         assert not est.finite
+
+    @pytest.mark.parametrize("plan", [SamplingPlan(), SamplingPlan(radial_j=7),
+                                      SamplingPlan(sup_radii=16, sup_angles=96)])
+    def test_ridge_rows_match_per_rung_evaluation(self, plan, rng):
+        # the grid rows at the ladder radii give the ridge bit for bit,
+        # on the finite path and on the infinite one (ReciprocalGap)
+        params = BlochParams(1.5, -0.5, PowerMajorant(0.5))
+        maps = [random_polynomial_pair(rng, 9) for _ in range(4)]
+        maps += [as_harmonic(QuadraticExtremal()), as_harmonic(Mobius(0.6 - 0.3j)),
+                 as_harmonic(Polynomial((0, 0, 0, 1))), ReciprocalGap()]
+        phases = np.exp(1j * np.arange(plan.sup_angles) * (TWO_PI / plan.sup_angles))
+        for f in maps:
+            for prm in (classical_params(), params):
+                ridge = [float(np.max(lambda_f(f, r * phases)
+                                      * prm.omega(bloch_weight(prm, np.abs(r * phases)))))
+                         for r in plan.ladder]
+                est = bloch_seminorm(f, prm, plan)
+                assert [v for _, v in est.evidence] == ridge
 
     def test_power_majorant_weighting(self):
         # omega(t) = sqrt(t): functional of the identity map is sqrt(1 - |z|^2),
