@@ -31,6 +31,7 @@ from .compop import (PROBE_RADIUS_SUP, CriterionReport, ProbeReport,
                      growth_bound_check, hardy_to_bloch_q,
                      hardy_to_bloch_verdict, is_admissible_symbol,
                      schwarz_pick_ratio, test_function)
-from .descriptors import (analytic_from_descriptor, descriptor_of,
-                          descriptor_of_harmonic, harmonic_from_descriptor)
+from .descriptors import (DescriptorError, analytic_from_descriptor,
+                          descriptor_of, descriptor_of_harmonic,
+                          harmonic_from_descriptor)
 from .numerics import QuadratureError

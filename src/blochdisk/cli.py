@@ -25,7 +25,8 @@ from .core import (BlochDiskError, BlochParams, HarmonicMap,
                    ParameterRangeError, as_harmonic, validate_majorant)
 from .compop import (PROBE_RADIUS_SUP, bloch_to_hardy_criterion,
                      bounded_below_probe, hardy_to_bloch_verdict)
-from .descriptors import analytic_from_descriptor, harmonic_from_descriptor
+from .descriptors import (DescriptorError, analytic_from_descriptor,
+                          harmonic_from_descriptor)
 from .extremal import (LIP_CONSTANT, lipschitz_scan, m_root,
                        sharpness_witness)
 from .metrics import rho, sigma
@@ -103,27 +104,19 @@ def resolve_function(source: str):
     Accepts a path to a descriptor JSON, inline JSON, or a catalog name.
     Harmonic documents ({"h": ..., "g": ...}) yield a HarmonicMap.
     """
-    if source.strip().startswith("{"):
-        doc = json.loads(source)
-    elif os.path.exists(source):
-        with open(source, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    else:
-        doc = catalog(source)
-    if "h" in doc and "g" in doc:
+    try:
+        if source.strip().startswith("{"):
+            doc = json.loads(source)
+        elif os.path.exists(source):
+            with open(source, encoding="utf-8") as fh:
+                doc = json.load(fh)
+        else:
+            doc = catalog(source)
+    except json.JSONDecodeError as exc:
+        raise DescriptorError(f"descriptor is not valid JSON: {exc}") from exc
+    if isinstance(doc, dict) and "h" in doc and "g" in doc:
         return harmonic_from_descriptor(doc)
     return analytic_from_descriptor(doc)
-
-
-def worker_count() -> int:
-    """Intended parallel width: BLOCHDISK_WORKERS or the machine's CPU count.
-
-    Results never depend on it; reductions are index-ordered.
-    """
-    env = os.environ.get("BLOCHDISK_WORKERS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
 
 
 # --------------------------------------------------------------------------
@@ -480,7 +473,17 @@ def main(argv=None) -> int:
         return 1
 
     text = report.to_json()
-    print(text)
+    status = report.exit_status
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader left (e.g. `| head`): send the rest of stdout, including
+        # the interpreter's flush at exit, to devnull instead of a traceback.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        status = 1
     if config.out:
         with open(config.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -490,7 +493,7 @@ def main(argv=None) -> int:
             writer.writerow(["truncation", "value"])
             for trunc, value in report.evidence:
                 writer.writerow([trunc, value])
-    return report.exit_status
+    return status
 
 
 if __name__ == "__main__":

@@ -8,10 +8,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (BlochParams, InfiniteNormError, ParameterRangeError,
-                   classical_params, disk_point, lambda_f)
+from .core import (BlochParams, DivergentIntegralError, InfiniteNormError,
+                   ParameterRangeError, classical_params, disk_point, lambda_f)
 from .numerics import (TWO_PI, QuadratureError, aitken_limit, dyadic_radius,
-                       gl_panel, sup_search, tanh_radii)
+                       gl_panel_columns, sup_search, tanh_radii)
 
 __all__ = [
     "SamplingPlan", "DEFAULT_PLAN", "NormEstimate",
@@ -275,51 +275,75 @@ def bloch_norm(f, params: BlochParams | None = None,
 # Littlewood-Paley square function
 # --------------------------------------------------------------------------
 
+def _g_squared(f, angles):
+    """G(f)^2 at every angle of ``angles`` in one sweep over the dyadic panels.
+
+    Each angle is one column of composite 16-node Gauss-Legendre panels on
+    [1 - 2^-k, 1 - 2^-(k+1)], accumulated by ``gl_panel_columns``.  A column
+    stops at the first panel k >= 4 whose contribution is at most 1e-12 of
+    its running total; later panels evaluate only the columns still open.
+    From k >= 12 a column whose last six contributions are positive and
+    shrink by a mean ratio above 0.9 diverges: DivergentIntegralError is
+    raised with the running totals of the lowest-index column diverging at
+    the first such panel, as it is when 64 panels leave columns open.
+    """
+    angles = np.asarray(angles, dtype=float)
+    zetas = np.cos(angles) + 1j * np.sin(angles)
+    totals = np.zeros(angles.size)
+    contributions = np.zeros((64, angles.size))
+    open_cols = np.arange(angles.size)
+
+    def divergent(message, col, k):
+        return DivergentIntegralError(
+            message, partials=np.cumsum(contributions[:k + 1, col]).tolist())
+
+    for k in range(64):
+        ring = zetas[open_cols]
+
+        def integrand(r):
+            return np.abs(f.deriv(r[:, None] * ring)) ** 2 * (1.0 - r)[:, None]
+
+        c = gl_panel_columns(integrand, dyadic_radius(k), dyadic_radius(k + 1))
+        contributions[k, open_cols] = c
+        totals[open_cols] += c
+        done = (k >= 4) & (np.abs(c) <= _GFUNC_TOL * np.maximum(totals[open_cols], 1e-300))
+        if k >= 12:
+            recent = contributions[k - 5:k + 1, open_cols]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                growing = np.all(recent > 0, axis=0) & \
+                    (np.mean(recent[1:] / recent[:-1], axis=0) > 0.9) & ~done
+            if growing.any():
+                raise divergent("square-function integral grows without stabilizing",
+                                open_cols[np.argmax(growing)], k)
+        open_cols = open_cols[~done]
+        if not open_cols.size:
+            return totals
+    raise divergent("square-function integral did not stabilize within 64 dyadic panels",
+                    open_cols[0], 63)
+
+
 def g_function(f, zeta_angle: float, plan: SamplingPlan | None = None) -> float:
     """(int_0^1 |f'(r zeta)|^2 (1 - r) dr)^(1/2) for zeta = e^{i angle}.
 
     Composite Gauss-Legendre panels on dyadic subdivisions toward r = 1,
     refined until the running total moves by less than 1e-12 relatively (the
-    leftover tail is then negligible against every stated tolerance).
-    Raises DivergentIntegralError when panel contributions stop decaying.
+    leftover tail is then negligible against every stated tolerance); the
+    one-column case of ``_g_squared``.  ``plan`` is accepted for signature
+    uniformity and not used.  Raises DivergentIntegralError, carrying the
+    partial integrals, when panel contributions stop decaying.
     """
-    from .core import DivergentIntegralError  # local to avoid cycle noise
-
-    plan = plan or DEFAULT_PLAN
-    zeta = complex(math.cos(zeta_angle), math.sin(zeta_angle))
-
-    def integrand(r):
-        return np.abs(f.deriv(r * zeta)) ** 2 * (1.0 - r)
-
-    total = 0.0
-    contributions = []
-    partials = []
-    for k in range(64):
-        a, b = dyadic_radius(k), dyadic_radius(k + 1)
-        c = gl_panel(integrand, a, b, nodes=16)
-        contributions.append(c)
-        total += c
-        partials.append(total)
-        if k >= 4 and abs(c) <= _GFUNC_TOL * max(total, 1e-300):
-            return math.sqrt(total)
-        if k >= 12:
-            recent = contributions[-6:]
-            if all(x > 0 for x in recent) and \
-                    np.mean([recent[i + 1] / recent[i] for i in range(5)]) > 0.9:
-                raise DivergentIntegralError(
-                    "square-function integral grows without stabilizing",
-                    partials=partials)
-    raise DivergentIntegralError(
-        "square-function integral did not stabilize within 64 dyadic panels",
-        partials=partials)
+    return math.sqrt(float(_g_squared(f, [zeta_angle])[0]))
 
 
 def g_norm_check(f, p, plan: SamplingPlan | None = None) -> dict:
     """Both sides of the square-function comparison for a polynomial f.
 
     Returns {"hardy": ||f||_p^p, "g_integral": |f(0)|^p + mean of G(f)^p}.
-    No constant is asserted; callers compare joint finiteness and ratio
-    stability across a family.
+    The mean runs over equally spaced angles, doubled (with reuse) until it
+    moves by less than the plan's refinement tolerance or reaches 4096
+    angles; each round integrates all its fresh angles in one ``_g_squared``
+    sweep.  No constant is asserted; callers compare joint finiteness and
+    ratio stability across a family.
     """
     plan = plan or DEFAULT_PLAN
     p = float(p)
@@ -329,11 +353,10 @@ def g_norm_check(f, p, plan: SamplingPlan | None = None) -> dict:
 
     n = min(plan.angular_resolution, 256)
     theta = np.arange(n) * (TWO_PI / n)
-    gvals = np.array([g_function(f, t, plan) for t in theta])
-    mean = float(np.mean(gvals ** p))
+    mean = float(np.mean(np.sqrt(_g_squared(f, theta)) ** p))
     while n < 2 ** 12:
         fresh = (np.arange(n) + 0.5) * (TWO_PI / n)
-        gnew = np.array([g_function(f, t, plan) for t in fresh])
+        gnew = np.sqrt(_g_squared(f, fresh))
         merged = 0.5 * (mean + float(np.mean(gnew ** p)))
         n *= 2
         converged = abs(merged - mean) <= plan.refinement_tol * max(1.0, abs(merged))

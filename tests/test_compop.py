@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from blochdisk import (BlochParams, CriterionReport, HarmonicMap,
+from blochdisk import (Blaschke, BlochParams, CriterionReport, HarmonicMap,
                        InadmissibleSymbolError, LIP_CONSTANT, Mobius,
                        ParameterRangeError, Polynomial, PowerKernel,
                        PowerMajorant, QuadraticExtremal, ScaledIdentity,
@@ -17,8 +17,9 @@ from blochdisk import (BlochParams, CriterionReport, HarmonicMap,
                        hardy_to_bloch_verdict, is_admissible_symbol,
                        lambda_f, mobius, schwarz_pick_ratio)
 from blochdisk import test_function as kernel_test_function
-from blochdisk.compop import PROBE_RADIUS_SUP, _stabilized
-from blochdisk.norms import SamplingPlan
+from blochdisk.compop import PROBE_RADIUS_SUP, ProbeReport, _stabilized
+from blochdisk.norms import DEFAULT_PLAN, SamplingPlan
+from blochdisk.numerics import area_uniform_points
 
 from conftest import disk_samples, random_polynomial_pair
 
@@ -301,7 +302,46 @@ class TestGrowthBound:
             growth_bound_check(as_harmonic(Polynomial((0, 1))), 1.0, 0j)
 
 
+def probe_reference(phi, r, epsilon, samples, seed):
+    """Per-target loop: the least distance from each target w to the pool of
+    grid candidates plus w and phi(w), each kept when its ratio beats epsilon."""
+    radii, angles = DEFAULT_PLAN.sup_grid()
+    z = (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
+    img = np.asarray(phi.eval(z), dtype=complex).ravel()
+    ratio = (1.0 - np.abs(z) ** 2) * np.abs(phi.deriv(z)).ravel() \
+        / (1.0 - np.abs(img) ** 2)
+    candidates = img[ratio > epsilon]
+    hits, unmatched = 0, []
+    for w in area_uniform_points(np.random.default_rng(seed), samples):
+        local = np.array([w, complex(phi.eval(complex(w)))])
+        local = local[np.abs(local) < 1.0]
+        local_img = np.asarray(phi.eval(local), dtype=complex)
+        local_ratio = (1.0 - np.abs(local) ** 2) \
+            * np.abs(np.asarray(phi.deriv(local), dtype=complex)) \
+            / (1.0 - np.abs(local_img) ** 2)
+        pool = np.concatenate([candidates, local_img[local_ratio > epsilon]])
+        if pool.size and \
+                np.min(np.abs((pool - w) / (1.0 - np.conjugate(w) * pool))) < r:
+            hits += 1
+        elif len(unmatched) < 8:
+            unmatched.append(complex(w))
+    fraction = hits / samples
+    implied = (1.0 - LIP_CONSTANT * r) * epsilon if fraction == 1.0 else None
+    return ProbeReport(fraction, implied, samples, int(z.size), tuple(unmatched))
+
+
 class TestBoundedBelowProbe:
+    # The Blaschke product, the quadratic and z/2 leave targets for the grid
+    # scan, whose chunks hold 12, 98 and 204 targets at epsilon = 0.4 on the
+    # default plan: 5 samples fit in one chunk, 300 span several.
+    @pytest.mark.parametrize("phi", [
+        IDENTITY, Polynomial((0, 1)), Mobius(0.3), CONSTANT, HALF,
+        Blaschke((0.3 + 0.2j, -0.5j)), Polynomial((0, 0.5, 0.4j))])
+    @pytest.mark.parametrize("samples", [5, 300])
+    def test_matches_per_target_reference(self, phi, samples):
+        expected = probe_reference(phi, 0.2, 0.4, samples, seed=3)
+        assert bounded_below_probe(phi, 0.2, 0.4, samples, seed=3) == expected
+
     def test_identity_full_fraction(self):
         rep = bounded_below_probe(IDENTITY, 0.2, 0.5, 100, seed=7)
         assert rep.fraction == 1.0

@@ -15,8 +15,8 @@ from blochdisk import (BlochParams, Mobius, ParameterRangeError,
                        hardy_norm, lambda_f, mobius, power_mean_inequality_check)
 from blochdisk.core import DivergentIntegralError
 from blochdisk.extremal import AntiderivativeExtremal
-from blochdisk.norms import SamplingPlan
-from blochdisk.numerics import TWO_PI
+from blochdisk.norms import SamplingPlan, _g_squared
+from blochdisk.numerics import TWO_PI, gl_panel
 
 from conftest import (ReciprocalGap, disk_samples, g_sq_oracle,
                       parseval_mean_sq, random_polynomial_pair)
@@ -230,6 +230,20 @@ class TestBlochNorm:
             pytest.approx(1.0, abs=1e-6)
 
 
+def g_squared_reference(f, angle):
+    """G(f)^2 at one angle by the scalar loop: one 16-node Gauss-Legendre
+    panel per dyadic interval until a panel adds at most 1e-12 of the total."""
+    zeta = complex(math.cos(angle), math.sin(angle))
+    total = 0.0
+    for k in range(64):
+        c = gl_panel(lambda r: np.abs(f.deriv(r * zeta)) ** 2 * (1.0 - r),
+                     1.0 - 0.5 ** k, 1.0 - 0.5 ** (k + 1))
+        total += c
+        if k >= 4 and abs(c) <= 1e-12 * max(total, 1e-300):
+            return total
+    raise AssertionError("reference loop did not stabilize")
+
+
 class TestGFunction:
     def test_identity(self):
         for angle in (0.0, 1.0, 2.5):
@@ -253,11 +267,25 @@ class TestGFunction:
             oracle = g_sq_oracle(coeffs, complex(math.cos(angle), math.sin(angle)))
             assert abs(val ** 2 - oracle) < 1e-8
 
+    def test_columns_match_scalar_loop(self, rng):
+        angles = np.arange(64) * (TWO_PI / 64)
+        coeffs = tuple(rng.uniform(-1, 1, 9) + 1j * rng.uniform(-1, 1, 9))
+        for f in (Polynomial(coeffs), Polynomial((0, 0, 0, 1)), Polynomial((2,)),
+                  Mobius(0.4 - 0.3j), PowerKernel(0.5j, 3.0), QuadraticExtremal()):
+            expected = [g_squared_reference(f, t) for t in angles]
+            np.testing.assert_allclose(_g_squared(f, angles), expected,
+                                       rtol=1e-14, atol=0.0)
+
     def test_divergence_flag(self):
         with pytest.raises(DivergentIntegralError) as err:
             g_function(ReciprocalGap(), 0.0)
         assert err.value.partials is not None
         assert err.value.partials[-1] > err.value.partials[0]
+        assert len(err.value.partials) == 13  # growth is first tested at k = 12
+        # beside converging angles, the diverging column's partials are reported
+        with pytest.raises(DivergentIntegralError) as among:
+            _g_squared(ReciprocalGap(), [2.0, 0.0, 1.0])
+        assert among.value.partials == pytest.approx(err.value.partials, rel=1e-14)
 
 
 class TestGNormCheck:
