@@ -393,7 +393,7 @@ def run(config: RunConfig) -> Report:
                  "omega": p["omega"]}
     elif config.command == "gfunction":
         f = resolve_function(p["func"])
-        result = {"value": g_function(f, p["angle"], config.plan)}
+        result = {"value": g_function(f, p["angle"])}
         shown = {"func": p["func"], "angle": p["angle"]}
     elif config.command == "lipschitz-scan":
         f = resolve_function(p["func"])
@@ -465,10 +465,7 @@ def main(argv=None) -> int:
     try:
         config = parse_config(argv if argv is not None else sys.argv[1:])
         report = run(config)
-    except ParameterRangeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (BlochDiskError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (BlochDiskError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -83,7 +83,7 @@ def is_admissible_symbol(phi: AnalyticMap, grid_points: int = 10_000) -> bool:
     if isinstance(phi, ScaledIdentity):
         return abs(phi.c) <= 1.0
     if isinstance(phi, Polynomial) and phi.degree <= 0:
-        return abs(phi.eval(0j)) < 1.0
+        return abs(complex(phi.eval(0j))) < 1.0
     n_r = 64
     n_a = max(8, grid_points // n_r)
     radii = tanh_radii(n_r, dyadic_radius(20))
@@ -134,6 +134,20 @@ def _stabilized(rel_changes) -> bool:
     return len(tail) == _STABLE_RUNGS and all(c < STABILIZATION_TOL for c in tail)
 
 
+def _ladder_trend(ks, values):
+    """The two-sided trend of a truncation ladder, shared by both engines.
+
+    Returns the relative changes between successive rungs (taken against the
+    last value), whether they have stabilized, and the least-squares slope
+    of the last eight values against k log 2, i.e. against -log(1 - R_k).
+    """
+    scale = max(abs(values[-1]), 1e-300)
+    rel_changes = [abs(values[i] - values[i - 1]) / scale
+                   for i in range(1, len(values))]
+    xs = [k * math.log(2.0) for k in ks[-8:]]
+    return rel_changes, _stabilized(rel_changes), fit_slope(xs, values[-8:])
+
+
 # --------------------------------------------------------------------------
 # Bloch -> Hardy criterion integral
 # --------------------------------------------------------------------------
@@ -177,11 +191,7 @@ def bloch_to_hardy_criterion(phi: AnalyticMap, params: BlochParams, p: float,
 
     ks = [k for k, _ in evidence]
     vals = [v for _, v in evidence]
-    scale = max(abs(vals[-1]), 1e-300)
-    rel_changes = [abs(vals[i] - vals[i - 1]) / scale for i in range(1, len(vals))]
-    stabilized = _stabilized(rel_changes)
-    xs = [k * math.log(2.0) for k in ks[-8:]]
-    slope = fit_slope(xs, vals[-8:])
+    rel_changes, stabilized, slope = _ladder_trend(ks, vals)
 
     diagnostics = {
         "angular_nodes": n_angles,
@@ -262,12 +272,8 @@ def hardy_to_bloch_verdict(phi: AnalyticMap, params: BlochParams, p: float,
         running.append(sup_so_far)
     evidence = tuple(zip(ladder, running))
 
-    scale = max(running[-1], 1e-300)
-    rel_changes = [abs(running[i] - running[i - 1]) / scale
-                   for i in range(1, len(running))]
-    xs = [math.log(2.0) * (j + 1) for j in range(len(running))][-8:]
-    slope = fit_slope(xs, running[-8:])
-    stabilized = _stabilized(rel_changes)
+    rel_changes, stabilized, slope = _ladder_trend(
+        range(1, len(running) + 1), running)
 
     diagnostics = {
         "growth_fit_slope": slope,
@@ -384,13 +390,12 @@ def _local_hits(phi, targets, r, epsilon):
     A candidate z counts when it lies in the disk and its Schwarz-Pick ratio
     exceeds ``epsilon``; w is matched when rho(phi(z), w) < r for one of them.
     """
-    local = np.stack([targets, np.asarray(phi.eval(targets), dtype=complex)], axis=-1)
+    local = np.stack([targets, phi.eval(targets)], axis=-1)
     inside = np.abs(local) < 1.0
     z = local[inside]
     w = np.broadcast_to(targets[:, None], local.shape)[inside]
-    img = np.asarray(phi.eval(z), dtype=complex)
-    ratio = (1.0 - np.abs(z) ** 2) * np.abs(np.asarray(phi.deriv(z), dtype=complex)) \
-        / (1.0 - np.abs(img) ** 2)
+    img = phi.eval(z)
+    ratio = (1.0 - np.abs(z) ** 2) * np.abs(phi.deriv(z)) / (1.0 - np.abs(img) ** 2)
     matched = np.zeros(local.shape, dtype=bool)
     matched[inside] = (ratio > epsilon) & (_pseudo_distance(img, w) < r)
     return np.any(matched, axis=-1)
@@ -406,8 +411,9 @@ def bounded_below_probe(phi: AnalyticMap, r: float, epsilon: float,
     Candidates are the supremum grid plus, per target, w itself and phi(w)
     (exact pre-images for the identity and for involutive automorphisms).
     The local candidates of all targets are tried first, in one array call;
-    only the targets they leave unmatched are measured against the grid
-    candidates, in blocks of at most ``_PROBE_CHUNK_ELEMENTS`` distances.
+    the grid candidates are built only when targets are left unmatched, and
+    only those targets are measured against them, in blocks of at most
+    ``_PROBE_CHUNK_ELEMENTS`` distances.
     When every target is matched the implied lower-bound constant
     (1 - (3 sqrt(3)/2) r) * epsilon is reported.  Failure to match at this
     resolution is reported as unmatched, not as a refutation.
@@ -425,27 +431,26 @@ def bounded_below_probe(phi: AnalyticMap, r: float, epsilon: float,
     plan = plan or DEFAULT_PLAN
 
     radii, angles = plan.sup_grid()
-    z = (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
-    w_img = np.asarray(phi.eval(z), dtype=complex).ravel()
-    ratio = (1.0 - np.abs(z) ** 2) * np.abs(phi.deriv(z)).ravel() \
-        / (1.0 - np.abs(w_img) ** 2)
-    keep = ratio > epsilon
-    candidates = w_img[keep]
-
     targets = area_uniform_points(np.random.default_rng(seed), samples)
     hit = _local_hits(phi, targets, r, epsilon)
-    if candidates.size:
-        miss = np.flatnonzero(~hit)
-        chunk = max(1, _PROBE_CHUNK_ELEMENTS // candidates.size)
+    miss = np.flatnonzero(~hit)
+    if miss.size:
+        z = (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
+        img = phi.eval(z)
+        ratio = (1.0 - np.abs(z) ** 2) * np.abs(phi.deriv(z)) / (1.0 - np.abs(img) ** 2)
+        candidates = img[ratio > epsilon]
+        chunk = max(1, _PROBE_CHUNK_ELEMENTS // max(1, candidates.size))
         for start in range(0, miss.size, chunk):
             rows = miss[start:start + chunk]
             dist = _pseudo_distance(candidates, targets[rows, None])
-            hit[rows] = np.min(dist, axis=-1) < r
+            # with no grid candidates the minimum is inf: nothing matches
+            hit[rows] = np.min(dist, axis=-1, initial=np.inf) < r
     hits = int(np.count_nonzero(hit))
     unmatched = [complex(w) for w in targets[~hit][:8]]
     fraction = hits / samples
     implied = (1.0 - LIP_CONSTANT * r) * epsilon if fraction == 1.0 else None
-    return ProbeReport(fraction, implied, samples, int(z.size), tuple(unmatched))
+    return ProbeReport(fraction, implied, samples, radii.size * angles.size,
+                       tuple(unmatched))
 
 
 # --------------------------------------------------------------------------

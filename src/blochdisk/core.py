@@ -3,8 +3,7 @@
 Analytic functions are a closed taxonomy of kinds, each with exact closed-form
 evaluation and first derivative; harmonic maps are canonical pairs h + conj(g)
 with g(0) = 0.  Majorant weights and Bloch-type weight parameters live here
-as well.  All values are immutable after construction and evaluation is pure,
-so everything is safe to share across workers.
+as well.  All values are immutable after construction and evaluation is pure.
 """
 
 from __future__ import annotations
@@ -94,8 +93,15 @@ def disk_point(z) -> complex:
 class AnalyticMap:
     """An analytic function on the unit disk with exact value and derivative.
 
-    ``eval`` and ``deriv`` accept complex scalars or ndarrays and return the
-    same shape.  Subclasses are immutable.
+    Evaluation contract, shared by every kind, by the majorants' ``__call__``
+    and by ``bloch_weight``/``weight_from_gap``/``extremal.psi``: one code
+    path for every input.  An array argument gives an array of its shape; a
+    scalar argument gives a scalar (Python or numpy, so an instance of
+    ``complex`` or ``float``, never a 0-d array) that matches the array
+    evaluation to rounding: numpy's vectorized loops may round differently
+    from its scalar arithmetic.  Scalar entry points such as
+    ``norms.bloch_functional`` convert to Python numbers once, where they
+    validate their point.  Subclasses are immutable.
     """
 
     kind = "abstract"
@@ -127,19 +133,12 @@ class Polynomial(AnalyticMap):
 
     @staticmethod
     def _horner(coeffs, z):
-        if not coeffs:
-            return z * 0j
-        if isinstance(z, np.ndarray):
-            # in place: one result buffer instead of two temporaries per term
-            acc = 0j * z + coeffs[-1]
-            for c in reversed(coeffs[:-1]):
-                acc *= z
-                acc += c
-            return acc
-        acc = 0j
-        for c in reversed(coeffs):
-            acc = acc * z + c
-        return acc
+        # in place: one result buffer instead of two temporaries per term
+        acc = np.asarray(0j * z + (coeffs[-1] if coeffs else 0j))
+        for c in reversed(coeffs[:-1]):
+            acc *= z
+            acc += c
+        return acc[()]
 
     def eval(self, z):
         return self._horner(self.coefficients, z)
@@ -192,23 +191,22 @@ class Blaschke(AnalyticMap):
         return tuple(Mobius(a) for a in self.factors)
 
     def eval(self, z):
-        out = self.rotation * np.ones_like(np.asarray(z, dtype=complex))
+        out = self.rotation * np.ones(np.shape(z), dtype=complex)
         for part in self._parts:
             out = out * part.eval(z)
-        return out if isinstance(z, np.ndarray) else complex(out)
+        return out
 
     def deriv(self, z):
         parts = self._parts
         vals = [p.eval(z) for p in parts]
-        out = np.zeros_like(np.asarray(z, dtype=complex))
+        out = np.zeros(np.shape(z), dtype=complex)
         for k, part in enumerate(parts):
             term = part.deriv(z)
             for j, v in enumerate(vals):
                 if j != k:
                     term = term * v
             out = out + term
-        out = self.rotation * out
-        return out if isinstance(z, np.ndarray) else complex(out)
+        return self.rotation * out
 
 
 @dataclass(frozen=True)
@@ -228,8 +226,7 @@ class ScaledIdentity(AnalyticMap):
         return self.c * z
 
     def deriv(self, z):
-        return self.c * np.ones_like(np.asarray(z, dtype=complex)) \
-            if isinstance(z, np.ndarray) else self.c
+        return self.c * np.ones(np.shape(z), dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -258,14 +255,12 @@ class PowerKernel(AnalyticMap):
         bc = self.b.conjugate()
         base = 1.0 - bc * np.asarray(z, dtype=complex)
         scale = (1.0 - abs(self.b) ** 2) ** self.exponent
-        out = scale * np.exp(-2.0 * self.exponent * np.log(base))
-        return out if isinstance(z, np.ndarray) else complex(out)
+        return scale * np.exp(-2.0 * self.exponent * np.log(base))
 
     def deriv(self, z):
         bc = self.b.conjugate()
         base = 1.0 - bc * np.asarray(z, dtype=complex)
-        out = self.eval(z) * (2.0 * self.exponent * bc) / base
-        return out if isinstance(z, np.ndarray) else complex(out)
+        return self.eval(z) * (2.0 * self.exponent * bc) / base
 
 
 @dataclass(frozen=True)
@@ -399,7 +394,7 @@ class IdentityMajorant(Majorant):
         self._validate()
 
     def __call__(self, t):
-        return np.asarray(t, dtype=float) if isinstance(t, np.ndarray) else float(t)
+        return np.asarray(t, dtype=float)[()]
 
     def __eq__(self, other):
         return isinstance(other, IdentityMajorant)
@@ -421,8 +416,7 @@ class PowerMajorant(Majorant):
         self._validate()
 
     def __call__(self, t):
-        return np.asarray(t, dtype=float) ** self.s if isinstance(t, np.ndarray) \
-            else float(t) ** self.s
+        return np.asarray(t, dtype=float) ** self.s
 
     def describe(self):
         return f"power:{self.s:g}"
@@ -456,8 +450,7 @@ class TabulatedMajorant(Majorant):
         self._validate()
 
     def __call__(self, t):
-        out = np.interp(np.asarray(t, dtype=float), self._ts, self._vals)
-        return out if isinstance(t, np.ndarray) else float(out)
+        return np.interp(t, self._ts, self._vals)
 
     def describe(self):
         return self.label

@@ -45,7 +45,6 @@ def psi(x, alpha: float):
     """
     if not alpha > 0:
         raise ParameterRangeError(f"alpha must be positive, got {alpha}")
-    x = np.asarray(x, dtype=float) if isinstance(x, np.ndarray) else float(x)
     scale = math.sqrt(1.0 + 2.0 * alpha) * ((1.0 + 2.0 * alpha) / (2.0 * alpha)) ** alpha
     return scale * x * (1.0 - x * x) ** alpha
 
@@ -130,8 +129,7 @@ class QuadraticExtremal(AnalyticMap):
     kind = "quadratic-extremal"
 
     def eval(self, z):
-        return (-0.5 * LIP_CONSTANT) * np.asarray(z) ** 2 \
-            if isinstance(z, np.ndarray) else (-0.5 * LIP_CONSTANT) * z * z
+        return (-0.5 * LIP_CONSTANT) * np.asarray(z) ** 2
 
     def deriv(self, z):
         return -LIP_CONSTANT * z
@@ -167,19 +165,17 @@ class AntiderivativeExtremal(AnalyticMap):
         u = 1.0 - m * np.asarray(z, dtype=complex)
         scale = beta / m ** 3
         raw = scale * ((m * m - 1.0) / (2.0 * u * u) + 1.0 / u)
-        out = raw - scale * ((m * m - 1.0) / 2.0 + 1.0)
-        return out if isinstance(z, np.ndarray) else complex(out)
+        return raw - scale * ((m * m - 1.0) / 2.0 + 1.0)
 
     def deriv(self, z):
         m, beta = self._m, self.beta
-        u = 1.0 - m * np.asarray(z, dtype=complex)
-        out = beta * (m - np.asarray(z, dtype=complex)) / (m * u ** 3)
-        return out if isinstance(z, np.ndarray) else complex(out)
+        z = np.asarray(z, dtype=complex)
+        return beta * (m - z) / (m * (1.0 - m * z) ** 3)
 
 
 def f_beta(beta: float, z) -> complex:
     """Value at z of the extremal antiderivative with initial slope beta."""
-    return AntiderivativeExtremal(beta).eval(disk_point(z))
+    return complex(AntiderivativeExtremal(beta).eval(disk_point(z)))
 
 
 # --------------------------------------------------------------------------
@@ -236,11 +232,14 @@ def lipschitz_scan(f: HarmonicMap, pairs: int, seed: int,
                    plan: SamplingPlan | None = None, params=None) -> ScanReport:
     """Max of the functional's difference quotient over sampled point pairs.
 
-    Pairs are area-uniform (uniform in radius squared and angle), augmented
-    with structured radial and near-boundary pairs.  The empirical maximum is
+    ``pairs`` (at least 1) are area-uniform (uniform in radius squared and
+    angle), augmented with structured radial and near-boundary pairs.  The
+    empirical maximum is
     verified against the cap (3 sqrt(3)/2) * seminorm with relative tolerance
     1e-4, which absorbs the supremum-estimation resolution.
     """
+    if pairs < 1:
+        raise ParameterRangeError("pairs must be >= 1")
     params = params or classical_params()
     plan = plan or DEFAULT_PLAN
     semi = bloch_seminorm(f, params, plan)

@@ -207,13 +207,11 @@ def hardy_norm(f, p, plan: SamplingPlan | None = None) -> NormEstimate:
 def weight_from_gap(alpha, beta, gap):
     """chi expressed through the gap u = 1 - t^2: u^alpha * (1 - log u)^beta."""
     u = np.asarray(gap, dtype=float)
-    out = u ** alpha * (1.0 - np.log(u)) ** beta
-    return out if isinstance(gap, np.ndarray) else float(out)
+    return u ** alpha * (1.0 - np.log(u)) ** beta
 
 
 def bloch_weight(params: BlochParams, t):
     """Radial weight chi(t) = (1 - t^2)^alpha * (log(e/(1 - t^2)))^beta."""
-    t = np.asarray(t, dtype=float) if isinstance(t, np.ndarray) else float(t)
     return weight_from_gap(params.alpha, params.beta, 1.0 - t * t)
 
 
@@ -322,15 +320,14 @@ def _g_squared(f, angles):
                     open_cols[0], 63)
 
 
-def g_function(f, zeta_angle: float, plan: SamplingPlan | None = None) -> float:
+def g_function(f, zeta_angle: float) -> float:
     """(int_0^1 |f'(r zeta)|^2 (1 - r) dr)^(1/2) for zeta = e^{i angle}.
 
     Composite Gauss-Legendre panels on dyadic subdivisions toward r = 1,
     refined until the running total moves by less than 1e-12 relatively (the
     leftover tail is then negligible against every stated tolerance); the
-    one-column case of ``_g_squared``.  ``plan`` is accepted for signature
-    uniformity and not used.  Raises DivergentIntegralError, carrying the
-    partial integrals, when panel contributions stop decaying.
+    one-column case of ``_g_squared``.  Raises DivergentIntegralError,
+    carrying the partial integrals, when panel contributions stop decaying.
     """
     return math.sqrt(float(_g_squared(f, [zeta_angle])[0]))
 

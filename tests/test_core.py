@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blochdisk import (AnalyticMap, Blaschke, BlochParams, HarmonicMap,
-                       IdentityMajorant, MajorantValidationError, Mobius,
-                       ParameterRangeError, Polynomial, PowerKernel,
+from blochdisk import (AnalyticMap, Blaschke, BlochParams, Composed,
+                       HarmonicMap, IdentityMajorant, MajorantValidationError,
+                       Mobius, ParameterRangeError, Polynomial, PowerKernel,
                        PowerMajorant, QuadraticExtremal, ScaledIdentity,
                        TabulatedMajorant, as_harmonic, classical_params,
                        disk_point, in_unit_disk, lambda_f, validate_majorant)
-from blochdisk.extremal import AntiderivativeExtremal
+from blochdisk.extremal import AntiderivativeExtremal, psi
+from blochdisk.norms import bloch_weight
 
 SQ3 = math.sqrt(3.0)
 
@@ -208,3 +209,53 @@ def test_abstract_base_raises():
     base = AnalyticMap()
     with pytest.raises(NotImplementedError):
         base.eval(0j)
+
+
+# The evaluation contract (AnalyticMap docstring): one code path whose
+# result has the input's shape, and a scalar (never a 0-d array) for scalar
+# input.  Scalar results match array elements to rounding only: numpy's
+# vectorized loops round differently from its scalar arithmetic (fused
+# multiply-add), by a few units in the last place of the intermediates,
+# which reach about 60x the result in the antiderivative's closed form.
+_CONTRACT_POINTS = np.array([[0.0, 0.3 + 0.4j, -0.55 + 0.1j],
+                             [0.2j, -0.7 - 0.2j, 0.05 + 0.9j]])
+_CONTRACT_ROUNDING = 2 ** 12 * np.finfo(float).eps
+_CONTRACT_MAPS = [
+    Polynomial((0.3 + 0.1j, 1.2, -0.5j, 0.25)), Mobius(0.4 + 0.2j),
+    Blaschke((0.3 + 0.2j, -0.5 + 0.1j), 1j), Blaschke(()),
+    ScaledIdentity(0.4 + 0.3j), PowerKernel(0.2 - 0.3j, 3.0),
+    Composed(Mobius(0.3j), Polynomial((0, 0.5, 0.4j)), 0.1),
+    QuadraticExtremal(), AntiderivativeExtremal(0.5),
+]
+_CONTRACT_CASES = (
+    [pytest.param(getattr(f, m), complex, id=f"{f.kind}{i}.{m}")
+     for i, f in enumerate(_CONTRACT_MAPS) for m in ("eval", "deriv")]
+    + [pytest.param(w, float, id=f"majorant-{w.kind}") for w in (
+        IdentityMajorant(), PowerMajorant(0.37),
+        TabulatedMajorant([0.5, 1.0, 2.0, 5.0], [0.4, 0.7, 1.0, 1.5]))]
+    + [pytest.param(lambda x: psi(x, 1.3), float, id="psi"),
+       pytest.param(lambda t: bloch_weight(BlochParams(1.7, -0.4), t), float,
+                    id="bloch_weight")]
+)
+
+
+@pytest.mark.parametrize("fn, kind", _CONTRACT_CASES)
+@pytest.mark.parametrize("ndim", [0, 1, 2])
+def test_evaluation_contract(fn, kind, ndim):
+    points = _CONTRACT_POINTS if kind is complex else np.abs(_CONTRACT_POINTS)
+    reference = fn(points)
+    if ndim == 0:
+        inputs = [kind(x) for x in points.ravel()] + list(points.ravel()) \
+            + [np.asarray(x) for x in points.ravel()]
+        results = [fn(x) for x in inputs]
+        for value in results:
+            assert isinstance(value, kind) and not isinstance(value, np.ndarray)
+        values = np.array(results)
+        expected = np.tile(reference.ravel(), 3)
+    else:
+        shaped = points.ravel() if ndim == 1 else points
+        values = fn(shaped)
+        assert isinstance(values, np.ndarray) and values.shape == shaped.shape
+        expected = reference.reshape(shaped.shape)
+    assert np.all(np.abs(values - expected)
+                  <= _CONTRACT_ROUNDING * np.maximum(1.0, np.abs(expected)))

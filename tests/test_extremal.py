@@ -194,6 +194,11 @@ class TestLipschitzScan:
         with pytest.raises(ZeroSeminormError):
             lipschitz_scan(as_harmonic(Polynomial((2,))), 100, seed=0)
 
+    @pytest.mark.parametrize("pairs", [0, -1])
+    def test_pair_count_must_be_positive(self, pairs):
+        with pytest.raises(ParameterRangeError, match="pairs must be >= 1"):
+            lipschitz_scan(as_harmonic(Polynomial((0, 1))), pairs, seed=0)
+
     def test_infinite_seminorm_propagates(self):
         from blochdisk import InfiniteNormError
         with pytest.raises(InfiniteNormError):
