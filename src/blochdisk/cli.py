@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -19,6 +20,7 @@ import re
 import sys
 import time
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .core import (BlochDiskError, BlochParams, HarmonicMap,
@@ -165,7 +167,9 @@ class Report:
 def _round15(obj):
     """Round every float to 15 significant digits, recursively."""
     if isinstance(obj, float):
-        if not math.isfinite(obj):
+        if math.isnan(obj):
+            return "nan"
+        if math.isinf(obj):
             return "infinite" if obj > 0 else "-infinite"
         return float(f"{obj:.15g}")
     if isinstance(obj, complex):
@@ -175,21 +179,6 @@ def _round15(obj):
     if isinstance(obj, (list, tuple)):
         return [_round15(v) for v in obj]
     return obj
-
-
-def _norm_payload(est) -> dict:
-    payload = {"verdict": est.verdict, "resolution": est.resolution}
-    if est.finite:
-        payload["value"] = est.value
-    return payload
-
-
-def _criterion_payload(report) -> dict:
-    return {
-        "verdict": report.verdict,
-        "estimate": report.estimate,
-        "diagnostics": report.diagnostics,
-    }
 
 
 # --------------------------------------------------------------------------
@@ -206,12 +195,62 @@ class _Parser(argparse.ArgumentParser):
         raise ParameterRangeError(message)
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
+    """Built on first use and reused: parsing leaves the parser unchanged,
+    and config documents are applied to the parsed values, not to it."""
     parser = _Parser(prog="blochdisk",
                      description="Bloch/Hardy space numerics on the unit disk")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    p = sub.add_parser("metric", help="pseudo-hyperbolic and hyperbolic distance")
+    p.add_argument("--z", required=True)
+    p.add_argument("--w", required=True)
+
+    p = sub.add_parser("hardy-norm", help="sup of circle means")
+    p.add_argument("--func", required=True)
+    p.add_argument("--p", type=float, required=True)
+
+    p = sub.add_parser("bloch-seminorm", help="disk supremum of the weighted derivative")
+    p.add_argument("--func", required=True)
+    p.add_argument("--alpha", type=float, default=1.0)
+    p.add_argument("--beta", type=float, default=0.0)
+    p.add_argument("--omega", default="id", help="id or pow:S")
+
+    p = sub.add_parser("gfunction", help="Littlewood-Paley square function")
+    p.add_argument("--func", required=True)
+    p.add_argument("--angle", type=float, required=True)
+
+    p = sub.add_parser("lipschitz-scan", help="empirical Lipschitz ratio scan")
+    p.add_argument("--func", required=True)
+    p.add_argument("--pairs", type=int, default=10_000)
+
+    p = sub.add_parser("sharpness-witness", help="pair achieving the sharp constant up to epsilon")
+    p.add_argument("--epsilon", type=float, required=True)
+
+    p = sub.add_parser("extremal-root", help="profile root m for psi(m) = r0")
+    p.add_argument("--r0", type=float, required=True)
+    p.add_argument("--alpha", type=float, default=1.0)
+
+    for name, text in (("compop-criterion", "Bloch-to-Hardy criterion integral"),
+                       ("compop-verdict", "Hardy-to-Bloch boundedness/compactness")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--phi", required=True)
+        p.add_argument("--alpha", type=float, default=1.0)
+        p.add_argument("--beta", type=float, default=0.0)
+        p.add_argument("--p", type=float, default=2.0)
+        p.add_argument("--omega", default="id")
+
+    p = sub.add_parser("bounded-below-probe", help="bounded-below hypothesis probe")
+    p.add_argument("--phi", required=True)
+    p.add_argument("--r", type=float, required=True)
+    p.add_argument("--epsilon", type=float, required=True)
+    p.add_argument("--samples", type=int, default=100)
+
+    p = sub.add_parser("catalog", help="look up a built-in function descriptor")
+    p.add_argument("name")
+
+    for p in sub.choices.values():  # options every command takes
         p.add_argument("--out", help="write the JSON report to this path")
         p.add_argument("--csv", dest="csv_path",
                        help="write evidence rows (truncation, value) as CSV")
@@ -224,101 +263,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--timing", action="store_true",
                        help="include wall-clock in the report (breaks byte-reproducibility)")
-
-    p = sub.add_parser("metric", help="pseudo-hyperbolic and hyperbolic distance")
-    p.add_argument("--z", required=True)
-    p.add_argument("--w", required=True)
-    common(p)
-
-    p = sub.add_parser("hardy-norm", help="sup of circle means")
-    p.add_argument("--func", required=True)
-    p.add_argument("--p", type=float, required=True)
-    common(p)
-
-    p = sub.add_parser("bloch-seminorm", help="disk supremum of the weighted derivative")
-    p.add_argument("--func", required=True)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--beta", type=float, default=0.0)
-    p.add_argument("--omega", default="id", help="id or pow:S")
-    common(p)
-
-    p = sub.add_parser("gfunction", help="Littlewood-Paley square function")
-    p.add_argument("--func", required=True)
-    p.add_argument("--angle", type=float, required=True)
-    common(p)
-
-    p = sub.add_parser("lipschitz-scan", help="empirical Lipschitz ratio scan")
-    p.add_argument("--func", required=True)
-    p.add_argument("--pairs", type=int, default=10_000)
-    common(p)
-
-    p = sub.add_parser("sharpness-witness", help="pair achieving the sharp constant up to epsilon")
-    p.add_argument("--epsilon", type=float, required=True)
-    common(p)
-
-    p = sub.add_parser("extremal-root", help="profile root m for psi(m) = r0")
-    p.add_argument("--r0", type=float, required=True)
-    p.add_argument("--alpha", type=float, default=1.0)
-    common(p)
-
-    p = sub.add_parser("compop-criterion", help="Bloch-to-Hardy criterion integral")
-    p.add_argument("--phi", required=True)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--beta", type=float, default=0.0)
-    p.add_argument("--p", type=float, default=2.0)
-    p.add_argument("--omega", default="id")
-    common(p)
-
-    p = sub.add_parser("compop-verdict", help="Hardy-to-Bloch boundedness/compactness")
-    p.add_argument("--phi", required=True)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--beta", type=float, default=0.0)
-    p.add_argument("--p", type=float, default=2.0)
-    p.add_argument("--omega", default="id")
-    common(p)
-
-    p = sub.add_parser("bounded-below-probe", help="bounded-below hypothesis probe")
-    p.add_argument("--phi", required=True)
-    p.add_argument("--r", type=float, required=True)
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--samples", type=int, default=100)
-    common(p)
-
-    p = sub.add_parser("catalog", help="look up a built-in function descriptor")
-    p.add_argument("name")
-    common(p)
-
     return parser
-
-
-def _validate_ranges(command: str, params: dict):
-    """Range checks before any computation starts."""
-    def positive(name):
-        if name in params and params[name] is not None and not params[name] > 0:
-            raise ParameterRangeError(f"--{name} must be positive, got {params[name]}")
-
-    if "alpha" in params and params["alpha"] is not None and not params["alpha"] > 0:
-        raise ParameterRangeError(f"--alpha must be positive, got {params['alpha']}")
-    if command in ("hardy-norm", "compop-criterion"):
-        positive("p")
-    if command == "compop-verdict" and not params["p"] > 1:
-        raise ParameterRangeError(f"--p must exceed 1, got {params['p']}")
-    if command == "bounded-below-probe":
-        if not 0 < params["r"] < PROBE_RADIUS_SUP:
-            raise ParameterRangeError(
-                f"--r must lie in (0, {PROBE_RADIUS_SUP:.10f}), got {params['r']}")
-        positive("epsilon")
-        if params["samples"] < 1:
-            raise ParameterRangeError("--samples must be >= 1")
-    if command == "sharpness-witness":
-        if not 0 < params["epsilon"] <= LIP_CONSTANT:
-            raise ParameterRangeError(
-                f"--epsilon must lie in (0, {LIP_CONSTANT:.9f}], got {params['epsilon']}")
-    if command == "extremal-root":
-        if not 0 < params["r0"] <= 1:
-            raise ParameterRangeError(f"--r0 must lie in (0, 1], got {params['r0']}")
-    if command == "lipschitz-scan" and params["pairs"] < 1:
-        raise ParameterRangeError("--pairs must be >= 1")
 
 
 def parse_config(argv, config_doc: dict | None = None) -> RunConfig:
@@ -353,7 +298,9 @@ def parse_config(argv, config_doc: dict | None = None) -> RunConfig:
     plan = SamplingPlan(angular_resolution=params.pop("angular"),
                         radial_j=params.pop("plan_j"),
                         refinement_tol=params.pop("tol"))
-    _validate_ranges(command, params)
+    for name, ok, requirement in _COMMANDS[command].bounds:
+        if not ok(params[name]):
+            raise ParameterRangeError(f"--{name} {requirement.format(params[name])}")
     return RunConfig(command=command, params=params, plan=plan, out=out,
                      csv_path=csv_path, seed=seed, timing=timing)
 
@@ -367,98 +314,142 @@ def _params_of(p: dict) -> BlochParams:
                        validate_majorant(p.get("omega", "id")))
 
 
+def _evidence(out) -> list:
+    return [list(pair) for pair in out.evidence]
+
+
+def _norm_payload(est):
+    result = {"verdict": est.verdict, "resolution": est.resolution}
+    if est.finite:
+        result["value"] = est.value
+    return result, _evidence(est)
+
+
+def _criterion_payload(report):
+    return ({"verdict": report.verdict, "estimate": report.estimate,
+             "diagnostics": report.diagnostics}, _evidence(report))
+
+
+def _fields(*names):
+    """Payload builder: the named fields of the library's record."""
+    return lambda out: ({name: getattr(out, name) for name in names}, [])
+
+
+def _verdict_status(result) -> int:
+    return 2 if result["verdict"] == "inconclusive" else 0
+
+
+def _positive(name):
+    return (name, lambda v: v > 0, "must be positive, got {}")
+
+
+def _scan(p, plan):
+    f = resolve_function(p["func"])
+    if not isinstance(f, HarmonicMap):
+        f = as_harmonic(f)
+    return lipschitz_scan(f, p["pairs"], p["seed"], plan)
+
+
+class _Command(NamedTuple):
+    """One row of the command table.
+
+    shown: the parameters the report echoes, in order.
+    call(params, plan): the library call; params include ``seed``, and the
+        parameters named in complex_params arrive parsed from RE,IM text.
+    payload(out): the report's (result, evidence) from the call's result.
+    status(result): the exit status.
+    bounds: (parameter, predicate, requirement) range checks, made by
+        ``parse_config`` before any computation starts.
+
+    Calls name library functions by their module globals when they run, so a
+    rebinding (a test double, a tracer's wrapper) takes effect.
+    """
+
+    shown: tuple
+    call: Callable
+    payload: Callable = lambda result: (result, [])
+    status: Callable = lambda result: 0
+    bounds: tuple = ()
+    complex_params: tuple = ()
+
+
+_COMMANDS = {
+    "metric": _Command(
+        ("z", "w"), complex_params=("z", "w"),
+        call=lambda p, plan: {"rho": rho(p["z"], p["w"]),
+                              "sigma": sigma(p["z"], p["w"])}),
+    "hardy-norm": _Command(
+        ("func", "p"), bounds=(_positive("p"),), payload=_norm_payload,
+        call=lambda p, plan: hardy_norm(resolve_function(p["func"]), p["p"], plan)),
+    "bloch-seminorm": _Command(
+        ("func", "alpha", "beta", "omega"), bounds=(_positive("alpha"),),
+        payload=_norm_payload,
+        call=lambda p, plan: bloch_seminorm(resolve_function(p["func"]),
+                                            _params_of(p), plan)),
+    "gfunction": _Command(
+        ("func", "angle"),
+        call=lambda p, plan: {"value": g_function(resolve_function(p["func"]),
+                                                  p["angle"])}),
+    "lipschitz-scan": _Command(
+        ("func", "pairs", "seed"), call=_scan,
+        bounds=(("pairs", lambda v: v >= 1, "must be >= 1"),),
+        payload=_fields("max_ratio", "argmax_pair", "seminorm", "cap", "cap_ok",
+                        "pairs_evaluated")),
+    "sharpness-witness": _Command(
+        ("epsilon",), call=lambda p, plan: sharpness_witness(p["epsilon"]),
+        bounds=(("epsilon", lambda v: 0 < v <= LIP_CONSTANT,
+                 f"must lie in (0, {LIP_CONSTANT:.9f}], got {{}}"),),
+        payload=_fields("m_star", "beta", "z1", "z2", "achieved_ratio", "floor")),
+    "extremal-root": _Command(
+        ("r0", "alpha"), call=lambda p, plan: m_root(p["r0"], p["alpha"]),
+        bounds=(_positive("alpha"),
+                ("r0", lambda v: 0 < v <= 1, "must lie in (0, 1], got {}")),
+        payload=_fields("m", "a0", "residual")),
+    "compop-criterion": _Command(
+        ("phi", "alpha", "beta", "p", "omega"),
+        bounds=(_positive("alpha"), _positive("p")),
+        payload=_criterion_payload, status=_verdict_status,
+        call=lambda p, plan: bloch_to_hardy_criterion(
+            resolve_function(p["phi"]), _params_of(p), p["p"], plan)),
+    "compop-verdict": _Command(
+        ("phi", "alpha", "beta", "p", "omega"),
+        bounds=(_positive("alpha"), ("p", lambda v: v > 1, "must exceed 1, got {}")),
+        payload=_criterion_payload, status=_verdict_status,
+        call=lambda p, plan: hardy_to_bloch_verdict(
+            resolve_function(p["phi"]), _params_of(p), p["p"], plan)),
+    "bounded-below-probe": _Command(
+        ("phi", "r", "epsilon", "samples", "seed"),
+        bounds=(("r", lambda v: 0 < v < PROBE_RADIUS_SUP,
+                 f"must lie in (0, {PROBE_RADIUS_SUP:.10f}), got {{}}"),
+                _positive("epsilon"), ("samples", lambda v: v >= 1, "must be >= 1")),
+        payload=_fields("fraction", "implied_constant", "samples", "grid_points",
+                        "unmatched"),
+        call=lambda p, plan: bounded_below_probe(
+            resolve_function(p["phi"]), p["r"], p["epsilon"], p["samples"], plan,
+            p["seed"])),
+    "catalog": _Command(
+        ("name",),
+        call=lambda p, plan: {"descriptor": catalog(p["name"]),
+                              "note": catalog_note(p["name"])}),
+}
+
+
 def run(config: RunConfig) -> Report:
     """Execute one command and assemble its report."""
     start = time.perf_counter()
-    p = config.params
-    evidence: list = []
-    exit_status = 0
-
-    if config.command == "metric":
-        z, w = parse_complex(p["z"]), parse_complex(p["w"])
-        result = {"rho": rho(z, w), "sigma": sigma(z, w)}
-        shown = {"z": z, "w": w}
-    elif config.command == "hardy-norm":
-        f = resolve_function(p["func"])
-        est = hardy_norm(f, p["p"], config.plan)
-        result = _norm_payload(est)
-        evidence = [list(pair) for pair in est.evidence]
-        shown = {"func": p["func"], "p": p["p"]}
-    elif config.command == "bloch-seminorm":
-        f = resolve_function(p["func"])
-        est = bloch_seminorm(f, _params_of(p), config.plan)
-        result = _norm_payload(est)
-        evidence = [list(pair) for pair in est.evidence]
-        shown = {"func": p["func"], "alpha": p["alpha"], "beta": p["beta"],
-                 "omega": p["omega"]}
-    elif config.command == "gfunction":
-        f = resolve_function(p["func"])
-        result = {"value": g_function(f, p["angle"])}
-        shown = {"func": p["func"], "angle": p["angle"]}
-    elif config.command == "lipschitz-scan":
-        f = resolve_function(p["func"])
-        if not isinstance(f, HarmonicMap):
-            f = as_harmonic(f)
-        scan = lipschitz_scan(f, p["pairs"], config.seed, config.plan)
-        result = {
-            "max_ratio": scan.max_ratio,
-            "argmax_pair": [scan.argmax_pair[0], scan.argmax_pair[1]],
-            "seminorm": scan.seminorm,
-            "cap": scan.cap,
-            "cap_ok": scan.cap_ok,
-            "pairs_evaluated": scan.pairs_evaluated,
-        }
-        shown = {"func": p["func"], "pairs": p["pairs"], "seed": config.seed}
-    elif config.command == "sharpness-witness":
-        w = sharpness_witness(p["epsilon"])
-        result = {"m_star": w.m_star, "beta": w.beta, "z1": w.z1, "z2": w.z2,
-                  "achieved_ratio": w.achieved_ratio, "floor": w.floor}
-        shown = {"epsilon": p["epsilon"]}
-    elif config.command == "extremal-root":
-        sol = m_root(p["r0"], p["alpha"])
-        result = {"m": sol.m, "a0": sol.a0, "residual": sol.residual}
-        shown = {"r0": p["r0"], "alpha": p["alpha"]}
-    elif config.command == "compop-criterion":
-        phi = resolve_function(p["phi"])
-        report = bloch_to_hardy_criterion(phi, _params_of(p), p["p"], config.plan)
-        result = _criterion_payload(report)
-        evidence = [list(pair) for pair in report.evidence]
-        exit_status = 2 if report.verdict == "inconclusive" else 0
-        shown = {"phi": p["phi"], "alpha": p["alpha"], "beta": p["beta"],
-                 "p": p["p"], "omega": p["omega"]}
-    elif config.command == "compop-verdict":
-        phi = resolve_function(p["phi"])
-        report = hardy_to_bloch_verdict(phi, _params_of(p), p["p"], config.plan)
-        result = _criterion_payload(report)
-        evidence = [list(pair) for pair in report.evidence]
-        exit_status = 2 if report.verdict == "inconclusive" else 0
-        shown = {"phi": p["phi"], "alpha": p["alpha"], "beta": p["beta"],
-                 "p": p["p"], "omega": p["omega"]}
-    elif config.command == "bounded-below-probe":
-        phi = resolve_function(p["phi"])
-        probe = bounded_below_probe(phi, p["r"], p["epsilon"], p["samples"],
-                                    config.plan, config.seed)
-        result = {
-            "fraction": probe.fraction,
-            "implied_constant": probe.implied_constant,
-            "samples": probe.samples,
-            "grid_points": probe.grid_points,
-            "unmatched": list(probe.unmatched),
-        }
-        shown = {"phi": p["phi"], "r": p["r"], "epsilon": p["epsilon"],
-                 "samples": p["samples"], "seed": config.seed}
-    elif config.command == "catalog":
-        doc = catalog(p["name"])
-        result = {"descriptor": doc, "note": catalog_note(p["name"])}
-        shown = {"name": p["name"]}
-    else:  # pragma: no cover - argparse enforces the choices
+    command = _COMMANDS.get(config.command)
+    if command is None:
         raise ParameterRangeError(f"unknown command {config.command!r}")
-
+    p = {**config.params, "seed": config.seed}
+    for name in command.complex_params:
+        p[name] = parse_complex(p[name])
+    result, evidence = command.payload(command.call(p, config.plan))
     elapsed = time.perf_counter() - start
-    return Report(command=config.command, parameters=shown, result=result,
-                  evidence=evidence, plan=config.plan.describe(),
+    return Report(command=config.command,
+                  parameters={name: p[name] for name in command.shown},
+                  result=result, evidence=evidence, plan=config.plan.describe(),
                   wall_clock=elapsed if config.timing else None,
-                  exit_status=exit_status)
+                  exit_status=command.status(result))
 
 
 def main(argv=None) -> int:

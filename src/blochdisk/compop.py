@@ -73,13 +73,17 @@ class CriterionReport:
 def is_admissible_symbol(phi: AnalyticMap, grid_points: int = 10_000) -> bool:
     """Whether phi maps the open disk into itself.
 
-    Automorphism-type kinds are admissible structurally; other kinds are
-    screened on a polar grid of about ``grid_points`` samples, which accepts
-    genuine self-maps and rejects clear violators (boundary-touching
-    counterexamples below grid resolution are inherently undecidable here).
+    Automorphism-type kinds are admissible structurally, except the Blaschke
+    product of no factors: a unimodular constant, mapping the disk onto one
+    boundary point.  Other kinds are screened on a polar grid of about
+    ``grid_points`` samples, which accepts genuine self-maps and rejects
+    clear violators (boundary-touching counterexamples below grid resolution
+    are inherently undecidable here).
     """
-    if isinstance(phi, (Mobius, Blaschke)):
+    if isinstance(phi, Mobius):
         return True
+    if isinstance(phi, Blaschke):
+        return len(phi.factors) > 0
     if isinstance(phi, ScaledIdentity):
         return abs(phi.c) <= 1.0
     if isinstance(phi, Polynomial) and phi.degree <= 0:
@@ -138,14 +142,21 @@ def _ladder_trend(ks, values):
     """The two-sided trend of a truncation ladder, shared by both engines.
 
     Returns the relative changes between successive rungs (taken against the
-    last value), whether they have stabilized, and the least-squares slope
-    of the last eight values against k log 2, i.e. against -log(1 - R_k).
+    last value), whether they have stabilized, whether the ladder grows, and
+    the least-squares slope of the last eight values against k log 2, i.e.
+    against -log(1 - R_k).  Growth needs a slope above ``SLOPE_THRESHOLD``
+    over at least ``_STABLE_RUNGS + 1`` rungs, the evidence stabilization
+    needs: a fit through fewer points claims more than they show.
     """
     scale = max(abs(values[-1]), 1e-300)
     rel_changes = [abs(values[i] - values[i - 1]) / scale
                    for i in range(1, len(values))]
     xs = [k * math.log(2.0) for k in ks[-8:]]
-    return rel_changes, _stabilized(rel_changes), fit_slope(xs, values[-8:])
+    slope = fit_slope(xs, values[-8:])
+    stabilized = _stabilized(rel_changes)
+    growing = (not stabilized and len(values) > _STABLE_RUNGS
+               and slope > SLOPE_THRESHOLD)
+    return rel_changes, stabilized, growing, slope
 
 
 # --------------------------------------------------------------------------
@@ -191,7 +202,7 @@ def bloch_to_hardy_criterion(phi: AnalyticMap, params: BlochParams, p: float,
 
     ks = [k for k, _ in evidence]
     vals = [v for _, v in evidence]
-    rel_changes, stabilized, slope = _ladder_trend(ks, vals)
+    rel_changes, stabilized, growing, slope = _ladder_trend(ks, vals)
 
     diagnostics = {
         "angular_nodes": n_angles,
@@ -204,7 +215,7 @@ def bloch_to_hardy_criterion(phi: AnalyticMap, params: BlochParams, p: float,
     }
     if stabilized:
         verdict, estimate = "convergent", float(vals[-1])
-    elif slope > SLOPE_THRESHOLD:
+    elif growing:
         verdict, estimate = "divergent", None
     else:
         verdict, estimate = "inconclusive", None
@@ -245,7 +256,8 @@ def hardy_to_bloch_verdict(phi: AnalyticMap, params: BlochParams, p: float,
 
     Boundedness: the running supremum of Q on the grid up the radial ladder
     either stabilizes (bounded, with a refined supremum estimate) or grows
-    under the log-linear fit (unbounded).  Compactness: when every sampled
+    under the log-linear fit (unbounded); a ladder of fewer than four rungs
+    shows neither and is inconclusive.  Compactness: when every sampled
     |phi| stays below 1 - 1e-6 the boundary-limit condition holds vacuously;
     otherwise band maxima of Q over {|phi(z)| > 1 - 2^-k} must decay to zero.
     """
@@ -272,7 +284,7 @@ def hardy_to_bloch_verdict(phi: AnalyticMap, params: BlochParams, p: float,
         running.append(sup_so_far)
     evidence = tuple(zip(ladder, running))
 
-    rel_changes, stabilized, slope = _ladder_trend(
+    rel_changes, stabilized, growing, slope = _ladder_trend(
         range(1, len(running) + 1), running)
 
     diagnostics = {
@@ -280,7 +292,7 @@ def hardy_to_bloch_verdict(phi: AnalyticMap, params: BlochParams, p: float,
         "last_rel_changes": rel_changes[-3:],
         "bounded": None,
     }
-    if not stabilized and slope > SLOPE_THRESHOLD:
+    if growing:
         diagnostics["bounded"] = False
         return CriterionReport("unbounded", None, evidence, diagnostics)
     if not stabilized:

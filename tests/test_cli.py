@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 from blochdisk import (BlochDiskError, Mobius, ParameterRangeError, Polynomial,
                        analytic_from_descriptor, descriptor_of,
                        descriptor_of_harmonic, harmonic_from_descriptor)
-from blochdisk.cli import (CatalogError, catalog, catalog_note, main,
-                           parse_complex, parse_config, resolve_function, run)
+from blochdisk.cli import (CatalogError, _build_parser, _round15, catalog,
+                           catalog_note, main, parse_complex, parse_config,
+                           resolve_function, run)
 
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
@@ -144,6 +145,85 @@ class TestParsing:
         with pytest.raises(ParameterRangeError):
             parse_config(["metric", "--z", "0,0", "--w", "0.1,0"],
                          {"frequency": 3})
+
+
+_EMPTY_BLASCHKE = '{"kind": "blaschke", "factors": []}'
+
+# All eleven subcommands, most of them twice: first with a config document
+# that sets seed, plan, output or command keys, then without one, so a value
+# leaking from one call into the next shows in the second.
+_MIXED = [
+    (["metric", "--z", "0.5,0", "--w", "0,0"], {"seed": 9, "w": "0.25,0"}),
+    (["metric", "--z", "0.5,0", "--w", "0,0"], None),
+    (["hardy-norm", "--func", "monomial:3", "--p", "2"], {"plan_j": 8, "tol": 1e-8}),
+    (["bloch-seminorm", "--func", "eta", "--alpha=1.5"], {"alpha": 2.0, "omega": "pow:0.5"}),
+    (["hardy-norm", "--func", "monomial:3", "--p", "2"], None),
+    (["bloch-seminorm", "--func", "eta"], None),
+    (["gfunction", "--func", "identity", "--angle", "0.5", "--angular", "64"], None),
+    (["lipschitz-scan", "--func", "eta", "--pairs", "300"], {"seed": 12, "timing": True}),
+    (["lipschitz-scan", "--func", "eta", "--pairs", "300"], None),
+    (["sharpness-witness", "--epsilon", "0.1"], {"epsilon": 0.05, "out": "report.json"}),
+    (["sharpness-witness", "--epsilon", "0.1"], None),
+    (["extremal-root", "--r0", "0.5"], {"alpha": 3.0}),
+    (["extremal-root", "--r0", "0.5"], None),
+    (["compop-criterion", "--phi", "half-identity"], {"p": 3.0, "beta": 0.5}),
+    (["compop-verdict", "--phi", "identity", "--plan-j", "4"], {"angular": 32}),
+    (["compop-criterion", "--phi", "half-identity"], None),
+    (["compop-verdict", "--phi", "identity"], None),
+    (["bounded-below-probe", "--phi", "mobius:0.2", "--r", "0.2", "--epsilon", "0.5"],
+     {"samples": 30, "csv_path": "rows.csv"}),
+    (["bounded-below-probe", "--phi", "mobius:0.2", "--r", "0.2", "--epsilon", "0.5"], None),
+    (["catalog", "eta", "--seed", "4"], {"seed": 7}),
+    (["catalog", "eta"], None),
+]
+
+
+class TestParserReuse:
+    def test_mixed_sequence_matches_fresh_parsers(self):
+        assert len({argv[0] for argv, _ in _MIXED}) == 11
+        _build_parser.cache_clear()
+        reused = [parse_config(list(argv), doc and dict(doc)) for argv, doc in _MIXED]
+        fresh = []
+        for argv, doc in _MIXED:
+            _build_parser.cache_clear()
+            fresh.append(parse_config(list(argv), doc and dict(doc)))
+        assert reused == fresh
+        # nothing a config document set survives into the next call
+        assert [c.seed for c in reused[:2]] == [9, 0]
+        assert reused[1].params["w"] == "0,0"
+        assert reused[4].plan.radial_j == 20
+        assert reused[5].params["alpha"] == 1.0
+        assert not reused[8].timing and reused[10].out is None
+
+    def test_parser_is_built_once(self):
+        _build_parser.cache_clear()
+        for i in range(50):
+            argv, doc = _MIXED[i % len(_MIXED)]
+            parse_config(list(argv), doc and dict(doc))
+        info = _build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 49)
+
+    @pytest.mark.parametrize("argv,message", [
+        (["bloch-seminorm", "--func", "eta", "--alpha", "0"], "--alpha must be positive, got 0.0"),
+        (["hardy-norm", "--func", "eta", "--p", "-1"], "--p must be positive, got -1.0"),
+        (["compop-criterion", "--phi", "identity", "--alpha", "-1", "--p", "0"],
+         "--alpha must be positive, got -1.0"),
+        (["compop-verdict", "--phi", "identity", "--p", "1"], "--p must exceed 1, got 1.0"),
+        (["bounded-below-probe", "--phi", "identity", "--r", "0.5", "--epsilon", "0.5"],
+         "--r must lie in (0, 0.3849001795), got 0.5"),
+        (["bounded-below-probe", "--phi", "identity", "--r", "0.1", "--epsilon", "0"],
+         "--epsilon must be positive, got 0.0"),
+        (["bounded-below-probe", "--phi", "identity", "--r", "0.1", "--epsilon", "1",
+          "--samples", "0"], "--samples must be >= 1"),
+        (["sharpness-witness", "--epsilon", "3"], "--epsilon must lie in (0, 2.598076211], got 3.0"),
+        (["extremal-root", "--r0", "0.5", "--alpha", "0"], "--alpha must be positive, got 0.0"),
+        (["extremal-root", "--r0", "1.5"], "--r0 must lie in (0, 1], got 1.5"),
+        (["lipschitz-scan", "--func", "eta", "--pairs", "0"], "--pairs must be >= 1"),
+    ])
+    def test_range_messages(self, argv, message):
+        with pytest.raises(ParameterRangeError) as err:
+            parse_config(argv)
+        assert str(err.value) == message
 
 
 class TestRun:
@@ -333,6 +413,23 @@ class TestMain:
         rows = evidence.read_text().strip().splitlines()
         assert rows[0] == "truncation,value"
         assert len(rows) == 22
+
+    @pytest.mark.parametrize("command", ["compop-criterion", "compop-verdict",
+                                         "bounded-below-probe"])
+    def test_exit_one_on_empty_blaschke_product(self, capsys, command):
+        argv = [command, "--phi", _EMPTY_BLASCHKE]
+        if command == "bounded-below-probe":
+            argv += ["--r", "0.2", "--epsilon", "0.5"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: blaschke is not a self-map of the disk\n"
+
+    @pytest.mark.parametrize("value,token", [
+        (math.nan, "nan"), (math.inf, "infinite"), (-math.inf, "-infinite")])
+    def test_non_finite_tokens(self, value, token):
+        assert _round15(value) == token
+        assert _round15({"x": [complex(value, 0.5)]}) == {"x": [[token, 0.5]]}
 
     def test_fifteen_digit_output(self, capsys):
         main(["metric", "--z", "0.1,0.2", "--w", "-0.3,0.05"])

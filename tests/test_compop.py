@@ -48,6 +48,17 @@ class TestAdmissibility:
         with pytest.raises(InadmissibleSymbolError):
             compose(f, Polynomial((0.5, 1)))
 
+    def test_empty_blaschke_product_is_inadmissible(self):
+        # no factors: the unimodular constant 1 maps the disk onto a boundary point
+        assert is_admissible_symbol(Blaschke((0.3,)))
+        assert not is_admissible_symbol(Blaschke(()))
+        assert not is_admissible_symbol(Blaschke((), 1j))
+        for engine in (lambda phi: bloch_to_hardy_criterion(phi, CLASSICAL, 2.0),
+                       lambda phi: hardy_to_bloch_verdict(phi, CLASSICAL, 2.0),
+                       lambda phi: bounded_below_probe(phi, 0.2, 0.5, 10)):
+            with pytest.raises(InadmissibleSymbolError):
+                engine(Blaschke(()))
+
 
 class TestCompose:
     def test_identity_symbol_is_noop(self, rng):
@@ -240,6 +251,14 @@ class TestHardyToBlochVerdict:
             assert rep.verdict == "inconclusive"
         rep = hardy_to_bloch_verdict(HALF, CLASSICAL, 2.0, SamplingPlan(radial_j=4))
         assert rep.verdict == "vacuously-compact"
+        # growth needs as many rungs as stabilization: a steep fit through
+        # two or three rungs is not evidence of unboundedness
+        for j in (2, 3):
+            rep = hardy_to_bloch_verdict(IDENTITY, CLASSICAL, 2.0, SamplingPlan(radial_j=j))
+            assert rep.verdict == "inconclusive"
+            assert rep.diagnostics["growth_fit_slope"] > 0.05
+        rep = hardy_to_bloch_verdict(IDENTITY, CLASSICAL, 2.0, SamplingPlan(radial_j=4))
+        assert rep.verdict == "unbounded"
         assert not _stabilized([])
         assert not _stabilized([0.0, 0.0])
         assert _stabilized([1.0, 0.0, 0.0, 0.0])
