@@ -15,6 +15,7 @@ import csv
 import functools
 import json
 import math
+import numbers
 import os
 import re
 import sys
@@ -23,8 +24,8 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 from . import __version__
-from .core import (BlochDiskError, BlochParams, HarmonicMap,
-                   ParameterRangeError, as_harmonic, validate_majorant)
+from .core import (BlochDiskError, BlochParams, ParameterRangeError,
+                   validate_majorant)
 from .compop import (PROBE_RADIUS_SUP, bloch_to_hardy_criterion,
                      bounded_below_probe, hardy_to_bloch_verdict)
 from .descriptors import (DescriptorError, analytic_from_descriptor,
@@ -187,9 +188,15 @@ def _round15(obj):
 
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
+        self.actions = {}  # by destination, the Action add_argument returned
         super().__init__(*args, **kwargs)
         # let values like -0.5,0 pass as arguments rather than flags
         self._negative_number_matcher = re.compile(r"^-\d|^-\.\d")
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        self.actions[action.dest] = action
+        return action
 
     def error(self, message):  # exit 1 on usage errors, not argparse's 2
         raise ParameterRangeError(message)
@@ -202,6 +209,7 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="blochdisk",
                      description="Bloch/Hardy space numerics on the unit disk")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     p = sub.add_parser("metric", help="pseudo-hyperbolic and hyperbolic distance")
     p.add_argument("--z", required=True)
@@ -266,30 +274,44 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# What a config-document value must be, by its flag's argparse type; only a
+# switch (an action of no arguments) takes a bool.
+_DOCUMENT_TYPES = {int: (numbers.Integral, "an integer"), None: (str, "a string"),
+                   float: (numbers.Real, "a real number"), "switch": (bool, "a bool")}
+
+
 def parse_config(argv, config_doc: dict | None = None) -> RunConfig:
     """Parse argv (plus an optional config document) into a validated RunConfig.
 
-    Flags override config-document values; unknown document keys are rejected.
+    Document keys are parsed names (``csv_path`` for ``--csv``), values must
+    have their flag's type, and unknown keys are rejected; what argv gives (a
+    positional, or an option by any prefix argparse takes) wins.
     """
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser()
-    namespace = parser.parse_args(argv)
-    params = vars(namespace).copy()
+    params = vars(parser.parse_args(argv))
     command = params.pop("command")
 
     if config_doc:
-        known = set(params)
-        unknown = set(config_doc) - known
+        unknown = set(config_doc) - set(params)
         if unknown:
             raise ParameterRangeError(
                 f"unknown config keys: {', '.join(sorted(unknown))}")
-        argv = argv or []
-        supplied = {k for k in known
-                    if any(arg == f"--{k.replace('_', '-')}"
-                           or arg.startswith(f"--{k.replace('_', '-')}=")
-                           for arg in argv)}
+        actions = parser.commands[command].actions
+        owner = {s: a.dest for a in actions.values() for s in a.option_strings}
+        given = set()
+        for flag in (arg.partition("=")[0] for arg in argv if arg.startswith("--")):
+            # an option string itself, or the one option it abbreviates
+            names = [flag] if flag in owner else [s for s in owner if s.startswith(flag)]
+            if len(names) == 1:
+                given.add(owner[names[0]])
         for key, value in config_doc.items():
-            if key not in supplied:
-                params[key] = value
+            action = actions[key]
+            kind, what = _DOCUMENT_TYPES["switch" if action.nargs == 0 else action.type]
+            if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
+                raise ParameterRangeError(f"config key {key!r} must be {what}, got {value!r}")
+            if action.option_strings and key not in given:
+                params[key] = value if action.type is None else action.type(value)
 
     out = params.pop("out")
     csv_path = params.pop("csv_path")
@@ -343,13 +365,6 @@ def _positive(name):
     return (name, lambda v: v > 0, "must be positive, got {}")
 
 
-def _scan(p, plan):
-    f = resolve_function(p["func"])
-    if not isinstance(f, HarmonicMap):
-        f = as_harmonic(f)
-    return lipschitz_scan(f, p["pairs"], p["seed"], plan)
-
-
 class _Command(NamedTuple):
     """One row of the command table.
 
@@ -391,7 +406,9 @@ _COMMANDS = {
         call=lambda p, plan: {"value": g_function(resolve_function(p["func"]),
                                                   p["angle"])}),
     "lipschitz-scan": _Command(
-        ("func", "pairs", "seed"), call=_scan,
+        ("func", "pairs", "seed"),
+        call=lambda p, plan: lipschitz_scan(resolve_function(p["func"]), p["pairs"],
+                                            p["seed"], plan),
         bounds=(("pairs", lambda v: v >= 1, "must be >= 1"),),
         payload=_fields("max_ratio", "argmax_pair", "seminorm", "cap", "cap_ok",
                         "pairs_evaluated")),

@@ -16,9 +16,9 @@ from .core import (AnalyticMap, Blaschke, BlochParams, Composed, HarmonicMap,
 from .extremal import LIP_CONSTANT
 from .norms import (DEFAULT_PLAN, SamplingPlan, bloch_weight, hardy_norm,
                     weight_from_gap)
-from .numerics import (TWO_PI, area_uniform_points, dyadic_radius,
+from .numerics import (GL_NODES, TWO_PI, area_uniform_points, dyadic_radius,
                        extrapolate_to_zero, fit_slope, gl_panel_columns,
-                       sup_search, tanh_radii)
+                       sup_search)
 
 __all__ = [
     "CriterionReport", "is_admissible_symbol", "compose",
@@ -70,15 +70,15 @@ class CriterionReport:
 # Symbols and composition
 # --------------------------------------------------------------------------
 
-def is_admissible_symbol(phi: AnalyticMap, grid_points: int = 10_000) -> bool:
+def is_admissible_symbol(phi: AnalyticMap) -> bool:
     """Whether phi maps the open disk into itself.
 
     Automorphism-type kinds are admissible structurally, except the Blaschke
     product of no factors: a unimodular constant, mapping the disk onto one
-    boundary point.  Other kinds are screened on a polar grid of about
-    ``grid_points`` samples, which accepts genuine self-maps and rejects
-    clear violators (boundary-touching counterexamples below grid resolution
-    are inherently undecidable here).
+    boundary point.  Other kinds are screened on the points of
+    ``DEFAULT_PLAN``'s supremum grid, which accepts genuine self-maps and
+    rejects clear violators (boundary-touching counterexamples below grid
+    resolution are inherently undecidable here).
     """
     if isinstance(phi, Mobius):
         return True
@@ -88,12 +88,7 @@ def is_admissible_symbol(phi: AnalyticMap, grid_points: int = 10_000) -> bool:
         return abs(phi.c) <= 1.0
     if isinstance(phi, Polynomial) and phi.degree <= 0:
         return abs(complex(phi.eval(0j))) < 1.0
-    n_r = 64
-    n_a = max(8, grid_points // n_r)
-    radii = tanh_radii(n_r, dyadic_radius(20))
-    angles = np.arange(n_a) * (TWO_PI / n_a)
-    z = radii[:, None] * np.exp(1j * angles)[None, :]
-    return bool(np.max(np.abs(phi.eval(z))) < 1.0)
+    return bool(np.max(np.abs(phi.eval(DEFAULT_PLAN.sup_grid()[2]))) < 1.0)
 
 
 def _require_symbol(phi):
@@ -206,7 +201,7 @@ def bloch_to_hardy_criterion(phi: AnalyticMap, params: BlochParams, p: float,
 
     diagnostics = {
         "angular_nodes": n_angles,
-        "radial_nodes_per_panel": 16,
+        "radial_nodes_per_panel": GL_NODES,
         "growth_fit_slope": slope,
         "last_rel_changes": rel_changes[-3:],
         "stabilization_tol": STABILIZATION_TOL,
@@ -274,13 +269,13 @@ def hardy_to_bloch_verdict(phi: AnalyticMap, params: BlochParams, p: float,
         weight = omega(bloch_weight(params, np.abs(z)))
         return np.abs(phi.deriv(z)) * weight / gap ** (1.0 + 1.0 / p)
 
-    angles = np.arange(plan.sup_angles) * (TWO_PI / plan.sup_angles)
-    phases = np.exp(1j * angles)
+    grid = plan.sup_grid()
+    radii, _, zgrid = grid
     ladder = plan.ladder
     running = []
     sup_so_far = float(np.max(q_values(np.zeros(1, dtype=complex))))
-    for r in ladder:
-        sup_so_far = max(sup_so_far, float(np.max(q_values(r * phases))))
+    for ring in zgrid[np.searchsorted(radii, ladder)]:
+        sup_so_far = max(sup_so_far, float(np.max(q_values(ring))))
         running.append(sup_so_far)
     evidence = tuple(zip(ladder, running))
 
@@ -298,11 +293,8 @@ def hardy_to_bloch_verdict(phi: AnalyticMap, params: BlochParams, p: float,
     if not stabilized:
         return CriterionReport("inconclusive", None, evidence, diagnostics)
 
-    radii, angle_grid = plan.sup_grid()
-    zgrid = radii[:, None] * np.exp(1j * angle_grid)[None, :]
     qgrid = q_values(zgrid)
-    sup_q, _, res = sup_search(q_values, radii, angle_grid, plan.golden_iters,
-                               values=qgrid)
+    sup_q, _, res = sup_search(q_values, grid, values=qgrid)
     diagnostics["bounded"] = True
     diagnostics["sup_resolution"] = float(res[0])
 
@@ -442,12 +434,12 @@ def bounded_below_probe(phi: AnalyticMap, r: float, epsilon: float,
     _require_symbol(phi)
     plan = plan or DEFAULT_PLAN
 
-    radii, angles = plan.sup_grid()
+    points = plan.sup_grid()[2]
     targets = area_uniform_points(np.random.default_rng(seed), samples)
     hit = _local_hits(phi, targets, r, epsilon)
     miss = np.flatnonzero(~hit)
     if miss.size:
-        z = (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
+        z = points.ravel()
         img = phi.eval(z)
         ratio = (1.0 - np.abs(z) ** 2) * np.abs(phi.deriv(z)) / (1.0 - np.abs(img) ** 2)
         candidates = img[ratio > epsilon]
@@ -461,8 +453,7 @@ def bounded_below_probe(phi: AnalyticMap, r: float, epsilon: float,
     unmatched = [complex(w) for w in targets[~hit][:8]]
     fraction = hits / samples
     implied = (1.0 - LIP_CONSTANT * r) * epsilon if fraction == 1.0 else None
-    return ProbeReport(fraction, implied, samples, radii.size * angles.size,
-                       tuple(unmatched))
+    return ProbeReport(fraction, implied, samples, points.size, tuple(unmatched))
 
 
 # --------------------------------------------------------------------------

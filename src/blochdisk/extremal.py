@@ -228,15 +228,15 @@ def _structured_pairs(plan: SamplingPlan):
     return np.array(firsts), np.array(seconds)
 
 
-def lipschitz_scan(f: HarmonicMap, pairs: int, seed: int,
+def lipschitz_scan(f: HarmonicMap | AnalyticMap, pairs: int, seed: int,
                    plan: SamplingPlan | None = None, params=None) -> ScanReport:
     """Max of the functional's difference quotient over sampled point pairs.
 
-    ``pairs`` (at least 1) are area-uniform (uniform in radius squared and
-    angle), augmented with structured radial and near-boundary pairs.  The
-    empirical maximum is
-    verified against the cap (3 sqrt(3)/2) * seminorm with relative tolerance
-    1e-4, which absorbs the supremum-estimation resolution.
+    ``f`` may be a bare AnalyticMap, whose ``lambda_f`` is |f'|.  ``pairs``
+    (at least 1) are area-uniform (uniform in radius squared and angle),
+    augmented with structured radial and near-boundary pairs.  The empirical
+    maximum is verified against the cap (3 sqrt(3)/2) * seminorm with
+    relative tolerance 1e-4, which absorbs the supremum-estimation resolution.
     """
     if pairs < 1:
         raise ParameterRangeError("pairs must be >= 1")
@@ -311,15 +311,13 @@ def sharpness_witness(epsilon: float) -> WitnessReport:
     return WitnessReport(epsilon, m_star, beta, z1, z2, achieved, floor)
 
 
-def random_normalized_corpus(count: int, seed: int, degree: int = 12,
-                             plan: SamplingPlan | None = None):
+def random_normalized_corpus(count: int, seed: int, degree: int = 12):
     """Random harmonic maps with unit classical Bloch seminorm.
 
     Each map has analytic parts of the given degree with coefficients drawn
     uniformly from the complex unit box; the conjugate part has no constant
-    term.  Both parts are rescaled by the computed seminorm.
+    term.  Both parts are rescaled by the seminorm on the default plan.
     """
-    plan = plan or DEFAULT_PLAN
     rng = np.random.default_rng(seed)
     corpus = []
     for _ in range(count):
@@ -327,7 +325,7 @@ def random_normalized_corpus(count: int, seed: int, degree: int = 12,
         gc = rng.uniform(-1, 1, degree + 1) + 1j * rng.uniform(-1, 1, degree + 1)
         gc[0] = 0.0
         f = HarmonicMap(Polynomial(tuple(hc)), Polynomial(tuple(gc)))
-        scale = bloch_seminorm(f, classical_params(), plan).require_finite()
+        scale = bloch_seminorm(f, classical_params()).require_finite()
         corpus.append(HarmonicMap(Polynomial(tuple(hc / scale)),
                                   Polynomial(tuple(gc / scale))))
     return corpus

@@ -4,14 +4,14 @@ Littlewood-Paley square function."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .core import (BlochParams, DivergentIntegralError, InfiniteNormError,
                    ParameterRangeError, classical_params, disk_point, lambda_f)
-from .numerics import (TWO_PI, QuadratureError, aitken_limit, dyadic_radius,
-                       gl_panel_columns, sup_search, tanh_radii)
+from .numerics import (GOLDEN_ITERS, TWO_PI, QuadratureError, aitken_limit,
+                       dyadic_radius, gl_panel_columns, sup_search)
 
 __all__ = [
     "SamplingPlan", "DEFAULT_PLAN", "NormEstimate",
@@ -28,6 +28,10 @@ GROWTH_RUNGS = 5
 
 _GFUNC_TOL = 1e-12
 
+# Size of every plan's supremum grid (see SamplingPlan.sup_grid).
+SUP_RADII = 64
+SUP_ANGLES = 256
+
 
 @dataclass(frozen=True)
 class SamplingPlan:
@@ -35,18 +39,14 @@ class SamplingPlan:
 
     angular_resolution: starting count of roots of unity (power of two, >= 8);
     radial_j: ladder depth, radii r_j = 1 - 2^-j for j = 1..radial_j;
-    refinement_tol: relative stabilization target for self-refining averages;
-    sup_radii x sup_angles: supremum-search grid; golden_iters: depth of
-    the local refinement around the grid peaks, stated as golden-section
-    steps (each peak's final bracket is at most that narrow).
+    refinement_tol: relative stabilization target for self-refining averages.
+    The supremum grid's size and ``sup_search``'s refinement depth are fixed;
+    ``describe`` reports them after these three.
     """
 
     angular_resolution: int = 256
     radial_j: int = 20
     refinement_tol: float = 1e-6
-    sup_radii: int = 64
-    sup_angles: int = 256
-    golden_iters: int = 40
 
     def __post_init__(self):
         n = int(self.angular_resolution)
@@ -63,20 +63,17 @@ class SamplingPlan:
         return [dyadic_radius(j) for j in range(1, self.radial_j + 1)]
 
     def sup_grid(self):
-        r_max = dyadic_radius(self.radial_j)
-        radii = np.union1d(tanh_radii(self.sup_radii, r_max), np.asarray(self.ladder))
-        angles = np.arange(self.sup_angles) * (TWO_PI / self.sup_angles)
-        return radii, angles
+        """``(radii, angles, points)``: SUP_RADII tanh-spaced radii up to the
+        last rung joined with the ladder, SUP_ANGLES equally spaced angles,
+        and their outer product, the points."""
+        tanh = np.tanh(np.linspace(0.0, math.atanh(dyadic_radius(self.radial_j)), SUP_RADII))
+        radii = np.union1d(tanh, np.asarray(self.ladder))
+        angles = np.arange(SUP_ANGLES) * (TWO_PI / SUP_ANGLES)
+        return radii, angles, radii[:, None] * np.exp(1j * angles)[None, :]
 
     def describe(self):
-        return {
-            "angular_resolution": self.angular_resolution,
-            "radial_j": self.radial_j,
-            "refinement_tol": self.refinement_tol,
-            "sup_radii": self.sup_radii,
-            "sup_angles": self.sup_angles,
-            "golden_iters": self.golden_iters,
-        }
+        return {**asdict(self), "sup_radii": SUP_RADII, "sup_angles": SUP_ANGLES,
+                "golden_iters": GOLDEN_ITERS}
 
 
 DEFAULT_PLAN = SamplingPlan()
@@ -166,9 +163,7 @@ def hardy_norm(f, p, plan: SamplingPlan | None = None) -> NormEstimate:
     """
     plan = plan or DEFAULT_PLAN
     if p == math.inf:
-        radii, angles = plan.sup_grid()
-        value, _, res = sup_search(lambda z: np.abs(f.eval(z)),
-                                   radii, angles, plan.golden_iters)
+        value, _, res = sup_search(lambda z: np.abs(f.eval(z)), plan.sup_grid())
         return NormEstimate(value, True, resolution=float(res[0]))
 
     values = []
@@ -244,8 +239,9 @@ def bloch_seminorm(f, params: BlochParams | None = None,
     plan = plan or DEFAULT_PLAN
     objective = _functional_on_grid(f, params)
 
-    radii, angles = plan.sup_grid()
-    values = objective(radii[:, None] * np.exp(1j * angles)[None, :])
+    grid = plan.sup_grid()
+    radii, _, points = grid
+    values = objective(points)
     rows = np.searchsorted(radii, plan.ladder)
     ridge = np.max(values[rows], axis=1).tolist()
     evidence = tuple(zip(plan.ladder, ridge))
@@ -253,8 +249,7 @@ def bloch_seminorm(f, params: BlochParams | None = None,
         return NormEstimate(math.inf, False, evidence,
                             resolution=float(ridge[-1] - ridge[-2]))
 
-    value, _, res = sup_search(objective, radii, angles, plan.golden_iters,
-                               values=values)
+    value, _, res = sup_search(objective, grid, values=values)
     return NormEstimate(float(value), True, evidence, resolution=float(res[0]))
 
 

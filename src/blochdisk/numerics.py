@@ -14,6 +14,12 @@ INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # Interior nodes of a bracket [c - h, c + h] sampled per search round: 15
 # evenly spaced ones, the centre included.
 _ROUND_OFFSETS = np.arange(-7, 8) / 8.0
+# Nodes per Gauss-Legendre panel of gl_panel and gl_panel_columns.
+GL_NODES = 16
+# sup_search refines its REFINE_TOP strongest grid peaks to the width of
+# GOLDEN_ITERS golden-section steps.
+GOLDEN_ITERS = 40
+REFINE_TOP = 4
 
 
 class QuadratureError(BlochDiskError, RuntimeError):
@@ -28,26 +34,22 @@ class QuadratureError(BlochDiskError, RuntimeError):
 
 
 @lru_cache(maxsize=None)
-def _leggauss(n):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
+def _leggauss():
+    return np.polynomial.legendre.leggauss(GL_NODES)
 
 
-def gl_panel(fn, a, b, nodes=16):
-    """Gauss-Legendre integral of ``fn`` over [a, b] with a fixed node count."""
-    x, w = _leggauss(nodes)
+def gl_panel(fn, a, b):
+    """``GL_NODES``-point Gauss-Legendre integral of ``fn`` over [a, b]."""
+    x, w = _leggauss()
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     return half * float(np.dot(w, np.asarray(fn(mid + half * x), dtype=float)))
 
 
-def gl_panel_columns(fn2, a, b, nodes=16):
-    """Column-wise Gauss-Legendre panel for a two-argument integrand.
-
-    ``fn2(r)`` must return an array of shape (nodes, m); the integral over
-    r in [a, b] is returned per column as an (m,) array.
-    """
-    x, w = _leggauss(nodes)
+def gl_panel_columns(fn2, a, b):
+    """Column-wise ``gl_panel``: ``fn2(r)`` returns an array of shape
+    (GL_NODES, m), and the integral over r in [a, b] comes back as an (m,) array."""
+    x, w = _leggauss()
     half = 0.5 * (b - a)
     r = 0.5 * (a + b) + half * x
     vals = np.asarray(fn2(r), dtype=float)
@@ -129,11 +131,6 @@ def dyadic_radius(k):
     return 1.0 - 0.5 ** k
 
 
-def tanh_radii(n, r_max):
-    """n radii in [0, r_max] clustering toward the boundary (tanh-spaced)."""
-    return np.tanh(np.linspace(0.0, math.atanh(r_max), int(n)))
-
-
 def area_uniform_points(rng, n):
     """n points distributed uniformly w.r.t. area on the unit disk."""
     radius = np.sqrt(rng.random(n))
@@ -152,26 +149,24 @@ def _grid_local_maxima(vals):
     return np.argwhere(mask)
 
 
-def sup_search(objective, radii, angles, golden_iters=40, refine_top=4,
-               values=None):
-    """Grid maximum of ``objective(z)`` over polar samples plus local refinement.
+def sup_search(objective, grid, values=None):
+    """Maximum of ``objective(z)`` on the ``(radii, angles, points)`` grid of
+    ``SamplingPlan.sup_grid``, plus local refinement.
 
-    The strongest ``refine_top`` grid-local maxima are refined together, which
+    The ``REFINE_TOP`` strongest grid-local maxima are refined together, which
     guards against near-tied peaks resolving differently off-grid: two rounds
-    of a radial then an angular ``golden_max`` stage, each stage covering all
-    peaks in one objective call per search round.  ``objective`` must accept
-    complex ndarrays of any shape and act elementwise.  ``values``, when
-    given, are the objective's values on the grid ``radii x angles`` and save
-    its evaluation.  Returns ``(value, argmax_z, (radius_width,
-    angle_width))``, the widths being the winning peak's final brackets.
+    of a radial then an angular ``golden_max`` stage of ``GOLDEN_ITERS``
+    steps, each covering all peaks in one objective call per search round.
+    ``objective`` must act elementwise on complex ndarrays of any shape;
+    ``values``, when given, are its values on the points.  Returns ``(value,
+    argmax_z, (radius_width, angle_width))``, the widths being the winning
+    peak's final brackets.
     """
-    r = np.asarray(radii, dtype=float)
-    th = np.asarray(angles, dtype=float)
-    zgrid = r[:, None] * np.exp(1j * th)[None, :]
+    r, th, zgrid = grid
     vals = np.asarray(objective(zgrid) if values is None else values, dtype=float)
     peaks = _grid_local_maxima(vals)
     order = np.argsort(vals[peaks[:, 0], peaks[:, 1]])[::-1]
-    peaks = peaks[order[:refine_top]]
+    peaks = peaks[order[:REFINE_TOP]]
     dth = TWO_PI / len(th)
 
     best_val = float(np.max(vals))
@@ -186,10 +181,10 @@ def sup_search(objective, radii, angles, golden_iters=40, refine_top=4,
     for _ in range(2):
         ray = np.exp(1j * t_best)[:, None]
         r_best, _, wr = golden_max(lambda s: objective(s * ray), r_lo, r_hi,
-                                   golden_iters)
+                                   GOLDEN_ITERS)
         ring = r_best[:, None]
         t_best, refined, wa = golden_max(lambda t: objective(ring * np.exp(1j * t)),
-                                         t_best - dth, t_best + dth, golden_iters)
+                                         t_best - dth, t_best + dth, GOLDEN_ITERS)
         r_lo = np.maximum(0.0, r_best - 2.0 * wr)
         r_hi = np.minimum(r[-1], r_best + 2.0 * wr)
     k = int(np.argmax(refined))

@@ -146,6 +146,38 @@ class TestParsing:
             parse_config(["metric", "--z", "0,0", "--w", "0.1,0"],
                          {"frequency": 3})
 
+    def test_config_document_keeps_renamed_flag(self):
+        config = parse_config(["catalog", "eta", "--csv", "a.csv"], {"csv_path": "b.csv"})
+        assert config.csv_path == "a.csv"
+        assert parse_config(["catalog", "eta"], {"csv_path": "b.csv"}).csv_path == "b.csv"
+
+    def test_config_document_keeps_positional(self):
+        assert parse_config(["catalog", "eta"], {"name": "identity"}).params["name"] == "eta"
+
+    def test_config_document_keeps_abbreviated_flag(self):
+        argv = ["bounded-below-probe", "--phi", "identity", "--r", "0.2",
+                "--epsilon", "0.5", "--sam=40"]
+        assert parse_config(argv, {"samples": 30}).params["samples"] == 40
+
+    def test_config_document_values_take_the_flag_type(self):
+        config = parse_config(["compop-criterion", "--phi", "half-identity"],
+                              {"p": 3, "plan_j": 8, "timing": False, "out": "r.json"})
+        assert config.params["p"] == 3.0 and isinstance(config.params["p"], float)
+        assert config.plan.radial_j == 8 and not config.timing and config.out == "r.json"
+
+    @pytest.mark.parametrize("argv,doc,key", [
+        (["compop-criterion", "--phi", "half-identity"], {"p": "3"}, "p"),
+        (["lipschitz-scan", "--func", "eta"], {"pairs": 2.5}, "pairs"),
+        (["lipschitz-scan", "--func", "eta"], {"seed": 1.5}, "seed"),
+        (["metric", "--z", "0,0", "--w", "0.1,0"], {"timing": "no"}, "timing"),
+        (["lipschitz-scan", "--func", "eta"], {"pairs": True}, "pairs"),
+        (["catalog", "eta"], {"out": 3}, "out"),
+    ], ids=["str-for-float", "float-for-int", "float-seed", "str-for-switch",
+            "bool-for-int", "int-for-text"])
+    def test_config_document_wrong_type(self, argv, doc, key):
+        with pytest.raises(ParameterRangeError, match=f"config key '{key}'"):
+            parse_config(argv, doc)
+
 
 _EMPTY_BLASCHKE = '{"kind": "blaschke", "factors": []}'
 

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blochdisk import (Blaschke, BlochParams, CriterionReport, HarmonicMap,
                        InadmissibleSymbolError, LIP_CONSTANT, Mobius,
@@ -27,6 +29,20 @@ CLASSICAL = classical_params()
 IDENTITY = ScaledIdentity(1.0)
 HALF = ScaledIdentity(0.5)
 CONSTANT = Polynomial((0.3,))
+
+
+# What a Hardy-to-Bloch verdict claims about (bounded, compact); None is no
+# claim.
+_CLAIMS = {"unbounded": (False, False), "non-compact": (True, False),
+           "compact": (True, True), "vacuously-compact": (True, True),
+           "inconclusive": (None, None)}
+# Calibration symbols: constants, scalings c z, automorphisms with |a| < 0.95
+# and Blaschke products of one to three factors.
+_DISK = st.complex_numbers(max_magnitude=0.949)
+_CONSTANTS = _DISK.map(lambda c: Polynomial((c,)))
+_SCALINGS = _DISK.filter(lambda c: abs(c) > 1e-3).map(ScaledIdentity)
+_MOBIUS = _DISK.map(Mobius)
+_BLASCHKE = st.lists(_DISK, min_size=1, max_size=3).map(lambda a: Blaschke(tuple(a)))
 
 
 class TestAdmissibility:
@@ -268,6 +284,16 @@ class TestHardyToBlochVerdict:
         vals = [v for _, v in rep.evidence]
         assert all(b >= a - 1e-15 for a, b in zip(vals, vals[1:]))
 
+    @settings(max_examples=120, deadline=None)
+    @given(st.one_of(_CONSTANTS, _SCALINGS, st.just(IDENTITY), _MOBIUS, _BLASCHKE),
+           st.integers(1, 23), st.sampled_from([1.5, 2.0, 3.0]))
+    def test_deeper_ladder_never_reverses_a_verdict(self, phi, j, p):
+        shallow = hardy_to_bloch_verdict(phi, CLASSICAL, p, SamplingPlan(radial_j=j))
+        deep = hardy_to_bloch_verdict(phi, CLASSICAL, p, SamplingPlan(radial_j=j + 1))
+        for said, now in zip(_CLAIMS[shallow.verdict], _CLAIMS[deep.verdict]):
+            assert said is None or now is None or said == now, \
+                (shallow.verdict, deep.verdict)
+
 
 class TestCriterionReport:
     def test_affirmative_requires_estimate(self):
@@ -324,7 +350,7 @@ class TestGrowthBound:
 def probe_reference(phi, r, epsilon, samples, seed):
     """Per-target loop: the least distance from each target w to the pool of
     grid candidates plus w and phi(w), each kept when its ratio beats epsilon."""
-    radii, angles = DEFAULT_PLAN.sup_grid()
+    radii, angles, _ = DEFAULT_PLAN.sup_grid()
     z = (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
     img = np.asarray(phi.eval(z), dtype=complex).ravel()
     ratio = (1.0 - np.abs(z) ** 2) * np.abs(phi.deriv(z)).ravel() \
@@ -394,6 +420,21 @@ class TestDoubling:
         assert lim0 == pytest.approx(2.0 ** alpha, abs=1e-4)
         expected1 = (4.0 / 3.0) ** alpha / (1.0 + math.log(4.0 / 3.0)) ** beta
         assert lim1 == pytest.approx(expected1, abs=1e-4)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0, 3.0])
+    def test_limits_against_mpmath(self, alpha):
+        # 40-digit closed forms: the s -> 0 limit is extrapolated (worst
+        # relative error 7.0e-7, at alpha = 3, beta = -1), the s = 1 value is
+        # direct and holds to rounding
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            a = mp.mpf(alpha)
+            for beta in (-1.0, -0.5, 0.0, 0.5, 1.0, 2.0):
+                lim0, lim1 = doubling_limits(alpha, beta)
+                exp0 = mp.mpf(2) ** a
+                exp1 = (mp.mpf(4) / 3) ** a / (1 + mp.log(mp.mpf(4) / 3)) ** mp.mpf(beta)
+                assert abs(lim0 - exp0) <= 1e-6 * exp0, (alpha, beta, lim0)
+                assert abs(lim1 - exp1) <= 1e-13 * exp1, (alpha, beta, lim1)
 
     @pytest.mark.parametrize("alpha,beta", [(1.0, 0.0), (2.0, 1.0), (1.0, -1.0)])
     def test_ratio_uniformly_bounded(self, alpha, beta):

@@ -63,6 +63,21 @@ class TestMRoot:
             assert sol.residual <= 1e-12
             assert 0.0 <= sol.m <= sol.a0 + 1e-15
 
+    @pytest.mark.parametrize("alpha", (0.1,) + ALPHAS)
+    def test_residual_against_mpmath(self, alpha):
+        # psi(m) at 40 digits: the reported residual is the true one to
+        # within the rounding of a double evaluation of psi
+        mp = pytest.importorskip("mpmath")
+        eps = np.finfo(float).eps
+        with mp.workdps(40):
+            a = mp.mpf(alpha)
+            scale = mp.sqrt(1 + 2 * a) * ((1 + 2 * a) / (2 * a)) ** a
+            for r0 in (1e-8, 1e-3, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 0.999999, 1.0):
+                sol = m_root(r0, alpha)
+                m = mp.mpf(sol.m)
+                true = abs(scale * m * (1 - m * m) ** a - mp.mpf(r0))
+                assert true <= sol.residual + 4 * eps, (r0, alpha)
+
     def test_monotone_in_r0(self):
         grid = np.linspace(1e-3, 1.0, 100)
         roots = [m_root(float(r), 1.0).m for r in grid]

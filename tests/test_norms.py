@@ -1,5 +1,6 @@
 """Hardy means/norms, Bloch functionals and suprema, square function."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -37,6 +38,25 @@ class TestSamplingPlan:
             SamplingPlan(angular_resolution=4)
         with pytest.raises(ParameterRangeError):
             SamplingPlan(refinement_tol=0.0)
+
+    def test_three_settable_fields(self):
+        assert [f.name for f in dataclasses.fields(SamplingPlan)] == \
+            ["angular_resolution", "radial_j", "refinement_tol"]
+
+    def test_describe_reports_the_fixed_grid(self):
+        plan = SamplingPlan(angular_resolution=64, radial_j=7, refinement_tol=1e-8)
+        assert list(plan.describe().items()) == [
+            ("angular_resolution", 64), ("radial_j", 7), ("refinement_tol", 1e-8),
+            ("sup_radii", 64), ("sup_angles", 256), ("golden_iters", 40)]
+
+    @pytest.mark.parametrize("radial_j", [1, 7, 20])
+    def test_grid_points_are_the_outer_product(self, radial_j):
+        radii, angles, points = SamplingPlan(radial_j=radial_j).sup_grid()
+        assert angles.size == 256
+        assert set(SamplingPlan(radial_j=radial_j).ladder) <= set(radii.tolist())
+        outer = radii[:, None] * np.exp(1j * angles)[None, :]
+        assert points.shape == outer.shape
+        assert points.tobytes() == outer.tobytes()
 
 
 class TestHardyMean:
@@ -190,8 +210,7 @@ class TestBlochSeminorm:
         est = bloch_seminorm(ReciprocalGap())
         assert not est.finite
 
-    @pytest.mark.parametrize("plan", [SamplingPlan(), SamplingPlan(radial_j=7),
-                                      SamplingPlan(sup_radii=16, sup_angles=96)])
+    @pytest.mark.parametrize("plan", [SamplingPlan(), SamplingPlan(radial_j=7)])
     def test_ridge_rows_match_per_rung_evaluation(self, plan, rng):
         # the grid rows at the ladder radii give the ridge bit for bit,
         # on the finite path and on the infinite one (ReciprocalGap)
@@ -199,7 +218,7 @@ class TestBlochSeminorm:
         maps = [random_polynomial_pair(rng, 9) for _ in range(4)]
         maps += [as_harmonic(QuadraticExtremal()), as_harmonic(Mobius(0.6 - 0.3j)),
                  as_harmonic(Polynomial((0, 0, 0, 1))), ReciprocalGap()]
-        phases = np.exp(1j * np.arange(plan.sup_angles) * (TWO_PI / plan.sup_angles))
+        phases = np.exp(1j * plan.sup_grid()[1])
         for f in maps:
             for prm in (classical_params(), params):
                 ridge = [float(np.max(lambda_f(f, r * phases)

@@ -62,9 +62,8 @@ def _functional(f):
 
 class TestSupSearch:
     def test_eta_peak_is_one(self):
-        radii, angles = DEFAULT_PLAN.sup_grid()
         value, z, _ = sup_search(_functional(as_harmonic(QuadraticExtremal())),
-                                 radii, angles)
+                                 DEFAULT_PLAN.sup_grid())
         assert value == pytest.approx(1.0, rel=1e-12)
         assert abs(z) == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-6)
 
@@ -74,8 +73,8 @@ class TestSupSearch:
         r = math.sqrt((n - 1) / (n + 1))
         exact = n * r ** (n - 1) * (1.0 - r * r)
         f = as_harmonic(Polynomial((0j,) * n + (1 + 0j,)))
-        radii, angles = DEFAULT_PLAN.sup_grid()
-        value, _, (wr, wa) = sup_search(_functional(f), radii, angles)
+        radii, angles, _ = grid = DEFAULT_PLAN.sup_grid()
+        value, _, (wr, wa) = sup_search(_functional(f), grid)
         assert value == pytest.approx(exact, rel=1e-12)
         assert wr <= radii[1] - radii[0]
         assert wa <= TWO_PI / len(angles)
@@ -83,17 +82,17 @@ class TestSupSearch:
     def test_given_grid_values_are_used(self):
         f = as_harmonic(Polynomial((0, 0.5, 0.25j, 0.1)))
         objective = _functional(f)
-        radii, angles = DEFAULT_PLAN.sup_grid()
-        values = objective(radii[:, None] * np.exp(1j * angles)[None, :])
+        grid = DEFAULT_PLAN.sup_grid()
+        values = objective(grid[2])
         sizes = []
 
         def counted(z):
             sizes.append(np.size(z))
             return objective(z)
 
-        given = sup_search(counted, radii, angles, values=values)
+        given = sup_search(counted, grid, values=values)
         assert values.size not in sizes
-        assert given == sup_search(objective, radii, angles)
+        assert given == sup_search(objective, grid)
 
 
 def test_area_uniform_points_matches_inline_draws():
