@@ -473,11 +473,20 @@ def main(argv=None) -> int:
     try:
         config = parse_config(argv if argv is not None else sys.argv[1:])
         report = run(config)
+        text = report.to_json()
+        if config.out:
+            with open(config.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        if config.csv_path:
+            with open(config.csv_path, "w", newline="", encoding="utf-8") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["truncation", "value"])
+                for trunc, value in report.evidence:
+                    writer.writerow([trunc, value])
     except (BlochDiskError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    text = report.to_json()
     status = report.exit_status
     try:
         print(text)
@@ -489,15 +498,6 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         status = 1
-    if config.out:
-        with open(config.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    if config.csv_path:
-        with open(config.csv_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["truncation", "value"])
-            for trunc, value in report.evidence:
-                writer.writerow([trunc, value])
     return status
 
 

@@ -4,6 +4,7 @@ boundary-limit functionals, and the bounded-below hypothesis probe."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -14,6 +15,7 @@ from .core import (AnalyticMap, Blaschke, BlochParams, Composed, HarmonicMap,
                    Polynomial, PowerKernel, ScaledIdentity, disk_point,
                    lambda_f)
 from .extremal import LIP_CONSTANT
+from .metrics import rho_array
 from .norms import (DEFAULT_PLAN, SamplingPlan, bloch_weight, hardy_norm,
                     weight_from_gap)
 from .numerics import (GL_NODES, TWO_PI, area_uniform_points, dyadic_radius,
@@ -119,11 +121,15 @@ def test_function(b, p: float) -> PowerKernel:
     return PowerKernel(disk_point(b), float(p))
 
 
+def _schwarz_pick(phi, z, w):
+    """The Schwarz-Pick ratio at z given w = phi(z), elementwise."""
+    return (1.0 - np.abs(z) ** 2) * np.abs(phi.deriv(z)) / (1.0 - np.abs(w) ** 2)
+
+
 def schwarz_pick_ratio(phi: AnalyticMap, z):
     """(1 - |z|^2) |phi'(z)| / (1 - |phi(z)|^2); at most 1 for self-maps,
-    identically 1 for automorphisms.  Vectorized."""
-    w = phi.eval(z)
-    return (1.0 - np.abs(z) ** 2) * np.abs(phi.deriv(z)) / (1.0 - np.abs(w) ** 2)
+    identically 1 for automorphisms.  Follows the AnalyticMap array contract."""
+    return _schwarz_pick(phi, z, phi.eval(z))
 
 
 def _stabilized(rel_changes) -> bool:
@@ -234,53 +240,48 @@ def _check_hardy_to_bloch_params(params: BlochParams, p: float):
             "majorant must have a finite limit of omega(t)/t at 0")
 
 
+def _q(phi, params, p, z, w):
+    """Q at z given w = phi(z), elementwise; builtin ``abs`` as in bloch_values."""
+    weight = params.omega(bloch_weight(params, abs(z)))
+    return abs(phi.deriv(z)) * weight / (1.0 - abs(w) ** 2) ** (1.0 + 1.0 / p)
+
+
 def hardy_to_bloch_q(phi: AnalyticMap, params: BlochParams, p: float, z) -> float:
     """Boundedness functional Q(z) = |phi'(z)| omega(chi(|z|)) / (1-|phi(z)|^2)^(1+1/p)."""
     _check_hardy_to_bloch_params(params, float(p))
     _require_symbol(phi)
     z = disk_point(z)
-    w = complex(phi.eval(z))
-    gap = 1.0 - abs(w) ** 2
-    weight = params.omega(bloch_weight(params, abs(z)))
-    return float(abs(phi.deriv(z)) * weight / gap ** (1.0 + 1.0 / p))
+    return float(_q(phi, params, p, z, complex(phi.eval(z))))
 
 
 def hardy_to_bloch_verdict(phi: AnalyticMap, params: BlochParams, p: float,
                            plan: SamplingPlan | None = None) -> CriterionReport:
     """Boundedness and compactness verdicts from the functional Q.
 
-    Boundedness: the running supremum of Q on the grid up the radial ladder
-    either stabilizes (bounded, with a refined supremum estimate) or grows
-    under the log-linear fit (unbounded); a ladder of fewer than four rungs
-    shows neither and is inconclusive.  Compactness: when every sampled
-    |phi| stays below 1 - 1e-6 the boundary-limit condition holds vacuously;
-    otherwise band maxima of Q over {|phi(z)| > 1 - 2^-k} must decay to zero.
+    Boundedness: the running supremum of Q on the grid rows r = 0 and r_j up
+    the radial ladder either stabilizes (bounded, with a refined supremum
+    estimate) or grows under the log-linear fit (unbounded); a ladder of
+    fewer than four rungs shows neither and is inconclusive.  Compactness:
+    when every sampled |phi| stays below 1 - 1e-6 the boundary-limit
+    condition holds vacuously; otherwise band maxima of Q over
+    {|phi(z)| > 1 - 2^-k} must decay to zero.  phi is evaluated once on the
+    ladder rows and once on the grid.
     """
     p = float(p)
     _check_hardy_to_bloch_params(params, p)
     _require_symbol(phi)
     plan = plan or DEFAULT_PLAN
 
-    omega = params.omega
-
-    def q_values(z):
-        w = phi.eval(z)
-        gap = 1.0 - np.abs(w) ** 2
-        weight = omega(bloch_weight(params, np.abs(z)))
-        return np.abs(phi.deriv(z)) * weight / gap ** (1.0 + 1.0 / p)
-
     grid = plan.sup_grid()
     radii, _, zgrid = grid
     ladder = plan.ladder
-    running = []
-    sup_so_far = float(np.max(q_values(np.zeros(1, dtype=complex))))
-    for ring in zgrid[np.searchsorted(radii, ladder)]:
-        sup_so_far = max(sup_so_far, float(np.max(q_values(ring))))
-        running.append(sup_so_far)
+    rings = zgrid[np.searchsorted(radii, [0.0] + ladder)]
+    ring_max = np.max(_q(phi, params, p, rings, phi.eval(rings)), axis=1).tolist()
+    # Python's max, as a per-ring loop takes it: a later NaN ring is skipped
+    running = list(itertools.accumulate(ring_max, max))[1:]
     evidence = tuple(zip(ladder, running))
 
-    rel_changes, stabilized, growing, slope = _ladder_trend(
-        range(1, len(running) + 1), running)
+    rel_changes, stabilized, growing, slope = _ladder_trend(range(1, len(ladder) + 1), running)
 
     diagnostics = {
         "growth_fit_slope": slope,
@@ -293,33 +294,33 @@ def hardy_to_bloch_verdict(phi: AnalyticMap, params: BlochParams, p: float,
     if not stabilized:
         return CriterionReport("inconclusive", None, evidence, diagnostics)
 
-    qgrid = q_values(zgrid)
-    sup_q, _, res = sup_search(q_values, grid, values=qgrid)
+    wgrid = phi.eval(zgrid)
+    qgrid = _q(phi, params, p, zgrid, wgrid)
+    sup_q, _, res = sup_search(lambda z: _q(phi, params, p, z, phi.eval(z)), grid,
+                               values=qgrid)
     diagnostics["bounded"] = True
     diagnostics["sup_resolution"] = float(res[0])
 
-    phi_mod = np.abs(phi.eval(zgrid))
+    phi_mod = np.abs(wgrid)
     sup_phi = float(np.max(phi_mod))
     diagnostics["sup_phi"] = sup_phi
     if sup_phi <= 1.0 - 1e-6:
         return CriterionReport("vacuously-compact", float(sup_q), evidence,
                                diagnostics)
 
-    band_maxima = []
-    band_ks = []
+    band_maxima = []  # bands k = 1, 2, ... up to the first empty one
     for k in range(1, 19):
         mask = phi_mod > dyadic_radius(k)
         if not np.any(mask):
             break
-        band_ks.append(k)
         band_maxima.append(float(np.max(qgrid[mask])))
     diagnostics["band_maxima"] = band_maxima
     # decay of band maxima toward the boundary bands: geometric decay (or
     # absolute smallness against the supremum) reads as a vanishing limit
     if len(band_maxima) >= 3:
         floor = 1e-300
-        decay_slope = fit_slope(band_ks, [math.log(max(b, floor))
-                                          for b in band_maxima])
+        decay_slope = fit_slope(range(1, len(band_maxima) + 1),
+                                [math.log(max(b, floor)) for b in band_maxima])
         diagnostics["band_decay_slope"] = decay_slope
         tiny = band_maxima[-1] <= 1e-3 * max(sup_q, floor)
         if tiny or decay_slope < -0.05:
@@ -375,19 +376,6 @@ PROBE_RADIUS_SUP = 2.0 * math.sqrt(3.0) / 9.0
 _PROBE_CHUNK_ELEMENTS = 2 ** 18
 
 
-def _pseudo_distance(z, w):
-    """Elementwise rho(z, w) = |(z - w) / (1 - conj(w) z)|, broadcasting.
-
-    Two buffers of the broadcast shape instead of four temporaries: on the
-    probe's distance blocks, fresh allocations cost as much as the arithmetic.
-    """
-    num = z - w
-    den = np.conjugate(w) * z
-    np.subtract(1.0, den, out=den)
-    num /= den
-    return np.abs(num)
-
-
 def _local_hits(phi, targets, r, epsilon):
     """Which targets w are matched by their own candidates w and phi(w).
 
@@ -399,9 +387,8 @@ def _local_hits(phi, targets, r, epsilon):
     z = local[inside]
     w = np.broadcast_to(targets[:, None], local.shape)[inside]
     img = phi.eval(z)
-    ratio = (1.0 - np.abs(z) ** 2) * np.abs(phi.deriv(z)) / (1.0 - np.abs(img) ** 2)
     matched = np.zeros(local.shape, dtype=bool)
-    matched[inside] = (ratio > epsilon) & (_pseudo_distance(img, w) < r)
+    matched[inside] = (_schwarz_pick(phi, z, img) > epsilon) & (rho_array(img, w) < r)
     return np.any(matched, axis=-1)
 
 
@@ -441,12 +428,11 @@ def bounded_below_probe(phi: AnalyticMap, r: float, epsilon: float,
     if miss.size:
         z = points.ravel()
         img = phi.eval(z)
-        ratio = (1.0 - np.abs(z) ** 2) * np.abs(phi.deriv(z)) / (1.0 - np.abs(img) ** 2)
-        candidates = img[ratio > epsilon]
+        candidates = img[_schwarz_pick(phi, z, img) > epsilon]
         chunk = max(1, _PROBE_CHUNK_ELEMENTS // max(1, candidates.size))
         for start in range(0, miss.size, chunk):
             rows = miss[start:start + chunk]
-            dist = _pseudo_distance(candidates, targets[rows, None])
+            dist = rho_array(candidates, targets[rows, None])
             # with no grid candidates the minimum is inf: nothing matches
             hit[rows] = np.min(dist, axis=-1, initial=np.inf) < r
     hits = int(np.count_nonzero(hit))
@@ -460,17 +446,22 @@ def bounded_below_probe(phi: AnalyticMap, r: float, epsilon: float,
 # Doubling behaviour of the reciprocal weight
 # --------------------------------------------------------------------------
 
+def _doubling_chis(alpha, beta, s):
+    """chi(1-s) and chi(1-s/2) for s in (0, 1], through the gaps u = s(2-s)."""
+    if not 0.0 < s <= 1.0:
+        raise ParameterRangeError(f"s must lie in (0, 1], got {s}")
+    return (weight_from_gap(alpha, beta, s * (2.0 - s)),
+            weight_from_gap(alpha, beta, (0.5 * s) * (2.0 - 0.5 * s)))
+
+
 def chi_ratio(alpha: float, beta: float, s: float) -> float:
     """chi(1-s) / chi(1-s/2) computed through the gap u = s(2-s).
 
     Stays bounded over s in (0, 1]; tends to 2^alpha as s -> 0 and to
     (4/3)^alpha / (1 + log(4/3))^beta at s = 1.
     """
-    if not 0.0 < s <= 1.0:
-        raise ParameterRangeError(f"s must lie in (0, 1], got {s}")
-    u1 = s * (2.0 - s)
-    u2 = (0.5 * s) * (2.0 - 0.5 * s)
-    return float(weight_from_gap(alpha, beta, u1) / weight_from_gap(alpha, beta, u2))
+    chi1, chi2 = _doubling_chis(alpha, beta, s)
+    return float(chi1 / chi2)
 
 
 def doubling_ratio(params: BlochParams, s: float) -> float:
@@ -479,12 +470,7 @@ def doubling_ratio(params: BlochParams, s: float) -> float:
     By the non-increasing ratio property of majorants this never exceeds
     chi_ratio(alpha, beta, s); they coincide for the identity majorant.
     """
-    if not 0.0 < s <= 1.0:
-        raise ParameterRangeError(f"s must lie in (0, 1], got {s}")
-    u1 = s * (2.0 - s)
-    u2 = (0.5 * s) * (2.0 - 0.5 * s)
-    chi1 = weight_from_gap(params.alpha, params.beta, u1)
-    chi2 = weight_from_gap(params.alpha, params.beta, u2)
+    chi1, chi2 = _doubling_chis(params.alpha, params.beta, s)
     return float(params.omega(chi1) / params.omega(chi2))
 
 

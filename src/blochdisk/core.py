@@ -93,15 +93,16 @@ def disk_point(z) -> complex:
 class AnalyticMap:
     """An analytic function on the unit disk with exact value and derivative.
 
-    Evaluation contract, shared by every kind, by the majorants' ``__call__``
-    and by ``bloch_weight``/``weight_from_gap``/``extremal.psi``: one code
-    path for every input.  An array argument gives an array of its shape; a
-    scalar argument gives a scalar (Python or numpy, so an instance of
-    ``complex`` or ``float``, never a 0-d array) that matches the array
-    evaluation to rounding: numpy's vectorized loops may round differently
-    from its scalar arithmetic.  Scalar entry points such as
-    ``norms.bloch_functional`` convert to Python numbers once, where they
-    validate their point.  Subclasses are immutable.
+    Evaluation contract, shared by every kind, by the majorants' ``__call__``,
+    by ``bloch_weight``/``weight_from_gap``/``extremal.psi`` and by the
+    functionals defined once on them (``norms.bloch_values``, compop's Q and
+    Schwarz-Pick ratio): one code path for every input.  An array argument
+    gives an array of its shape; a scalar argument gives a scalar (Python or
+    numpy, so an instance of ``complex`` or ``float``, never a 0-d array)
+    that matches the array evaluation to rounding: numpy's vectorized loops
+    may round differently from its scalar arithmetic.  Scalar entry points
+    such as ``norms.bloch_functional`` convert to Python numbers once, where
+    they validate their point.  Subclasses are immutable.
     """
 
     kind = "abstract"
@@ -347,9 +348,6 @@ class Majorant:
     def __call__(self, t):
         raise NotImplementedError
 
-    def describe(self) -> str:
-        return self.kind
-
     def _validate(self):
         origin = float(self(0.0))
         if abs(origin) > 1e-15:
@@ -418,9 +416,6 @@ class PowerMajorant(Majorant):
     def __call__(self, t):
         return np.asarray(t, dtype=float) ** self.s
 
-    def describe(self):
-        return f"power:{self.s:g}"
-
     def __eq__(self, other):
         return isinstance(other, PowerMajorant) and other.s == self.s
 
@@ -437,7 +432,7 @@ class TabulatedMajorant(Majorant):
 
     kind = "custom"
 
-    def __init__(self, ts, values, label="custom"):
+    def __init__(self, ts, values):
         ts = np.asarray(ts, dtype=float)
         values = np.asarray(values, dtype=float)
         if ts.ndim != 1 or ts.shape != values.shape or ts.size < 2:
@@ -446,14 +441,10 @@ class TabulatedMajorant(Majorant):
             raise ValueError("tabulation abscissae must be positive and increasing")
         self._ts = np.concatenate(([0.0], ts))
         self._vals = np.concatenate(([0.0], values))
-        self.label = label
         self._validate()
 
     def __call__(self, t):
         return np.interp(t, self._ts, self._vals)
-
-    def describe(self):
-        return self.label
 
 
 def validate_majorant(candidate) -> Majorant:

@@ -11,10 +11,10 @@ import numpy as np
 
 from .core import (AnalyticMap, DegeneratePairError, HarmonicMap,
                    ParameterRangeError, Polynomial, ZeroSeminormError,
-                   as_harmonic, classical_params, disk_point, lambda_f)
-from .metrics import rho
+                   as_harmonic, classical_params, disk_point)
+from .metrics import rho, rho_array
 from .norms import (DEFAULT_PLAN, SamplingPlan, bloch_functional,
-                    bloch_seminorm, bloch_weight)
+                    bloch_seminorm, bloch_values)
 from .numerics import TWO_PI, area_uniform_points
 
 __all__ = [
@@ -182,13 +182,13 @@ def f_beta(beta: float, z) -> complex:
 # Lipschitz scanner
 # --------------------------------------------------------------------------
 
-def lipschitz_ratio(f: HarmonicMap, z1, z2, params=None) -> float:
-    """|B(z1) - B(z2)| / rho(z1, z2) for the Bloch functional B.
+def lipschitz_ratio(f: HarmonicMap, z1, z2) -> float:
+    """|B(z1) - B(z2)| / rho(z1, z2) for the classical Bloch functional B.
 
     Raises DegeneratePairError when the points are pseudo-hyperbolically
     closer than 1e-14.
     """
-    params = params or classical_params()
+    params = classical_params()
     z1 = disk_point(z1)
     z2 = disk_point(z2)
     dist = rho(z1, z2)
@@ -229,8 +229,9 @@ def _structured_pairs(plan: SamplingPlan):
 
 
 def lipschitz_scan(f: HarmonicMap | AnalyticMap, pairs: int, seed: int,
-                   plan: SamplingPlan | None = None, params=None) -> ScanReport:
-    """Max of the functional's difference quotient over sampled point pairs.
+                   plan: SamplingPlan | None = None) -> ScanReport:
+    """Max of the classical functional's difference quotient over sampled
+    point pairs.
 
     ``f`` may be a bare AnalyticMap, whose ``lambda_f`` is |f'|.  ``pairs``
     (at least 1) are area-uniform (uniform in radius squared and angle),
@@ -240,7 +241,7 @@ def lipschitz_scan(f: HarmonicMap | AnalyticMap, pairs: int, seed: int,
     """
     if pairs < 1:
         raise ParameterRangeError("pairs must be >= 1")
-    params = params or classical_params()
+    params = classical_params()
     plan = plan or DEFAULT_PLAN
     semi = bloch_seminorm(f, params, plan)
     seminorm = semi.require_finite("bloch seminorm")
@@ -253,10 +254,9 @@ def lipschitz_scan(f: HarmonicMap | AnalyticMap, pairs: int, seed: int,
     z1 = np.concatenate([z1, s1])
     z2 = np.concatenate([z2, s2])
 
-    omega = params.omega
-    bvals1 = lambda_f(f, z1) * omega(bloch_weight(params, np.abs(z1)))
-    bvals2 = lambda_f(f, z2) * omega(bloch_weight(params, np.abs(z2)))
-    dist = np.abs((z1 - z2) / (1.0 - np.conjugate(z2) * z1))
+    bvals1 = bloch_values(f, params, z1)
+    bvals2 = bloch_values(f, params, z2)
+    dist = rho_array(z1, z2)
     ok = dist >= 1e-14
     ratios = np.where(ok, np.abs(bvals1 - bvals2) / np.where(ok, dist, 1.0), 0.0)
     idx = int(np.argmax(ratios))

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .core import Mobius, disk_point
 
 __all__ = ["rho", "sigma", "mobius"]
@@ -19,6 +21,17 @@ def rho(z, w) -> float:
     if z == w:
         return 0.0
     return abs((z - w) / (1.0 - w.conjugate() * z))
+
+
+def rho_array(z, w):
+    """rho elementwise on broadcasting arrays.  Two buffers of the broadcast
+    shape instead of four temporaries: on the probe's distance blocks, fresh
+    allocations cost as much as the arithmetic."""
+    num = z - w
+    den = np.conjugate(w) * z
+    np.subtract(1.0, den, out=den)
+    num /= den
+    return np.abs(num)
 
 
 def sigma(z, w) -> float:

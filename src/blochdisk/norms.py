@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -31,6 +32,8 @@ _GFUNC_TOL = 1e-12
 # Size of every plan's supremum grid (see SamplingPlan.sup_grid).
 SUP_RADII = 64
 SUP_ANGLES = 256
+# hardy_mean's node cap, and so the largest angular_resolution of a plan.
+MAX_CIRCLE_NODES = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -53,10 +56,14 @@ class SamplingPlan:
         if n < 8 or (n & (n - 1)) != 0:
             raise ParameterRangeError(
                 f"angular_resolution must be a power of two >= 8, got {n}")
+        if n > MAX_CIRCLE_NODES:
+            raise ParameterRangeError(f"angular_resolution must be <= {MAX_CIRCLE_NODES}, got {n}")
         if not float(self.refinement_tol) > 0.0:
             raise ParameterRangeError("refinement_tol must be positive")
         if int(self.radial_j) < 1:
             raise ParameterRangeError("radial_j must be >= 1")
+        if int(self.radial_j) > 53:  # 1 - 2^-54 rounds to 1.0
+            raise ParameterRangeError(f"radial_j must be <= 53, got {self.radial_j}")
 
     @property
     def ladder(self):
@@ -65,15 +72,24 @@ class SamplingPlan:
     def sup_grid(self):
         """``(radii, angles, points)``: SUP_RADII tanh-spaced radii up to the
         last rung joined with the ladder, SUP_ANGLES equally spaced angles,
-        and their outer product, the points."""
-        tanh = np.tanh(np.linspace(0.0, math.atanh(dyadic_radius(self.radial_j)), SUP_RADII))
-        radii = np.union1d(tanh, np.asarray(self.ladder))
-        angles = np.arange(SUP_ANGLES) * (TWO_PI / SUP_ANGLES)
-        return radii, angles, radii[:, None] * np.exp(1j * angles)[None, :]
+        and their outer product, the points.  Built once per ``radial_j`` and
+        shared by every plan of that depth, so the arrays are read-only."""
+        return _sup_grid(self.radial_j)
 
     def describe(self):
         return {**asdict(self), "sup_radii": SUP_RADII, "sup_angles": SUP_ANGLES,
                 "golden_iters": GOLDEN_ITERS}
+
+
+@lru_cache(maxsize=4)  # a grid is ~0.35 MB; a walk over depths keeps only a few
+def _sup_grid(radial_j):
+    tanh = np.tanh(np.linspace(0.0, math.atanh(dyadic_radius(radial_j)), SUP_RADII))
+    radii = np.union1d(tanh, [dyadic_radius(j) for j in range(1, radial_j + 1)])
+    angles = np.arange(SUP_ANGLES) * (TWO_PI / SUP_ANGLES)
+    grid = radii, angles, radii[:, None] * np.exp(1j * angles)[None, :]
+    for array in grid:
+        array.flags.writeable = False
+    return grid
 
 
 DEFAULT_PLAN = SamplingPlan()
@@ -125,7 +141,7 @@ def hardy_mean(f, p, r, plan: SamplingPlan | None = None) -> float:
 
     Periodic trapezoid rule over roots of unity, doubling the node count (with
     reuse) until successive means agree to the plan's refinement tolerance.
-    Raises QuadratureError carrying the last two values past 2^20 nodes.
+    Raises QuadratureError carrying the last two values at MAX_CIRCLE_NODES.
     """
     plan = plan or DEFAULT_PLAN
     p = float(p)
@@ -146,7 +162,7 @@ def hardy_mean(f, p, r, plan: SamplingPlan | None = None) -> float:
         new_mean = (total / n) ** (1.0 / p)
         if abs(new_mean - mean) <= plan.refinement_tol * max(1.0, abs(new_mean)):
             return new_mean
-        if n >= 2 ** 20:
+        if n >= MAX_CIRCLE_NODES:
             raise QuadratureError(
                 f"circle mean did not stabilize within {n} nodes",
                 last_values=(mean, new_mean))
@@ -210,20 +226,15 @@ def bloch_weight(params: BlochParams, t):
     return weight_from_gap(params.alpha, params.beta, 1.0 - t * t)
 
 
+def bloch_values(f, params: BlochParams, z):
+    """Lambda_f(z) * omega(chi(|z|)), elementwise under the AnalyticMap array
+    contract; the builtin ``abs`` keeps Python's arithmetic on a Python z."""
+    return lambda_f(f, z) * params.omega(bloch_weight(params, abs(z)))
+
+
 def bloch_functional(f, params: BlochParams, z) -> float:
-    """Weighted maximal derivative Lambda_f(z) * omega(chi(|z|))."""
-    z = disk_point(z)
-    return float(lambda_f(f, z) * params.omega(bloch_weight(params, abs(z))))
-
-
-def _functional_on_grid(f, params):
-    omega = params.omega
-
-    def objective(z):
-        t = np.abs(z)
-        return lambda_f(f, z) * omega(bloch_weight(params, t))
-
-    return objective
+    """Weighted maximal derivative Lambda_f(z) * omega(chi(|z|)) at a disk point."""
+    return float(bloch_values(f, params, disk_point(z)))
 
 
 def bloch_seminorm(f, params: BlochParams | None = None,
@@ -237,11 +248,9 @@ def bloch_seminorm(f, params: BlochParams | None = None,
     """
     params = params or classical_params()
     plan = plan or DEFAULT_PLAN
-    objective = _functional_on_grid(f, params)
-
     grid = plan.sup_grid()
     radii, _, points = grid
-    values = objective(points)
+    values = bloch_values(f, params, points)
     rows = np.searchsorted(radii, plan.ladder)
     ridge = np.max(values[rows], axis=1).tolist()
     evidence = tuple(zip(plan.ladder, ridge))
@@ -249,14 +258,13 @@ def bloch_seminorm(f, params: BlochParams | None = None,
         return NormEstimate(math.inf, False, evidence,
                             resolution=float(ridge[-1] - ridge[-2]))
 
-    value, _, res = sup_search(objective, grid, values=values)
+    value, _, res = sup_search(partial(bloch_values, f, params), grid, values=values)
     return NormEstimate(float(value), True, evidence, resolution=float(res[0]))
 
 
 def bloch_norm(f, params: BlochParams | None = None,
                plan: SamplingPlan | None = None) -> NormEstimate:
     """|f(0)| plus the seminorm; inherits the seminorm's verdict."""
-    params = params or classical_params()
     semi = bloch_seminorm(f, params, plan)
     if not semi.finite:
         return semi

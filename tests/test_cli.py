@@ -446,6 +446,26 @@ class TestMain:
         assert rows[0] == "truncation,value"
         assert len(rows) == 22
 
+    @pytest.mark.parametrize("flag", ["--out", "--csv"])
+    def test_exit_one_on_unwritable_output(self, tmp_path, capsys, flag):
+        path = tmp_path / "missing" / "report"
+        assert main(["metric", "--z", "0.1", "--w", "0", flag, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and str(path) in captured.err
+
+    @pytest.mark.parametrize("argv,setting", [
+        (["--plan-j", "54"], "radial_j"), (["--plan-j", "60"], "radial_j"),
+        (["--angular", str(2 ** 21)], "angular_resolution"),
+        (["--angular", str(2 ** 30)], "angular_resolution")])
+    def test_exit_one_on_plan_past_its_bounds(self, capsys, monkeypatch, argv, setting):
+        # rejected while the plan is built, before any evaluation
+        monkeypatch.setattr("blochdisk.cli.hardy_norm", None)
+        assert main(["hardy-norm", "--func", "eta", "--p", "2"] + argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {setting} must be <= ")
+
     @pytest.mark.parametrize("command", ["compop-criterion", "compop-verdict",
                                          "bounded-below-probe"])
     def test_exit_one_on_empty_blaschke_product(self, capsys, command):

@@ -1,6 +1,7 @@
 """Composition operators: compose, criterion integrals, verdicts, probes."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from blochdisk import (Blaschke, BlochParams, CriterionReport, HarmonicMap,
                        ParameterRangeError, Polynomial, PowerKernel,
                        PowerMajorant, QuadraticExtremal, ScaledIdentity,
                        as_harmonic, bloch_functional, bloch_to_hardy_criterion,
+                       bloch_weight,
                        bounded_below_probe, chi_ratio, classical_params,
                        compose, doubling_limits, doubling_ratio,
                        growth_bound_check, hardy_norm, hardy_to_bloch_q,
@@ -43,6 +45,56 @@ _CONSTANTS = _DISK.map(lambda c: Polynomial((c,)))
 _SCALINGS = _DISK.filter(lambda c: abs(c) > 1e-3).map(ScaledIdentity)
 _MOBIUS = _DISK.map(Mobius)
 _BLASCHKE = st.lists(_DISK, min_size=1, max_size=3).map(lambda a: Blaschke(tuple(a)))
+
+
+class _Counting:
+    """Duck-typed symbol delegating to phi; records each call's argument shape."""
+
+    kind = "test-counting"
+
+    def __init__(self, phi):
+        self.phi = phi
+        self.calls = Counter()
+
+    def eval(self, z):
+        self.calls["eval", np.shape(z)] += 1
+        return self.phi.eval(z)
+
+    def deriv(self, z):
+        self.calls["deriv", np.shape(z)] += 1
+        return self.phi.deriv(z)
+
+
+class _Spiky:
+    """Duck-typed symbol z/2 whose derivative is inf on 0.55 < |z| < 0.8 and
+    NaN beyond, so ladder rows of Q hold inf and NaN."""
+
+    kind = "test-spiky"
+
+    def eval(self, z):
+        return 0.5 * np.asarray(z, dtype=complex)
+
+    def deriv(self, z):
+        t = np.abs(z)
+        return np.where(t > 0.8, np.nan, np.where(t > 0.55, np.inf, 0.5)) + 0j
+
+
+def _per_ring_evidence(phi, params, p, plan):
+    """The verdict's running supremum as Q evaluated ring by ring: Q at 0,
+    then each ladder row of the grid, folded with Python's max."""
+    radii, _, zgrid = plan.sup_grid()
+
+    def q(z):
+        w = phi.eval(z)
+        weight = params.omega(bloch_weight(params, np.abs(z)))
+        return np.abs(phi.deriv(z)) * weight / (1.0 - np.abs(w) ** 2) ** (1.0 + 1.0 / p)
+
+    running = []
+    sup_so_far = float(np.max(q(np.zeros(1, dtype=complex))))
+    for ring in zgrid[np.searchsorted(radii, plan.ladder)]:
+        sup_so_far = max(sup_so_far, float(np.max(q(ring))))
+        running.append(sup_so_far)
+    return tuple(zip(plan.ladder, running))
 
 
 class TestAdmissibility:
@@ -278,6 +330,31 @@ class TestHardyToBlochVerdict:
         assert not _stabilized([])
         assert not _stabilized([0.0, 0.0])
         assert _stabilized([1.0, 0.0, 0.0, 0.0])
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("radial_j", [3, 4, 20, 24])
+    @pytest.mark.parametrize("phi", [
+        IDENTITY, HALF, CONSTANT, Mobius(0.4 + 0.1j),
+        Blaschke((0.2 + 0.1j, -0.3 + 0.4j, 0.5 - 0.2j)), _Spiky()],
+        ids=["identity", "half", "constant", "mobius", "blaschke3", "inf-nan"])
+    def test_evidence_matches_per_ring_reference(self, phi, radial_j):
+        plan = SamplingPlan(radial_j=radial_j)
+        for params, p in ((CLASSICAL, 2.0), (BlochParams(2.0, 1.0), 3.0)):
+            rep = hardy_to_bloch_verdict(phi, params, p, plan)
+            reference = _per_ring_evidence(phi, params, p, plan)
+            assert np.asarray(rep.evidence).tobytes() == np.asarray(reference).tobytes()
+
+    @pytest.mark.parametrize("phi,verdict,grid_calls", [
+        (HALF, "vacuously-compact", 1), (Polynomial((0, 1)), "unbounded", 0)])
+    def test_one_ladder_call_and_one_grid_evaluation(self, phi, verdict, grid_calls):
+        plan = SamplingPlan(radial_j=10)
+        counting = _Counting(phi)
+        assert hardy_to_bloch_verdict(counting, CLASSICAL, 2.0, plan).verdict == verdict
+        rings = (plan.radial_j + 1, 256)
+        grid = plan.sup_grid()[2].shape
+        assert counting.calls["eval", rings] == counting.calls["deriv", rings] == 1
+        assert counting.calls["eval", grid] == counting.calls["deriv", grid] == grid_calls
+        assert not counting.calls["eval", (256,)] and not counting.calls["eval", (1,)]
 
     def test_evidence_running_sup_monotone(self):
         rep = hardy_to_bloch_verdict(HALF, CLASSICAL, 2.0)

@@ -2,9 +2,11 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from blochdisk import mobius, rho, sigma
+from blochdisk.metrics import rho_array
 from conftest import disk_samples
 
 
@@ -18,6 +20,18 @@ def test_rho_identical_points_exact_zero():
     assert rho(z, z) == 0.0
     # no fuzzy equality: distinct floats give a positive distance
     assert rho(z, z + 1e-15) > 0.0
+
+
+def test_rho_array_matches_rho(rng):
+    z = disk_samples(rng, 500)
+    w = disk_samples(rng, 500)
+    scalar = np.array([rho(a, b) for a, b in zip(z.tolist(), w.tolist())])
+    assert np.max(np.abs(rho_array(z, w) - scalar)) <= 4 * np.finfo(float).eps
+    # broadcasting, as the probe measures targets against candidates
+    block = rho_array(z[:40], w[:30, None])
+    assert block.shape == (30, 40)
+    assert block[7, 11] == pytest.approx(rho(z[11], w[7]), abs=4 * np.finfo(float).eps)
+    assert np.all(rho_array(z, z.copy()) == 0.0)
 
 
 def test_rho_hand_value():

@@ -16,7 +16,7 @@ from blochdisk import (BlochParams, Mobius, ParameterRangeError,
                        hardy_norm, lambda_f, mobius, power_mean_inequality_check)
 from blochdisk.core import DivergentIntegralError
 from blochdisk.extremal import AntiderivativeExtremal
-from blochdisk.norms import SamplingPlan, _g_squared
+from blochdisk.norms import MAX_CIRCLE_NODES, SamplingPlan, _g_squared
 from blochdisk.numerics import TWO_PI, gl_panel
 
 from conftest import (ReciprocalGap, disk_samples, g_sq_oracle,
@@ -38,6 +38,27 @@ class TestSamplingPlan:
             SamplingPlan(angular_resolution=4)
         with pytest.raises(ParameterRangeError):
             SamplingPlan(refinement_tol=0.0)
+
+    def test_rejects_plans_past_float_and_node_limits(self):
+        # r_54 = 1 - 2^-54 rounds to 1.0; hardy_mean caps its nodes at 2^20
+        assert SamplingPlan(radial_j=53).ladder[-1] < 1.0
+        assert SamplingPlan(angular_resolution=MAX_CIRCLE_NODES)
+        with pytest.raises(ParameterRangeError, match="radial_j"):
+            SamplingPlan(radial_j=54)
+        with pytest.raises(ParameterRangeError, match="angular_resolution"):
+            SamplingPlan(angular_resolution=2 * MAX_CIRCLE_NODES)
+        with pytest.raises(ParameterRangeError, match="angular_resolution"):
+            SamplingPlan(angular_resolution=2 ** 30)
+
+    def test_plans_of_one_depth_share_a_read_only_grid(self):
+        first = SamplingPlan(radial_j=7).sup_grid()
+        second = SamplingPlan(radial_j=7, angular_resolution=64,
+                              refinement_tol=1e-8).sup_grid()
+        assert all(a is b for a, b in zip(first, second))
+        assert SamplingPlan(radial_j=8).sup_grid()[0] is not first[0]
+        for array in first:
+            with pytest.raises(ValueError):
+                array[0] = 0.5
 
     def test_three_settable_fields(self):
         assert [f.name for f in dataclasses.fields(SamplingPlan)] == \
