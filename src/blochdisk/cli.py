@@ -479,10 +479,7 @@ def main(argv=None) -> int:
                 fh.write(text + "\n")
         if config.csv_path:
             with open(config.csv_path, "w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["truncation", "value"])
-                for trunc, value in report.evidence:
-                    writer.writerow([trunc, value])
+                csv.writer(fh).writerows([("truncation", "value"), *report.evidence])
     except (BlochDiskError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

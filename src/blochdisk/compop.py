@@ -265,7 +265,7 @@ def hardy_to_bloch_verdict(phi: AnalyticMap, params: BlochParams, p: float,
     when every sampled |phi| stays below 1 - 1e-6 the boundary-limit
     condition holds vacuously; otherwise band maxima of Q over
     {|phi(z)| > 1 - 2^-k} must decay to zero.  phi is evaluated once on the
-    ladder rows and once on the grid.
+    ladder rows and, on the bounded path, once on the grid.
     """
     p = float(p)
     _check_hardy_to_bloch_params(params, p)
@@ -275,6 +275,8 @@ def hardy_to_bloch_verdict(phi: AnalyticMap, params: BlochParams, p: float,
     grid = plan.sup_grid()
     radii, _, zgrid = grid
     ladder = plan.ladder
+    # The ladder rows alone, not the grid as in bloch_seminorm: most verdicts
+    # end at the ladder (unbounded or inconclusive), and rows are 1/4 of it.
     rings = zgrid[np.searchsorted(radii, [0.0] + ladder)]
     ring_max = np.max(_q(phi, params, p, rings, phi.eval(rings)), axis=1).tolist()
     # Python's max, as a per-ring loop takes it: a later NaN ring is skipped

@@ -72,19 +72,19 @@ class SamplingPlan:
     def sup_grid(self):
         """``(radii, angles, points)``: SUP_RADII tanh-spaced radii up to the
         last rung joined with the ladder, SUP_ANGLES equally spaced angles,
-        and their outer product, the points.  Built once per ``radial_j`` and
-        shared by every plan of that depth, so the arrays are read-only."""
-        return _sup_grid(self.radial_j)
+        and their outer product, the points.  Built once per ladder and shared
+        by every plan of that depth, so the arrays are read-only."""
+        return _sup_grid(tuple(self.ladder))
 
     def describe(self):
         return {**asdict(self), "sup_radii": SUP_RADII, "sup_angles": SUP_ANGLES,
                 "golden_iters": GOLDEN_ITERS}
 
 
-@lru_cache(maxsize=4)  # a grid is ~0.35 MB; a walk over depths keeps only a few
-def _sup_grid(radial_j):
-    tanh = np.tanh(np.linspace(0.0, math.atanh(dyadic_radius(radial_j)), SUP_RADII))
-    radii = np.union1d(tanh, [dyadic_radius(j) for j in range(1, radial_j + 1)])
+@lru_cache(maxsize=4)  # the fewest depths that keep every depth-20 hit in verdict-mix
+def _sup_grid(ladder):
+    tanh = np.tanh(np.linspace(0.0, math.atanh(ladder[-1]), SUP_RADII))
+    radii = np.union1d(tanh, ladder)
     angles = np.arange(SUP_ANGLES) * (TWO_PI / SUP_ANGLES)
     grid = radii, angles, radii[:, None] * np.exp(1j * angles)[None, :]
     for array in grid:

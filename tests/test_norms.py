@@ -16,7 +16,7 @@ from blochdisk import (BlochParams, Mobius, ParameterRangeError,
                        hardy_norm, lambda_f, mobius, power_mean_inequality_check)
 from blochdisk.core import DivergentIntegralError
 from blochdisk.extremal import AntiderivativeExtremal
-from blochdisk.norms import MAX_CIRCLE_NODES, SamplingPlan, _g_squared
+from blochdisk.norms import DEFAULT_PLAN, MAX_CIRCLE_NODES, SamplingPlan, _g_squared
 from blochdisk.numerics import TWO_PI, gl_panel
 
 from conftest import (ReciprocalGap, disk_samples, g_sq_oracle,
@@ -59,6 +59,13 @@ class TestSamplingPlan:
         for array in first:
             with pytest.raises(ValueError):
                 array[0] = 0.5
+
+    def test_default_grid_survives_three_other_depths(self):
+        # a command at another depth screens its symbol on the default grid
+        default = DEFAULT_PLAN.sup_grid()
+        for radial_j in (3, 4, 5):
+            SamplingPlan(radial_j=radial_j).sup_grid()
+        assert DEFAULT_PLAN.sup_grid()[2] is default[2]
 
     def test_three_settable_fields(self):
         assert [f.name for f in dataclasses.fields(SamplingPlan)] == \
