@@ -147,7 +147,9 @@ def _ladder_trend(ks, values):
     the least-squares slope of the last eight values against k log 2, i.e.
     against -log(1 - R_k).  Growth needs a slope above ``SLOPE_THRESHOLD``
     over at least ``_STABLE_RUNGS + 1`` rungs, the evidence stabilization
-    needs: a fit through fewer points claims more than they show.
+    needs: a fit through fewer points claims more than they show.  It also
+    needs the top rung to rise by at least ``STABILIZATION_TOL``: the slope of
+    a ladder that has levelled off still carries its earlier rise.
     """
     scale = max(abs(values[-1]), 1e-300)
     rel_changes = [abs(values[i] - values[i - 1]) / scale
@@ -156,7 +158,7 @@ def _ladder_trend(ks, values):
     slope = fit_slope(xs, values[-8:])
     stabilized = _stabilized(rel_changes)
     growing = (not stabilized and len(values) > _STABLE_RUNGS
-               and slope > SLOPE_THRESHOLD)
+               and slope > SLOPE_THRESHOLD and rel_changes[-1] >= STABILIZATION_TOL)
     return rel_changes, stabilized, growing, slope
 
 

@@ -43,7 +43,8 @@ class SamplingPlan:
     angular_resolution: starting count of roots of unity (power of two, >= 8);
     radial_j: ladder depth, radii r_j = 1 - 2^-j for j = 1..radial_j;
     refinement_tol: relative stabilization target for self-refining averages.
-    The supremum grid's size and ``sup_search``'s refinement depth are fixed;
+    The supremum grid's size and ``sup_search``'s refinement depth (boxes
+    shrunk to ``GOLDEN_ITERS`` golden-section steps a side) are fixed;
     ``describe`` reports them after these three.
     """
 

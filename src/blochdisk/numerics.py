@@ -17,8 +17,10 @@ _ROUND_OFFSETS = np.arange(-7, 8) / 8.0
 # Nodes per Gauss-Legendre panel of gl_panel and gl_panel_columns.
 GL_NODES = 16
 # sup_search refines its REFINE_TOP strongest grid peaks to the width of
-# GOLDEN_ITERS golden-section steps.
+# GOLDEN_ITERS golden-section steps per side, which GOLDEN_ROUNDS rounds of
+# golden_max, each shrinking a side by 2/16, reach.
 GOLDEN_ITERS = 40
+GOLDEN_ROUNDS = math.ceil(GOLDEN_ITERS * math.log(INV_GOLDEN) / math.log(2.0 / 16.0))
 REFINE_TOP = 4
 
 
@@ -56,31 +58,32 @@ def gl_panel_columns(fn2, a, b):
     return half * (w @ vals)
 
 
-def golden_max(fn, a, b, iters=40):
-    """Maxima of a unimodal function on a batch of brackets [a, b] at once.
+def golden_max(fn, a, b):
+    """Maxima of a unimodal function on a batch of d-dimensional boxes [a, b].
 
-    Simultaneous-evaluation search (Avriel & Wilde, 1966): each round makes
-    one call of ``fn`` on the 15 evenly spaced interior nodes of every bracket
-    and keeps the two cells beside each bracket's best node, so every width
-    shrinks by 2/16 per round.  ``ceil(iters * log(INV_GOLDEN) / log(2/16))``
-    rounds (10 for ``iters=40``) leave each bracket at most as wide as
-    ``iters`` golden-section steps would.
+    Simultaneous-evaluation search (Avriel & Wilde, 1966), run on every side
+    at once as a pattern search: each of ``GOLDEN_ROUNDS`` rounds makes one
+    call of ``fn`` on the 15^d lattice of every box's interior nodes (15
+    evenly spaced ones per side, the centre included) and keeps the cells
+    beside each box's best node, so every side shrinks by 2/16 per round, to
+    at most the width of ``GOLDEN_ITERS`` golden-section steps.
 
-    ``a`` and ``b`` are bracket ends of a common shape S (scalars included);
-    ``fn`` maps an array of shape S + (15,) to values of the same shape.
-    Returns ``(x, fn(x), width)``, each of shape S: x is the best node, which
-    is the centre of the final bracket, and width is that bracket's size, but
-    never less than the float spacing at x, below which nodes coincide.
+    ``a`` and ``b`` are corners of a common shape S + (d,); ``fn`` maps an
+    array of points of shape S + (15^d, d) to values of shape S + (15^d,).
+    Returns ``(x, fn(x), width)`` of shapes S + (d,), S and S + (d,): x is the
+    best node, which is the centre of the final box, and width is that box's
+    sides, but never less than the float spacing at x, below which nodes
+    coincide.
     """
     a = np.asarray(a, dtype=float)
     centre = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    rounds = max(1, math.ceil(iters * math.log(INV_GOLDEN) / math.log(2.0 / 16.0)))
-    for _ in range(rounds):
-        nodes = centre[..., None] + half[..., None] * _ROUND_OFFSETS
-        vals = np.asarray(fn(nodes), dtype=float)
+    d = a.shape[-1]
+    lattice = np.stack(np.meshgrid(*[_ROUND_OFFSETS] * d, indexing="ij"), -1).reshape(-1, d)
+    for _ in range(GOLDEN_ROUNDS):
+        vals = np.asarray(fn(centre[..., None, :] + half[..., None, :] * lattice), dtype=float)
         value = np.max(vals, axis=-1)
-        centre = centre + half * _ROUND_OFFSETS[np.argmax(vals, axis=-1)]
+        centre = centre + half * lattice[np.argmax(vals, axis=-1)]
         half = half / 8.0
     return centre, value, np.maximum(2.0 * half, np.spacing(np.abs(centre)))
 
@@ -139,13 +142,15 @@ def area_uniform_points(rng, n):
 
 
 def _grid_local_maxima(vals):
-    """Indices of grid cells that beat their 4-neighbors (angle wraps)."""
+    """Indices of grid cells that beat their 4-neighbors (angle wraps).  Row 0
+    is the single point r = 0, so it gives at most one peak, at angle 0."""
     up = np.roll(vals, 1, axis=1)
     down = np.roll(vals, -1, axis=1)
     inner = np.pad(vals, ((1, 1), (0, 0)), constant_values=-np.inf)
     above = inner[2:, :]
     below = inner[:-2, :]
     mask = (vals >= up) & (vals >= down) & (vals >= above) & (vals >= below)
+    mask[0, 1:] = False
     return np.argwhere(mask)
 
 
@@ -153,43 +158,33 @@ def sup_search(objective, grid, values=None):
     """Maximum of ``objective(z)`` on the ``(radii, angles, points)`` grid of
     ``SamplingPlan.sup_grid``, plus local refinement.
 
-    The ``REFINE_TOP`` strongest grid-local maxima are refined together, which
-    guards against near-tied peaks resolving differently off-grid: two rounds
-    of a radial then an angular ``golden_max`` stage of ``GOLDEN_ITERS``
-    steps, each covering all peaks in one objective call per search round.
-    ``objective`` must act elementwise on complex ndarrays of any shape;
-    ``values``, when given, are its values on the points.  Returns ``(value,
-    argmax_z, (radius_width, angle_width))``, the widths being the winning
-    peak's final brackets.
+    The ``REFINE_TOP`` strongest grid-local maxima are refined together by
+    one ``golden_max`` call, which guards against near-tied peaks resolving
+    differently off-grid.  Each peak's (radius, angle) box spans its
+    neighbouring radii and two angular steps either way, since on a tilted
+    ridge the grid peak can sit almost two steps from the true one; the r = 0
+    peak's box spans the first ring and every angle.  ``objective`` must act
+    elementwise on complex ndarrays of any shape; ``values``, when given, are
+    its values on the points.  Returns ``(value, argmax_z, (radius_width,
+    angle_width))``, the widths being the final box of the strongest refined
+    peak (the grid steps when the grid has no peak, as when it is all NaN).
     """
     r, th, zgrid = grid
     vals = np.asarray(objective(zgrid) if values is None else values, dtype=float)
     peaks = _grid_local_maxima(vals)
     order = np.argsort(vals[peaks[:, 0], peaks[:, 1]])[::-1]
-    peaks = peaks[order[:REFINE_TOP]]
-    dth = TWO_PI / len(th)
-
+    i, j = peaks[order[:REFINE_TOP]].T
     best_val = float(np.max(vals))
     best_z = complex(zgrid[np.unravel_index(int(np.argmax(vals)), vals.shape)])
-    best_res = (float(r[1] - r[0]) if len(r) > 1 else 0.0, dth)
-    if not len(peaks):
-        return best_val, best_z, best_res
-    i, j = peaks[:, 0], peaks[:, 1]
-    r_lo = np.where(i > 0, r[np.maximum(i - 1, 0)], 0.0)
-    r_hi = r[np.minimum(i + 1, len(r) - 1)]
-    t_best = th[j]
-    for _ in range(2):
-        ray = np.exp(1j * t_best)[:, None]
-        r_best, _, wr = golden_max(lambda s: objective(s * ray), r_lo, r_hi,
-                                   GOLDEN_ITERS)
-        ring = r_best[:, None]
-        t_best, refined, wa = golden_max(lambda t: objective(ring * np.exp(1j * t)),
-                                         t_best - dth, t_best + dth, GOLDEN_ITERS)
-        r_lo = np.maximum(0.0, r_best - 2.0 * wr)
-        r_hi = np.minimum(r[-1], r_best + 2.0 * wr)
+    if not len(i):
+        return best_val, best_z, (float(r[1] - r[0]), TWO_PI / len(th))
+    half_angle = np.where(i > 0, 2.0 * TWO_PI / len(th), math.pi)
+    lo = np.stack([r[np.maximum(i - 1, 0)], th[j] - half_angle], axis=-1)
+    hi = np.stack([r[np.minimum(i + 1, len(r) - 1)], th[j] + half_angle], axis=-1)
+    x, refined, width = golden_max(
+        lambda rt: objective(rt[..., 0] * np.exp(1j * rt[..., 1])), lo, hi)
     k = int(np.argmax(refined))
     if refined[k] > best_val:
         best_val = float(refined[k])
-        best_z = complex(r_best[k] * np.exp(1j * t_best[k]))
-        best_res = (float(wr[k]), float(wa[k]))
-    return best_val, best_z, best_res
+        best_z = complex(x[k, 0] * np.exp(1j * x[k, 1]))
+    return best_val, best_z, (float(width[k, 0]), float(width[k, 1]))

@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 import scipy.integrate
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blochdisk import (Blaschke, BlochParams, CriterionReport, HarmonicMap,
@@ -364,6 +364,8 @@ class TestHardyToBlochVerdict:
     @settings(max_examples=120, deadline=None)
     @given(st.one_of(_CONSTANTS, _SCALINGS, st.just(IDENTITY), _MOBIUS, _BLASCHKE),
            st.integers(1, 23), st.sampled_from([1.5, 2.0, 3.0]))
+    # a ladder that levels off at rung 3: its fit slope still reads growth
+    @example(ScaledIdentity(0.65625 + 0.65625j), 5, 1.5)
     def test_deeper_ladder_never_reverses_a_verdict(self, phi, j, p):
         shallow = hardy_to_bloch_verdict(phi, CLASSICAL, p, SamplingPlan(radial_j=j))
         deep = hardy_to_bloch_verdict(phi, CLASSICAL, p, SamplingPlan(radial_j=j + 1))

@@ -255,6 +255,26 @@ class TestBlochSeminorm:
                 est = bloch_seminorm(f, prm, plan)
                 assert [v for _, v in est.evidence] == ridge
 
+    @pytest.mark.parametrize("a", [pytest.param(0.01 + 0.039j, id="first-ring")]
+                             + [pytest.param(0.9 * np.exp(2j * math.pi * k / 13), id=f"0.9-angle{k}")
+                                for k in range(13)])
+    def test_mobius_seminorm_is_one(self, a):
+        # (1 - |z|^2) |phi_a'(z)| = 1 - |phi_a(z)|^2 peaks at z = a: inside the
+        # first grid ring for |a| = 0.04, between grid angles at |a| = 0.9
+        est = bloch_seminorm(as_harmonic(Mobius(a)))
+        assert est.value == pytest.approx(1.0, abs=1e-12)
+
+    def test_seminorm_bounds_dense_samples(self):
+        # the refined supremum is never below the functional's largest value
+        # on 2x10^5 seeded points of the disk
+        rng = np.random.default_rng(12)
+        maps = [random_polynomial_pair(rng) for _ in range(40)]
+        points = disk_samples(np.random.default_rng(13), 200_000, r_max=0.9999)
+        weight = 1.0 - np.abs(points) ** 2
+        for f in maps:
+            sampled = float(np.max(lambda_f(f, points) * weight))
+            assert bloch_seminorm(f).value >= sampled
+
     def test_power_majorant_weighting(self):
         # omega(t) = sqrt(t): functional of the identity map is sqrt(1 - |z|^2),
         # sup = 1 at the origin.

@@ -1,59 +1,103 @@
-"""Batched bracket search, the supremum engine, and the seeded sampler."""
+"""Batched box search, the supremum engine, and the seeded sampler."""
 
 import math
 
 import numpy as np
 import pytest
 
-from blochdisk import DEFAULT_PLAN, Polynomial, as_harmonic, lambda_f
+from blochdisk import DEFAULT_PLAN, Polynomial, as_harmonic, lambda_f, numerics
 from blochdisk.extremal import QuadraticExtremal
-from blochdisk.numerics import (INV_GOLDEN, TWO_PI, area_uniform_points,
+from blochdisk.numerics import (GOLDEN_ITERS, INV_GOLDEN, TWO_PI, area_uniform_points,
                                 golden_max, sup_search)
 
 
+# every side of a golden_max box ends at most this fraction of its start
+WIDTH = INV_GOLDEN ** GOLDEN_ITERS
+
+
 class TestGoldenMax:
-    @pytest.mark.parametrize("iters", [5, 20, 40])
-    def test_batch_of_brackets(self, iters):
-        # unimodal on each bracket, with maximizers at known points
-        peaks = np.array([0.1, 0.37, -2.5, 3.0, 0.999])
-        a = np.array([0.0, 0.0, -4.0, 2.9, 0.5])
-        b = np.array([1.0, 2.0, 1.0, 3.2, 1.0])
-        x, fx, width = golden_max(lambda t: -(t - peaks[:, None]) ** 2, a, b, iters)
-        assert x.shape == fx.shape == width.shape == peaks.shape
-        bound = INV_GOLDEN ** iters * (b - a)
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_batch_of_boxes(self, d):
+        # a concave quadratic on each box, with its maximizer at a known point
+        rng = np.random.default_rng(d)
+        a = rng.uniform(-4.0, 1.0, (5, d))
+        b = a + rng.uniform(0.1, 3.0, (5, d))
+        peaks = a + rng.uniform(0.05, 0.95, (5, d)) * (b - a)
+
+        def fn(x):
+            return -np.sum((x - peaks[:, None, :]) ** 2, axis=-1)
+
+        x, fx, width = golden_max(fn, a, b)
+        assert x.shape == width.shape == (5, d)
+        assert fx.shape == (5,)
+        bound = WIDTH * (b - a)
         assert np.all(width <= bound)
         assert np.all(np.abs(x - peaks) <= bound)
-        assert np.array_equal(fx, -(x - peaks) ** 2)
+        assert np.array_equal(fx, fn(x[:, None, :])[:, 0])
 
     def test_nonpolynomial_unimodal_functions(self):
         # x exp(-x) peaks at 1; sin at pi/2; x(1-x^2) at 1/sqrt(3)
         fns = (lambda t: t * np.exp(-t), np.sin, lambda t: t * (1.0 - t * t))
-        peaks = (1.0, math.pi / 2.0, 1.0 / math.sqrt(3.0))
-        a = np.array([0.0, 0.3, 0.0])
-        b = np.array([5.0, 3.0, 1.0])
+        peaks = np.array([1.0, math.pi / 2.0, 1.0 / math.sqrt(3.0)])
+        a = np.array([[0.0], [0.3], [0.0]])
+        b = np.array([[5.0], [3.0], [1.0]])
 
-        def fn(t):
-            return np.stack([f(row) for f, row in zip(fns, t)])
+        def fn(x):
+            return np.stack([f(row[:, 0]) for f, row in zip(fns, x)])
 
-        x, _, _ = golden_max(fn, a, b, 40)
-        assert np.all(np.abs(x - peaks) <= INV_GOLDEN ** 40 * (b - a))
+        x, _, _ = golden_max(fn, a, b)
+        assert np.all(np.abs(x[:, 0] - peaks) <= WIDTH * (b - a)[:, 0])
 
     def test_scalar_bracket(self):
-        x, fx, width = golden_max(lambda t: -np.abs(t - 0.25), 0.0, 1.0, 40)
-        assert np.shape(x) == ()
-        assert abs(float(x) - 0.25) <= INV_GOLDEN ** 40
-        assert float(width) <= INV_GOLDEN ** 40
-        assert float(fx) == -abs(float(x) - 0.25)
+        x, fx, width = golden_max(lambda t: -np.abs(t[..., 0] - 0.25), [0.0], [1.0])
+        assert x.shape == width.shape == (1,)
+        assert np.shape(fx) == ()
+        assert abs(float(x[0]) - 0.25) <= WIDTH
+        assert float(width[0]) <= WIDTH
+        assert float(fx) == -abs(float(x[0]) - 0.25)
+
+    def test_single_box(self):
+        peak = np.array([0.3, -1.2])
+        a, b = np.array([0.0, -2.0]), np.array([1.0, 0.0])
+
+        def fn(x):
+            return -np.abs(x[..., 0] - peak[0]) - 2.0 * np.abs(x[..., 1] - peak[1])
+
+        x, fx, width = golden_max(fn, a, b)
+        assert x.shape == width.shape == (2,)
+        assert np.shape(fx) == ()
+        assert np.all(width <= WIDTH * (b - a))
+        assert np.all(np.abs(x - peak) <= WIDTH * (b - a))
+        assert float(fx) == float(fn(x))
+
+    def test_tilted_ridge_found_where_coordinate_search_stops(self):
+        # a narrow ridge along y = x rising to its top at (0.8, 0.8); on the
+        # unit square the box search follows it to the top, while two rounds
+        # of an x search then a y search, from the centre, barely climb it
+        def ridge(x, y):
+            return -1e3 * (x - y) ** 2 - (x + y - 1.6) ** 2
+
+        x, fx, _ = golden_max(lambda p: ridge(p[..., 0], p[..., 1]),
+                              [0.0, 0.0], [1.0, 1.0])
+        assert np.all(np.abs(x - 0.8) <= WIDTH)
+        assert float(fx) == pytest.approx(0.0, abs=1e-15)
+
+        y = 0.5
+        for _ in range(2):
+            xs, _, _ = golden_max(lambda t: ridge(t[..., 0], y), [0.0], [1.0])
+            ys, coordinate, _ = golden_max(lambda t: ridge(xs[0], t[..., 0]), [0.0], [1.0])
+            y = ys[0]
+        assert float(coordinate) < -0.3
 
     def test_one_call_per_round(self):
         calls = []
 
-        def fn(t):
-            calls.append(t.shape)
-            return -t ** 2
+        def fn(x):
+            calls.append(x.shape)
+            return -np.sum(x ** 2, axis=-1)
 
-        golden_max(fn, np.full(4, -1.0), np.full(4, 2.0), 40)
-        assert calls == [(4, 15)] * 10
+        golden_max(fn, np.full((4, 2), -1.0), np.full((4, 2), 2.0))
+        assert calls == [(4, 225, 2)] * 10
 
 
 def _functional(f):
@@ -93,6 +137,27 @@ class TestSupSearch:
         given = sup_search(counted, grid, values=values)
         assert values.size not in sizes
         assert given == sup_search(objective, grid)
+
+    def test_one_box_search_for_all_peaks(self, monkeypatch):
+        # every peak is refined by one golden_max call of 10 rounds
+        f = as_harmonic(Polynomial((0, 0.5, 0.25j, 0.1, 0.3 - 0.2j)))
+        objective = _functional(f)
+        grid = DEFAULT_PLAN.sup_grid()
+        boxes, sizes = [], []
+
+        def counted_golden_max(fn, a, b):
+            boxes.append(np.shape(a))
+            return golden_max(fn, a, b)
+
+        def counted(z):
+            sizes.append(np.size(z))
+            return objective(z)
+
+        monkeypatch.setattr(numerics, "golden_max", counted_golden_max)
+        sup_search(counted, grid)
+        assert len(boxes) == 1
+        assert boxes[0][1] == 2 and 1 <= boxes[0][0] <= numerics.REFINE_TOP
+        assert sizes == [grid[2].size] + [boxes[0][0] * 225] * 10
 
 
 def test_area_uniform_points_matches_inline_draws():
