@@ -83,6 +83,17 @@ def catalog(name: str) -> dict:
         f"unknown catalog name {name!r}; available: {', '.join(sorted(_CATALOG_NOTES))}")
 
 
+def _catalog_entry(name: str) -> dict:
+    """The catalog command's result: the descriptor and its note.  The
+    descriptor must build its map; one its kind refuses raises CatalogError."""
+    doc = catalog(name)
+    try:
+        analytic_from_descriptor(doc)
+    except BlochDiskError as exc:
+        raise CatalogError(f"bad catalog arguments in {name!r}: {exc}") from exc
+    return {"descriptor": doc, "note": catalog_note(name)}
+
+
 def catalog_note(name: str) -> str:
     head = name.split(":")[0]
     for pattern, note in _CATALOG_NOTES.items():
@@ -92,13 +103,15 @@ def catalog_note(name: str) -> str:
 
 
 def parse_complex(text: str) -> complex:
-    """Parse 'RE,IM' (or bare 'RE') into a complex number."""
+    """Parse 'RE,IM' (or bare 'RE') into a complex number; malformed text
+    raises ParameterRangeError."""
     parts = text.split(",")
-    if len(parts) == 1:
-        return complex(float(parts[0]), 0.0)
-    if len(parts) == 2:
-        return complex(float(parts[0]), float(parts[1]))
-    raise ValueError(f"cannot parse complex value from {text!r}")
+    if len(parts) > 2:
+        raise ParameterRangeError(f"cannot parse complex value from {text!r}")
+    try:
+        return complex(*map(float, parts))
+    except ValueError as exc:
+        raise ParameterRangeError(str(exc)) from exc
 
 
 def resolve_function(source: str):
@@ -444,10 +457,7 @@ _COMMANDS = {
         call=lambda p, plan: bounded_below_probe(
             resolve_function(p["phi"]), p["r"], p["epsilon"], p["samples"], plan,
             p["seed"])),
-    "catalog": _Command(
-        ("name",),
-        call=lambda p, plan: {"descriptor": catalog(p["name"]),
-                              "note": catalog_note(p["name"])}),
+    "catalog": _Command(("name",), call=lambda p, plan: _catalog_entry(p["name"])),
 }
 
 

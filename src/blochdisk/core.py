@@ -78,11 +78,11 @@ def in_unit_disk(z) -> bool:
 def disk_point(z) -> complex:
     """Validate and return a point of the open unit disk as a complex number.
 
-    Boundary and exterior points are rejected.
+    Boundary and exterior points raise ParameterRangeError.
     """
     z = complex(z)
     if not abs(z) < 1.0:
-        raise ValueError(f"point {z} lies outside the open unit disk")
+        raise ParameterRangeError(f"point {z} lies outside the open unit disk")
     return z
 
 
@@ -452,7 +452,8 @@ def validate_majorant(candidate) -> Majorant:
 
     Accepts a Majorant (revalidated), the strings ``"id"``/``"identity"``,
     ``"pow:S"``, or a pair ``(ts, values)`` of tabulated samples.  Returns the
-    validated majorant or raises MajorantValidationError / ValueError.
+    validated majorant or raises MajorantValidationError, or
+    ParameterRangeError for an unknown or malformed name.
     """
     if isinstance(candidate, Majorant):
         candidate._validate()
@@ -461,8 +462,12 @@ def validate_majorant(candidate) -> Majorant:
         if candidate in ("id", "identity"):
             return IdentityMajorant()
         if candidate.startswith("pow:"):
-            return PowerMajorant(float(candidate.split(":", 1)[1]))
-        raise ValueError(f"unknown majorant descriptor {candidate!r}")
+            try:
+                exponent = float(candidate.split(":", 1)[1])
+            except ValueError as exc:
+                raise ParameterRangeError(str(exc)) from exc
+            return PowerMajorant(exponent)
+        raise ParameterRangeError(f"unknown majorant descriptor {candidate!r}")
     ts, values = candidate
     return TabulatedMajorant(ts, values)
 

@@ -88,25 +88,6 @@ def golden_max(fn, a, b):
     return centre, value, np.maximum(2.0 * half, np.spacing(np.abs(centre)))
 
 
-def aitken_limit(values):
-    """Aitken delta-squared limit from the last three terms of a sequence.
-
-    Falls back to the final term when increments are degenerate or the
-    acceleration step would extrapolate wildly.
-    """
-    if len(values) < 3:
-        return float(values[-1])
-    x0, x1, x2 = values[-3], values[-2], values[-1]
-    d1, d2 = x1 - x0, x2 - x1
-    denom = d2 - d1
-    if denom == 0.0 or not math.isfinite(denom):
-        return float(x2)
-    acc = x2 - d2 * d2 / denom
-    if not math.isfinite(acc) or abs(acc - x2) > 10.0 * abs(d2):
-        return float(x2)
-    return float(acc)
-
-
 def extrapolate_to_zero(us, vals):
     """Neville polynomial extrapolation of samples ``(u_i, v_i)`` to u = 0."""
     us = list(map(float, us))

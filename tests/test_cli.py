@@ -109,8 +109,10 @@ class TestParsing:
         assert parse_complex("0.5,0") == 0.5
         assert parse_complex("-0.5,0.25") == complex(-0.5, 0.25)
         assert parse_complex("0.3") == 0.3
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterRangeError, match="cannot parse complex value"):
             parse_complex("1,2,3")
+        with pytest.raises(ParameterRangeError, match="could not convert string to float"):
+            parse_complex("abc,0")
 
     def test_metric_config(self):
         config = parse_config(["metric", "--z", "0.5,0", "--w", "-0.5,0"])
@@ -399,6 +401,50 @@ class TestMain:
                 {"kind": "quadratic-extremal"}
         finally:
             target.close()
+
+    @pytest.mark.parametrize("argv,message", [
+        (["metric", "--z", "2,0", "--w", "0"], "point (2+0j) lies outside the open unit disk"),
+        (["metric", "--z", "abc,0", "--w", "0"], "could not convert string to float: 'abc'"),
+        (["bloch-seminorm", "--func", "eta", "--omega", "bogus"],
+         "unknown majorant descriptor 'bogus'"),
+        (["bloch-seminorm", "--func", "eta", "--omega", "pow:abc"],
+         "could not convert string to float: 'abc'"),
+    ])
+    def test_bad_points_and_names_are_typed(self, capsys, argv, message):
+        with pytest.raises(ParameterRangeError) as err:
+            run(parse_config(argv))
+        assert str(err.value) == message
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("name,message", [
+        ("f-beta:2", "beta must lie in (0, 1], got 2.0"),
+        ("mobius:2", "bad field 'a' in 'mobius' descriptor: "
+                     "point (2+0j) lies outside the open unit disk"),
+        ("kernel:0.5:-1", "power-kernel exponent requires p > 0"),
+    ])
+    def test_catalog_names_the_kind_refuses(self, capsys, name, message):
+        assert catalog(name)  # the name parses; the kind refuses its argument
+        with pytest.raises(CatalogError):
+            run(parse_config(["catalog", name]))
+        assert main(["catalog", name]) == 1
+        assert capsys.readouterr().err == \
+            f'error: "bad catalog arguments in {name!r}: {message}"\n'
+        # a --func of the same name fails as before, with the kind's own error
+        assert main(["hardy-norm", "--func", name, "--p", "2"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("func,p", [("monomial:5", "3"), ("kernel:0.3,0.6:1.5", "1.5"),
+                                        ("eta", "0.5")])
+    def test_hardy_norm_does_not_depend_on_plan_j(self, capsys, func, p):
+        reports = []
+        for j in range(1, 25):
+            assert main(["hardy-norm", "--func", func, "--p", p, "--plan-j", str(j)]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            assert doc["plan"].pop("radial_j") == j
+            reports.append(doc)
+        assert all(doc == reports[0] for doc in reports)
+        assert reports[0]["evidence"] == [[1.0, reports[0]["result"]["value"]]]
 
     def test_exit_two_on_inconclusive(self, capsys, monkeypatch):
         import blochdisk.cli as cli_mod

@@ -25,7 +25,7 @@ class TestDiskPoint:
 
     @pytest.mark.parametrize("z", [1.0, -1.0, 1j, 2.0, 0.8 + 0.7j])
     def test_boundary_and_exterior_rejected(self, z):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterRangeError, match="lies outside the open unit disk"):
             disk_point(z)
 
     def test_in_unit_disk(self):

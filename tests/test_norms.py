@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blochdisk import (BlochParams, Mobius, ParameterRangeError,
-                       Polynomial, PowerKernel, PowerMajorant, QuadratureError,
-                       QuadraticExtremal, as_harmonic, bloch_functional,
-                       bloch_norm, bloch_seminorm, bloch_weight, classical_params,
-                       compose, g_function, g_norm_check, hardy_mean,
-                       hardy_norm, lambda_f, mobius, power_mean_inequality_check)
+from blochdisk import (Blaschke, BlochParams, HarmonicMap, Mobius,
+                       ParameterRangeError, Polynomial, PowerKernel, PowerMajorant,
+                       QuadratureError, QuadraticExtremal, ScaledIdentity,
+                       as_harmonic, bloch_functional, bloch_norm, bloch_seminorm,
+                       bloch_weight, classical_params, compose, g_function,
+                       g_norm_check, hardy_mean, hardy_norm, lambda_f, mobius,
+                       power_mean_inequality_check)
 from blochdisk.core import DivergentIntegralError
 from blochdisk.extremal import AntiderivativeExtremal
 from blochdisk.norms import DEFAULT_PLAN, MAX_CIRCLE_NODES, SamplingPlan, _g_squared
@@ -119,7 +120,10 @@ class TestHardyMean:
         with pytest.raises(ParameterRangeError):
             hardy_mean(Polynomial((1,)), 0.0, 0.5)
         with pytest.raises(ParameterRangeError):
-            hardy_mean(Polynomial((1,)), 2.0, 1.0)
+            hardy_mean(Polynomial((1,)), 2.0, 1.5)
+
+    def test_unit_circle(self):
+        assert hardy_mean(Polynomial((0, 0, 2j)), 3.0, 1.0) == pytest.approx(2.0, rel=1e-12)
 
     def test_nonconvergence_diagnostic(self):
         class Chaotic:
@@ -153,21 +157,90 @@ class TestHardyNorm:
             assert est.finite
             assert est.value == pytest.approx(1.0, abs=1e-5)
 
-    def test_infinite_verdict(self):
-        est = hardy_norm(ReciprocalGap(), 2)
-        assert not est.finite
-        assert math.isinf(float(est))
-        values = [v for _, v in est.evidence]
-        assert values[-1] > values[0]
+    def test_boundary_pole_raises_quadrature_error(self):
+        with np.errstate(divide="ignore", invalid="ignore"), \
+                pytest.raises(QuadratureError, match="did not stabilize") as err:
+            hardy_norm(ReciprocalGap(), 2)
+        assert err.value.last_values == (math.inf, math.inf)
 
     def test_sup_norm(self):
         est = hardy_norm(Polynomial((0, 1)), math.inf)
         assert est.value == pytest.approx(1.0, abs=1e-4)
 
-    def test_evidence_is_radial_ladder(self):
+    def test_evidence_is_the_boundary_mean(self):
         est = hardy_norm(Polynomial((0.5, 0.5)), 2)
-        radii = [r for r, _ in est.evidence]
-        assert radii == SamplingPlan().ladder
+        assert est.evidence == ((1.0, est.value),)
+        assert est.value == pytest.approx(math.sqrt(0.5), rel=1e-12)
+        assert est.resolution == DEFAULT_PLAN.refinement_tol
+
+    def test_zero_on_the_circle_within_resolution(self):
+        # |1 + e^{it}| vanishes at t = pi, so the trapezoid rule converges
+        # only algebraically; the stopping bound still covers the error.
+        est = hardy_norm(Polynomial((1, 1)), 1)
+        assert est.resolution == pytest.approx(1e-6 * 4 / math.pi, rel=1e-6)
+        assert abs(est.value - 4 / math.pi) <= est.resolution
+
+
+_B3 = (0.3, 0.5j, -0.4 - 0.4j)
+_ORACLE_MAPS = ("eta", "f-beta:0.5", "f-beta:1", "identity", "half-identity",
+                "mobius", "kernel", "kernel-0.9", "monomial", "blaschke",
+                "composition", "harmonic")
+
+
+def _boundary_oracles(mp):
+    """name -> (library map, the same map written in mpmath, angles where its
+    boundary values vary fastest).  Kernels are given by their modulus."""
+    def mobius_mp(a):
+        a = mp.mpc(a)
+        return lambda z: (a - z) / (1 - mp.conj(a) * z)
+
+    def kernel_modulus(b, p):
+        b = mp.mpc(b)
+        return lambda z: ((1 - abs(b) ** 2) / abs(1 - mp.conj(b) * z) ** 2) ** (1 / mp.mpf(p))
+
+    def f_beta(beta):
+        # antiderivative of beta (m - w) / (m (1 - m w)^3) vanishing at 0
+        m, beta = mp.mpf(AntiderivativeExtremal(beta).m), mp.mpf(beta)
+
+        def value(z):
+            u = 1 - m * z
+            return beta / m ** 3 * ((m * m - 1) / (2 * u * u) + 1 / u - (m * m - 1) / 2 - 1)
+        return value
+
+    blaschke = [mobius_mp(a) for a in _B3]
+    return {
+        "eta": (QuadraticExtremal(), lambda z: -3 * mp.sqrt(3) / 4 * z ** 2, ()),
+        "f-beta:0.5": (AntiderivativeExtremal(0.5), f_beta(0.5), (0.0,)),
+        "f-beta:1": (AntiderivativeExtremal(1.0), f_beta(1.0), (0.0,)),
+        "identity": (Polynomial((0, 1)), lambda z: z, ()),
+        "half-identity": (ScaledIdentity(0.5), lambda z: z / 2, ()),
+        "mobius": (Mobius(0.3 + 0.4j), mobius_mp(0.3 + 0.4j), (math.atan2(0.4, 0.3),)),
+        "kernel": (PowerKernel(0.5 + 0.2j, 2.0), kernel_modulus(0.5 + 0.2j, 2.0),
+                   (math.atan2(0.2, 0.5),)),
+        "kernel-0.9": (PowerKernel(-0.9j, 3.0), kernel_modulus(-0.9j, 3.0), (1.5 * math.pi,)),
+        "monomial": (Polynomial((0,) * 5 + (1,)), lambda z: z ** 5, ()),
+        "blaschke": (Blaschke(_B3, 1j),
+                     lambda z: 1j * blaschke[0](z) * blaschke[1](z) * blaschke[2](z), ()),
+        "composition": (compose(as_harmonic(PowerKernel(0.6, 1.5)), Mobius(0.2 - 0.3j)),
+                        lambda z: kernel_modulus(0.6, 1.5)(mobius_mp(0.2 - 0.3j)(z)), ()),
+        "harmonic": (HarmonicMap(Polynomial((0.3, 1, 0.5j)), Polynomial((0, 0.2, -0.1j))),
+                     lambda z: 0.3 + z + 0.5j * z ** 2 + mp.conj(0.2 * z - 0.1j * z ** 2), ()),
+    }
+
+
+class TestHardyNormOracle:
+    @pytest.mark.parametrize("p", [0.5, 1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("name", _ORACLE_MAPS)
+    def test_boundary_quadrature_in_mpmath(self, name, p):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            f, value, splits = _boundary_oracles(mp)[name]
+            nodes = sorted({mp.mpf(0), 2 * mp.pi} | {mp.mpf(s) for s in splits})
+            integral, error = mp.quad(lambda t: abs(value(mp.expj(t))) ** p, nodes,
+                                      error=True)
+            assert error < 1e-20
+            oracle = float((integral / (2 * mp.pi)) ** (1 / mp.mpf(p)))
+        assert hardy_norm(f, p).value == pytest.approx(oracle, rel=1e-9, abs=0.0)
 
 
 class TestBlochWeight:
