@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 from .core import (AnalyticMap, Blaschke, BlochDiskError, BlochParams,
                    Composed, DegeneratePairError, DivergentIntegralError,
                    HarmonicMap, IdentityMajorant, InadmissibleSymbolError,
-                   InfiniteNormError, Majorant, MajorantValidationError,
+                   Majorant, MajorantValidationError,
                    Mobius, ParameterRangeError, Polynomial, PowerKernel,
                    PowerMajorant, ScaledIdentity, TabulatedMajorant,
                    ZeroSeminormError, as_harmonic, classical_params,

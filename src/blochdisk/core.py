@@ -16,7 +16,7 @@ import numpy as np
 __all__ = [
     "BlochDiskError", "MajorantValidationError", "ParameterRangeError",
     "InadmissibleSymbolError", "DegeneratePairError", "ZeroSeminormError",
-    "InfiniteNormError", "DivergentIntegralError",
+    "DivergentIntegralError",
     "in_unit_disk", "disk_point",
     "AnalyticMap", "Polynomial", "Mobius", "Blaschke", "ScaledIdentity",
     "PowerKernel", "Composed", "HarmonicMap", "as_harmonic", "lambda_f",
@@ -56,10 +56,6 @@ class DegeneratePairError(BlochDiskError, ValueError):
 
 class ZeroSeminormError(BlochDiskError, ValueError):
     """An operation requires a nonzero Bloch seminorm."""
-
-
-class InfiniteNormError(BlochDiskError, ArithmeticError):
-    """A required norm came back with an infinite verdict."""
 
 
 class DivergentIntegralError(BlochDiskError, ArithmeticError):

@@ -235,7 +235,8 @@ def lipschitz_scan(f: HarmonicMap | AnalyticMap, pairs: int, seed: int,
 
     ``f`` may be a bare AnalyticMap, whose ``lambda_f`` is |f'|.  ``pairs``
     (at least 1) are area-uniform (uniform in radius squared and angle),
-    augmented with structured radial and near-boundary pairs.  The empirical
+    augmented with structured radial and near-boundary pairs along the
+    plan's ladder, the one thing the plan sets here.  The empirical
     maximum is verified against the cap (3 sqrt(3)/2) * seminorm with
     relative tolerance 1e-4, which absorbs the supremum-estimation resolution.
     """
@@ -243,8 +244,7 @@ def lipschitz_scan(f: HarmonicMap | AnalyticMap, pairs: int, seed: int,
         raise ParameterRangeError("pairs must be >= 1")
     params = classical_params()
     plan = plan or DEFAULT_PLAN
-    semi = bloch_seminorm(f, params, plan)
-    seminorm = semi.require_finite("bloch seminorm")
+    seminorm = bloch_seminorm(f, params).value
     if seminorm <= 1e-12:
         raise ZeroSeminormError("lipschitz scan needs a nonzero seminorm")
 
@@ -316,7 +316,7 @@ def random_normalized_corpus(count: int, seed: int, degree: int = 12):
 
     Each map has analytic parts of the given degree with coefficients drawn
     uniformly from the complex unit box; the conjugate part has no constant
-    term.  Both parts are rescaled by the seminorm on the default plan.
+    term.  Both parts are rescaled by the map's seminorm.
     """
     rng = np.random.default_rng(seed)
     corpus = []
@@ -325,7 +325,7 @@ def random_normalized_corpus(count: int, seed: int, degree: int = 12):
         gc = rng.uniform(-1, 1, degree + 1) + 1j * rng.uniform(-1, 1, degree + 1)
         gc[0] = 0.0
         f = HarmonicMap(Polynomial(tuple(hc)), Polynomial(tuple(gc)))
-        scale = bloch_seminorm(f, classical_params()).require_finite()
+        scale = bloch_seminorm(f, classical_params()).value
         corpus.append(HarmonicMap(Polynomial(tuple(hc / scale)),
                                   Polynomial(tuple(gc / scale))))
     return corpus

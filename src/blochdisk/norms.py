@@ -5,31 +5,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from functools import lru_cache, partial
+from functools import cache, partial
 
 import numpy as np
 
-from .core import (BlochParams, DivergentIntegralError, InfiniteNormError,
-                   ParameterRangeError, classical_params, disk_point, lambda_f)
+from .core import (BlochParams, DivergentIntegralError, ParameterRangeError,
+                   classical_params, disk_point, lambda_f)
 from .numerics import (GOLDEN_ITERS, TWO_PI, QuadratureError, dyadic_radius,
                        gl_panel_columns, sup_search)
 
 __all__ = [
-    "SamplingPlan", "DEFAULT_PLAN", "NormEstimate",
+    "SamplingPlan", "DEFAULT_PLAN", "NormEstimate", "sup_grid",
     "hardy_mean", "hardy_norm", "bloch_weight", "weight_from_gap",
     "bloch_functional", "bloch_seminorm", "bloch_norm",
     "g_function", "g_norm_check", "power_mean_inequality_check",
-    "GROWTH_RATIO_THRESHOLD",
 ]
-
-# Divergence heuristic of bloch_seminorm: geometric-mean growth of the ridge
-# maxima over the last ladder rungs must exceed this ratio for an infinite verdict.
-GROWTH_RATIO_THRESHOLD = 1.05
-GROWTH_RUNGS = 5
 
 _GFUNC_TOL = 1e-12
 
-# Size of every plan's supremum grid (see SamplingPlan.sup_grid).
+# Size of the supremum grid (see sup_grid).
 SUP_RADII = 64
 SUP_ANGLES = 256
 # hardy_mean's node cap, and so the largest angular_resolution of a plan.
@@ -38,14 +32,14 @@ MAX_CIRCLE_NODES = 2 ** 20
 
 @dataclass(frozen=True)
 class SamplingPlan:
-    """Resolution knobs for circle averages, radial ladders, and disk suprema.
+    """Resolution knobs for circle averages and radial ladders.
 
     angular_resolution: starting count of roots of unity (power of two, >= 8);
     radial_j: ladder depth, radii r_j = 1 - 2^-j for j = 1..radial_j;
     refinement_tol: relative stabilization target for self-refining averages.
-    The supremum grid's size and ``sup_search``'s refinement depth (boxes
-    shrunk to ``GOLDEN_ITERS`` golden-section steps a side) are fixed;
-    ``describe`` reports them after these three.
+    Disk suprema do not depend on the plan: they search the one ``sup_grid``,
+    refined to ``GOLDEN_ITERS`` golden-section steps a side; ``describe``
+    reports those fixed sizes after these three.
     """
 
     angular_resolution: int = 256
@@ -70,20 +64,21 @@ class SamplingPlan:
     def ladder(self):
         return [dyadic_radius(j) for j in range(1, self.radial_j + 1)]
 
-    def sup_grid(self):
-        """``(radii, angles, points)``: SUP_RADII tanh-spaced radii up to the
-        last rung joined with the ladder, SUP_ANGLES equally spaced angles,
-        and their outer product, the points.  Built once per ladder and shared
-        by every plan of that depth, so the arrays are read-only."""
-        return _sup_grid(tuple(self.ladder))
-
     def describe(self):
         return {**asdict(self), "sup_radii": SUP_RADII, "sup_angles": SUP_ANGLES,
                 "golden_iters": GOLDEN_ITERS}
 
 
-@lru_cache(maxsize=4)  # the fewest depths that keep every depth-20 hit in verdict-mix
-def _sup_grid(ladder):
+DEFAULT_PLAN = SamplingPlan()
+
+
+@cache
+def sup_grid():
+    """``(radii, angles, points)`` of every disk supremum: SUP_RADII
+    tanh-spaced radii up to 1 - 2^-20 joined with the default ladder's 20
+    dyadic radii, SUP_ANGLES equally spaced angles, and their outer product,
+    the points.  Built on first use and shared, so the arrays are read-only."""
+    ladder = DEFAULT_PLAN.ladder
     tanh = np.tanh(np.linspace(0.0, math.atanh(ladder[-1]), SUP_RADII))
     radii = np.union1d(tanh, ladder)
     angles = np.arange(SUP_ANGLES) * (TWO_PI / SUP_ANGLES)
@@ -93,46 +88,27 @@ def _sup_grid(ladder):
     return grid
 
 
-DEFAULT_PLAN = SamplingPlan()
-
-
 @dataclass(frozen=True)
 class NormEstimate:
-    """A norm-type value or an infiniteness verdict, with its evidence.
+    """A norm-type value with its evidence.
 
-    value is +inf when the verdict is infinite; evidence holds (radius, value)
-    pairs: the boundary mean (1.0, value) of a Hardy norm, or the Bloch
-    seminorm's ridge maxima up the ladder; resolution tags the accuracy
-    actually achieved (the stopping bound of the circle mean, or the final
-    refinement box of the supremum search).
+    evidence holds (radius, value) pairs: the boundary mean (1.0, value) of
+    a Hardy norm, or the Bloch seminorm's ridge maxima on the dyadic rows of
+    the supremum grid; resolution tags the accuracy actually achieved (the
+    stopping bound of the circle mean, or the final refinement box of the
+    supremum search).
     """
 
     value: float
-    finite: bool
     evidence: tuple = ()
     resolution: float = 0.0
 
-    @property
-    def verdict(self) -> str:
-        return "finite" if self.finite else "infinite"
-
     def __float__(self):
-        return self.value if self.finite else math.inf
-
-    def require_finite(self, what="norm"):
-        if not self.finite:
-            raise InfiniteNormError(f"{what} is infinite; evidence={self.evidence}")
         return self.value
 
-
-def _growing(values) -> bool:
-    """Growth-ratio heuristic over the last rungs of a ladder sequence."""
-    tail = [v for v in values[-(GROWTH_RUNGS + 1):] if v > 0.0]
-    if len(tail) < GROWTH_RUNGS + 1:
-        return False
-    ratios = [tail[i + 1] / tail[i] for i in range(len(tail) - 1)]
-    geo = math.exp(sum(math.log(r) for r in ratios) / len(ratios))
-    return geo > GROWTH_RATIO_THRESHOLD
+    def require_finite(self):
+        """The value, which is always finite; kept for existing callers."""
+        return self.value
 
 
 # --------------------------------------------------------------------------
@@ -174,7 +150,7 @@ def hardy_mean(f, p, r, plan: SamplingPlan | None = None) -> float:
 
 
 def hardy_norm(f, p, plan: SamplingPlan | None = None) -> NormEstimate:
-    """sup_{0<r<1} M_p(r, f), or the supremum of |f| when p = inf.
+    """sup_{0<r<1} M_p(r, f), or the supremum of |f| on ``sup_grid`` when p = inf.
 
     Every map the library builds is continuous on the closed disk, and
     M_p(r, f) is nondecreasing in r for analytic f (and for harmonic f when
@@ -189,10 +165,10 @@ def hardy_norm(f, p, plan: SamplingPlan | None = None) -> NormEstimate:
     """
     plan = plan or DEFAULT_PLAN
     if p == math.inf:
-        value, _, res = sup_search(lambda z: np.abs(f.eval(z)), plan.sup_grid())
-        return NormEstimate(value, True, resolution=float(res[0]))
+        value, _, res = sup_search(lambda z: np.abs(f.eval(z)), sup_grid())
+        return NormEstimate(value, resolution=float(res[0]))
     value = hardy_mean(f, p, 1.0, plan)
-    return NormEstimate(value, True, ((1.0, value),),
+    return NormEstimate(value, ((1.0, value),),
                         resolution=plan.refinement_tol * max(1.0, value))
 
 
@@ -222,39 +198,38 @@ def bloch_functional(f, params: BlochParams, z) -> float:
     return float(bloch_values(f, params, disk_point(z)))
 
 
-def bloch_seminorm(f, params: BlochParams | None = None,
-                   plan: SamplingPlan | None = None) -> NormEstimate:
+def bloch_seminorm(f, params: BlochParams | None = None) -> NormEstimate:
     """sup_z Lambda_f(z) * omega(chi(|z|)) over the disk.
 
-    The functional is evaluated once on the plan's supremum grid, whose rows
-    include the radial ladder.  If the angular ridge maxima along the ladder
-    rows keep growing (ratio test over the last rungs), the verdict is
-    infinite; otherwise the grid peaks are refined by ``sup_search``.
+    Every map the library builds has a derivative bounded on the closed disk,
+    and the weight vanishes on the circle, so the supremum is finite and
+    attained inside.  The functional is evaluated once on ``sup_grid``; the
+    evidence is its angular ridge maxima on the 20 dyadic rows, and the grid
+    peaks are refined by ``sup_search``.  A grid maximum on the outermost
+    ring, |z| = 1 - 2^-20, means the peak lies beyond the grid, or that the
+    functional does not decay: QuadratureError, carrying the last two ridge
+    maxima, is raised instead of a value.
     """
     params = params or classical_params()
-    plan = plan or DEFAULT_PLAN
-    grid = plan.sup_grid()
+    grid = sup_grid()
     radii, _, points = grid
     values = bloch_values(f, params, points)
-    rows = np.searchsorted(radii, plan.ladder)
-    ridge = np.max(values[rows], axis=1).tolist()
-    evidence = tuple(zip(plan.ladder, ridge))
-    if _growing(ridge):
-        return NormEstimate(math.inf, False, evidence,
-                            resolution=float(ridge[-1] - ridge[-2]))
-
+    ladder = DEFAULT_PLAN.ladder
+    ridge = np.max(values[np.searchsorted(radii, ladder)], axis=1).tolist()
+    if np.argmax(values) // values.shape[1] == len(radii) - 1:
+        raise QuadratureError(
+            f"Bloch-type functional peaks on the outermost grid ring, |z| = "
+            f"{float(radii[-1])!r}: its supremum lies beyond the grid",
+            last_values=tuple(ridge[-2:]))
     value, _, res = sup_search(partial(bloch_values, f, params), grid, values=values)
-    return NormEstimate(float(value), True, evidence, resolution=float(res[0]))
+    return NormEstimate(float(value), tuple(zip(ladder, ridge)), resolution=float(res[0]))
 
 
-def bloch_norm(f, params: BlochParams | None = None,
-               plan: SamplingPlan | None = None) -> NormEstimate:
-    """|f(0)| plus the seminorm; inherits the seminorm's verdict."""
-    semi = bloch_seminorm(f, params, plan)
-    if not semi.finite:
-        return semi
+def bloch_norm(f, params: BlochParams | None = None) -> NormEstimate:
+    """|f(0)| plus the seminorm, with the seminorm's evidence and resolution."""
+    semi = bloch_seminorm(f, params)
     anchor = abs(complex(f.eval(0j)))
-    return NormEstimate(anchor + semi.value, True, semi.evidence, semi.resolution)
+    return NormEstimate(anchor + semi.value, semi.evidence, semi.resolution)
 
 
 # --------------------------------------------------------------------------

@@ -137,7 +137,7 @@ def _grid_local_maxima(vals):
 
 def sup_search(objective, grid, values=None):
     """Maximum of ``objective(z)`` on the ``(radii, angles, points)`` grid of
-    ``SamplingPlan.sup_grid``, plus local refinement.
+    ``norms.sup_grid``, plus local refinement.
 
     The ``REFINE_TOP`` strongest grid-local maxima are refined together by
     one ``golden_max`` call, which guards against near-tied peaks resolving

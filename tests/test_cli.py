@@ -434,17 +434,49 @@ class TestMain:
         assert main(["hardy-norm", "--func", name, "--p", "2"]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
-    @pytest.mark.parametrize("func,p", [("monomial:5", "3"), ("kernel:0.3,0.6:1.5", "1.5"),
-                                        ("eta", "0.5")])
-    def test_hardy_norm_does_not_depend_on_plan_j(self, capsys, func, p):
+    @staticmethod
+    def _report_at_every_plan_j(capsys, argv):
+        """The report of argv, which must be the same at --plan-j 1..24 apart
+        from plan.radial_j; returned without that key."""
         reports = []
         for j in range(1, 25):
-            assert main(["hardy-norm", "--func", func, "--p", p, "--plan-j", str(j)]) == 0
+            assert main([*argv, "--plan-j", str(j)]) == 0
             doc = json.loads(capsys.readouterr().out)
             assert doc["plan"].pop("radial_j") == j
             reports.append(doc)
         assert all(doc == reports[0] for doc in reports)
-        assert reports[0]["evidence"] == [[1.0, reports[0]["result"]["value"]]]
+        return reports[0]
+
+    @pytest.mark.parametrize("func,p", [("monomial:5", "3"), ("kernel:0.3,0.6:1.5", "1.5"),
+                                        ("eta", "0.5"), ("monomial:5", "inf")])
+    def test_hardy_norm_does_not_depend_on_plan_j(self, capsys, func, p):
+        doc = self._report_at_every_plan_j(capsys, ["hardy-norm", "--func", func, "--p", p])
+        # --p inf is the supremum of |z^5| on the grid, out to 1 - 2^-20
+        value = doc["result"]["value"]
+        if p == "inf":
+            assert doc["evidence"] == [] and value == pytest.approx(1.0, abs=5e-6)
+        else:
+            assert doc["evidence"] == [[1.0, value]]
+
+    @pytest.mark.parametrize("func,seminorm", [
+        (["eta"], 1.0), (["f-beta:0.5", "--alpha", "2", "--beta", "1"], None),
+        (["mobius:0.3,0.4"], 1.0), (["monomial:7"], 7 * 0.75 ** 3 * 0.25)],
+        ids=["eta", "f-beta-alpha2-beta1", "mobius", "monomial7"])
+    def test_bloch_seminorm_does_not_depend_on_plan_j(self, capsys, func, seminorm):
+        doc = self._report_at_every_plan_j(capsys, ["bloch-seminorm", "--func", *func])
+        # the ridge rows are the 20 dyadic radii, written to 15 digits
+        assert [r for r, _ in doc["evidence"]] == \
+            [float(f"{1.0 - 2.0 ** -j:.15g}") for j in range(1, 21)]
+        if seminorm is not None:
+            assert doc["result"]["value"] == pytest.approx(seminorm, abs=1e-9)
+
+    def test_automorphism_beyond_the_grid_exits_one(self, capsys):
+        # |A| = 1 - 5e-7 lies past the outermost grid ring, 1 - 2^-20
+        assert main(["bloch-seminorm", "--func", "mobius:0.9999995,0"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: Bloch-type functional peaks on the outermost grid ring")
+        assert "Traceback" not in err and err.count("\n") == 1
 
     def test_exit_two_on_inconclusive(self, capsys, monkeypatch):
         import blochdisk.cli as cli_mod

@@ -22,7 +22,7 @@ from blochdisk import (Blaschke, BlochParams, CriterionReport, HarmonicMap,
                        lambda_f, mobius, schwarz_pick_ratio)
 from blochdisk import test_function as kernel_test_function
 from blochdisk.compop import PROBE_RADIUS_SUP, ProbeReport, _stabilized
-from blochdisk.norms import DEFAULT_PLAN, SamplingPlan
+from blochdisk.norms import SamplingPlan, sup_grid
 from blochdisk.numerics import area_uniform_points
 
 from conftest import disk_samples, random_polynomial_pair
@@ -81,8 +81,8 @@ class _Spiky:
 
 def _per_ring_evidence(phi, params, p, plan):
     """The verdict's running supremum as Q evaluated ring by ring: Q at 0,
-    then each ladder row of the grid, folded with Python's max."""
-    radii, _, zgrid = plan.sup_grid()
+    then each ladder radius at the grid's angles, folded with Python's max."""
+    phases = np.exp(1j * sup_grid()[1])
 
     def q(z):
         w = phi.eval(z)
@@ -91,8 +91,8 @@ def _per_ring_evidence(phi, params, p, plan):
 
     running = []
     sup_so_far = float(np.max(q(np.zeros(1, dtype=complex))))
-    for ring in zgrid[np.searchsorted(radii, plan.ladder)]:
-        sup_so_far = max(sup_so_far, float(np.max(q(ring))))
+    for r in plan.ladder:
+        sup_so_far = max(sup_so_far, float(np.max(q(r * phases))))
         running.append(sup_so_far)
     return tuple(zip(plan.ladder, running))
 
@@ -351,9 +351,11 @@ class TestHardyToBlochVerdict:
         counting = _Counting(phi)
         assert hardy_to_bloch_verdict(counting, CLASSICAL, 2.0, plan).verdict == verdict
         rings = (plan.radial_j + 1, 256)
-        grid = plan.sup_grid()[2].shape
+        grid = sup_grid()[2].shape
         assert counting.calls["eval", rings] == counting.calls["deriv", rings] == 1
-        assert counting.calls["eval", grid] == counting.calls["deriv", grid] == grid_calls
+        # the symbol screen evaluates phi (not phi') once on the same grid
+        assert counting.calls["eval", grid] == grid_calls + 1
+        assert counting.calls["deriv", grid] == grid_calls
         assert not counting.calls["eval", (256,)] and not counting.calls["eval", (1,)]
 
     def test_evidence_running_sup_monotone(self):
@@ -429,7 +431,7 @@ class TestGrowthBound:
 def probe_reference(phi, r, epsilon, samples, seed):
     """Per-target loop: the least distance from each target w to the pool of
     grid candidates plus w and phi(w), each kept when its ratio beats epsilon."""
-    radii, angles, _ = DEFAULT_PLAN.sup_grid()
+    radii, angles, _ = sup_grid()
     z = (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
     img = np.asarray(phi.eval(z), dtype=complex).ravel()
     ratio = (1.0 - np.abs(z) ** 2) * np.abs(phi.deriv(z)).ravel() \

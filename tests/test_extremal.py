@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from blochdisk import (DegeneratePairError, LIP_CONSTANT, ParameterRangeError,
-                       Polynomial, ZeroSeminormError, a0, as_harmonic,
+                       Polynomial, QuadratureError, ZeroSeminormError, a0, as_harmonic,
                        bloch_functional, bloch_seminorm, classical_params,
                        deriv_lower_bound, deriv_upper_bound, f_beta,
                        lipschitz_ratio, lipschitz_scan, m_root, mobius, psi,
@@ -214,9 +214,10 @@ class TestLipschitzScan:
         with pytest.raises(ParameterRangeError, match="pairs must be >= 1"):
             lipschitz_scan(as_harmonic(Polynomial((0, 1))), pairs, seed=0)
 
-    def test_infinite_seminorm_propagates(self):
-        from blochdisk import InfiniteNormError
-        with pytest.raises(InfiniteNormError):
+    def test_boundary_growth_raises_quadrature_error(self):
+        # 1/(1 - z) has no finite seminorm: its functional peaks on the
+        # outermost grid ring, and the scan stops before sampling any pair
+        with pytest.raises(QuadratureError, match="outermost grid ring"):
             lipschitz_scan(ReciprocalGap(), 100, seed=0)
 
     def test_deterministic_in_seed(self):

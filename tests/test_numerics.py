@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from blochdisk import DEFAULT_PLAN, Polynomial, as_harmonic, lambda_f, numerics
+from blochdisk import Polynomial, as_harmonic, lambda_f, numerics
 from blochdisk.extremal import QuadraticExtremal
+from blochdisk.norms import sup_grid
 from blochdisk.numerics import (GOLDEN_ITERS, INV_GOLDEN, TWO_PI, area_uniform_points,
                                 golden_max, sup_search)
 
@@ -107,7 +108,7 @@ def _functional(f):
 class TestSupSearch:
     def test_eta_peak_is_one(self):
         value, z, _ = sup_search(_functional(as_harmonic(QuadraticExtremal())),
-                                 DEFAULT_PLAN.sup_grid())
+                                 sup_grid())
         assert value == pytest.approx(1.0, rel=1e-12)
         assert abs(z) == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-6)
 
@@ -117,7 +118,7 @@ class TestSupSearch:
         r = math.sqrt((n - 1) / (n + 1))
         exact = n * r ** (n - 1) * (1.0 - r * r)
         f = as_harmonic(Polynomial((0j,) * n + (1 + 0j,)))
-        radii, angles, _ = grid = DEFAULT_PLAN.sup_grid()
+        radii, angles, _ = grid = sup_grid()
         value, _, (wr, wa) = sup_search(_functional(f), grid)
         assert value == pytest.approx(exact, rel=1e-12)
         assert wr <= radii[1] - radii[0]
@@ -126,7 +127,7 @@ class TestSupSearch:
     def test_given_grid_values_are_used(self):
         f = as_harmonic(Polynomial((0, 0.5, 0.25j, 0.1)))
         objective = _functional(f)
-        grid = DEFAULT_PLAN.sup_grid()
+        grid = sup_grid()
         values = objective(grid[2])
         sizes = []
 
@@ -142,7 +143,7 @@ class TestSupSearch:
         # every peak is refined by one golden_max call of 10 rounds
         f = as_harmonic(Polynomial((0, 0.5, 0.25j, 0.1, 0.3 - 0.2j)))
         objective = _functional(f)
-        grid = DEFAULT_PLAN.sup_grid()
+        grid = sup_grid()
         boxes, sizes = [], []
 
         def counted_golden_max(fn, a, b):
