@@ -52,19 +52,20 @@ class TestSamplingPlan:
         with pytest.raises(ParameterRangeError, match="angular_resolution"):
             SamplingPlan(angular_resolution=2 ** 30)
 
-    def test_one_read_only_grid(self):
-        # 64 tanh radii joined with the 20 dyadic radii (the last tanh radius
-        # is the last dyadic one), times 256 angles, built once
-        grid = radii, angles, points = sup_grid()
-        assert all(a is b for a, b in zip(grid, sup_grid()))
-        for array in grid:
+    def test_plans_of_one_depth_share_a_read_only_grid(self):
+        # every plan, of any depth, searches the one grid, built once
+        first = sup_grid()
+        assert all(a is b for a, b in zip(first, sup_grid()))
+        for array in first:
             with pytest.raises(ValueError):
                 array[0] = 0.5
-        assert points.shape == (83, 256)
-        assert set(DEFAULT_PLAN.ladder) <= set(radii.tolist())
-        assert radii[0] == 0.0 and radii[-1] == 1.0 - 2.0 ** -20
-        outer = radii[:, None] * np.exp(1j * angles)[None, :]
-        assert points.tobytes() == outer.tobytes()
+
+    def test_default_grid_survives_three_other_depths(self):
+        # a command at another depth searches the same default grid
+        default = sup_grid()
+        for radial_j in (3, 4, 5):
+            hardy_norm(Polynomial((0, 1)), math.inf, SamplingPlan(radial_j=radial_j))
+        assert sup_grid()[2] is default[2]
 
     def test_three_settable_fields(self):
         assert [f.name for f in dataclasses.fields(SamplingPlan)] == \
@@ -75,6 +76,20 @@ class TestSamplingPlan:
         assert list(plan.describe().items()) == [
             ("angular_resolution", 64), ("radial_j", 7), ("refinement_tol", 1e-8),
             ("sup_radii", 64), ("sup_angles", 256), ("golden_iters", 40)]
+
+
+    @pytest.mark.parametrize("radial_j", [1, 7, 20])
+    def test_grid_points_are_the_outer_product(self, radial_j):
+        # 64 tanh radii joined with the 20 dyadic radii (the last tanh radius
+        # is the last dyadic one), times 256 angles; every ladder of depth at
+        # most 20 lies on it
+        radii, angles, points = sup_grid()
+        assert angles.size == 256
+        assert points.shape == (83, 256)
+        assert set(SamplingPlan(radial_j=radial_j).ladder) <= set(radii.tolist())
+        assert radii[0] == 0.0 and radii[-1] == 1.0 - 2.0 ** -20
+        outer = radii[:, None] * np.exp(1j * angles)[None, :]
+        assert points.tobytes() == outer.tobytes()
 
 
 class TestHardyMean:
@@ -304,8 +319,10 @@ class TestBlochSeminorm:
         before, last = err.value.last_values
         assert 1.0 < before < last
 
-    def test_ridge_rows_match_per_rung_evaluation(self, rng):
-        # the grid rows at the 20 dyadic radii give the ridge bit for bit
+    @pytest.mark.parametrize("plan", [SamplingPlan(), SamplingPlan(radial_j=7)])
+    def test_ridge_rows_match_per_rung_evaluation(self, plan, rng):
+        # the grid rows at the 20 dyadic radii give the ridge bit for bit,
+        # on every rung of a plan's ladder
         params = BlochParams(1.5, -0.5, PowerMajorant(0.5))
         maps = [random_polynomial_pair(rng, 9) for _ in range(4)]
         maps += [as_harmonic(QuadraticExtremal()), as_harmonic(Mobius(0.6 - 0.3j)),
@@ -315,9 +332,10 @@ class TestBlochSeminorm:
             for prm in (classical_params(), params):
                 ridge = [float(np.max(lambda_f(f, r * phases)
                                       * prm.omega(bloch_weight(prm, np.abs(r * phases)))))
-                         for r in DEFAULT_PLAN.ladder]
+                         for r in plan.ladder]
                 est = bloch_seminorm(f, prm)
-                assert est.evidence == tuple(zip(DEFAULT_PLAN.ladder, ridge))
+                assert [r for r, _ in est.evidence] == DEFAULT_PLAN.ladder
+                assert est.evidence[:plan.radial_j] == tuple(zip(plan.ladder, ridge))
 
     @pytest.mark.parametrize("k", [17, 18, 19])
     def test_near_boundary_automorphism_is_one(self, k):
