@@ -73,7 +73,8 @@ class CriterionReport:
 # --------------------------------------------------------------------------
 
 def is_admissible_symbol(phi: AnalyticMap) -> bool:
-    """Whether phi maps the open disk into itself.
+    """Whether phi is an analytic self-map of the open disk; a harmonic pair
+    never is.
 
     Automorphism-type kinds are admissible structurally, except the Blaschke
     product of no factors: a unimodular constant, mapping the disk onto one
@@ -82,6 +83,8 @@ def is_admissible_symbol(phi: AnalyticMap) -> bool:
     (boundary-touching counterexamples below grid resolution are inherently
     undecidable here).
     """
+    if isinstance(phi, HarmonicMap):
+        return False
     if isinstance(phi, Mobius):
         return True
     if isinstance(phi, Blaschke):
@@ -94,6 +97,8 @@ def is_admissible_symbol(phi: AnalyticMap) -> bool:
 
 
 def _require_symbol(phi):
+    if isinstance(phi, HarmonicMap):
+        raise InadmissibleSymbolError("a harmonic pair is not an analytic self-map of the disk")
     if not is_admissible_symbol(phi):
         raise InadmissibleSymbolError(
             f"{getattr(phi, 'kind', type(phi).__name__)} is not a self-map of the disk")

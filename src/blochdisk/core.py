@@ -478,7 +478,7 @@ class BlochParams:
 
     The radial weight is chi(t) = (1 - t^2)^alpha * (log(e/(1 - t^2)))^beta,
     so chi(0) = 1; the functional weights the maximal directional derivative
-    by omega(chi(|z|)).
+    by omega(chi(|z|)).  alpha > 0 and beta must be finite numbers.
     """
 
     alpha: float = 1.0
@@ -486,8 +486,9 @@ class BlochParams:
     omega: Majorant = None
 
     def __post_init__(self):
-        if not float(self.alpha) > 0.0:
-            raise ParameterRangeError(f"alpha must be positive, got {self.alpha}")
+        if not (0.0 < float(self.alpha) < np.inf and np.isfinite(float(self.beta))):
+            raise ParameterRangeError("alpha must be positive and finite and beta finite, "
+                                      f"got alpha = {self.alpha}, beta = {self.beta}")
         object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "beta", float(self.beta))
         if self.omega is None:

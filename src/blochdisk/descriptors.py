@@ -8,6 +8,8 @@ g(0) != 0.
 
 from __future__ import annotations
 
+import math
+
 from .core import (AnalyticMap, Blaschke, BlochDiskError, HarmonicMap, Mobius,
                    Polynomial, PowerKernel, ScaledIdentity, disk_point)
 from .extremal import AntiderivativeExtremal, QuadraticExtremal
@@ -20,11 +22,17 @@ class DescriptorError(BlochDiskError, ValueError):
     """A descriptor document is malformed; the message names the bad field."""
 
 
+def _real(value) -> float:
+    if not math.isfinite(x := float(value)):
+        raise ValueError(f"expected a finite number, got {x}")
+    return x
+
+
 def _pair(value) -> complex:
     if not isinstance(value, (list, tuple)):
         raise TypeError(f"expected an [re, im] pair, got {value!r}")
     re, im = value
-    return complex(float(re), float(im))
+    return complex(_real(re), _real(im))
 
 
 def _point(value) -> complex:
@@ -64,9 +72,9 @@ def _build(doc):
     if kind == "scaled-identity":
         return ScaledIdentity(_field(doc, "c", _pair))
     if kind == "power-kernel":
-        return PowerKernel(_field(doc, "b", _point), _field(doc, "p", float))
+        return PowerKernel(_field(doc, "b", _point), _field(doc, "p", _real))
     if kind == "antiderivative-extremal":
-        return AntiderivativeExtremal(_field(doc, "beta", float))
+        return AntiderivativeExtremal(_field(doc, "beta", _real))
     if kind == "quadratic-extremal":
         return QuadraticExtremal()
     raise DescriptorError(f"unknown function kind {kind!r}")

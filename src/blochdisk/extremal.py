@@ -32,8 +32,8 @@ LIP_CONSTANT = 1.5 * math.sqrt(3.0)
 
 def a0(alpha: float) -> float:
     """Peak location 1/sqrt(1 + 2 alpha) of the profile x (1 - x^2)^alpha."""
-    if not alpha > 0:
-        raise ParameterRangeError(f"alpha must be positive, got {alpha}")
+    if not 0 < alpha < math.inf:
+        raise ParameterRangeError(f"alpha must be positive and finite, got {alpha}")
     return 1.0 / math.sqrt(1.0 + 2.0 * alpha)
 
 
@@ -43,8 +43,8 @@ def psi(x, alpha: float):
     Increasing on [0, a0(alpha)], decreasing on [a0(alpha), 1], with value 1
     at the peak.  Vectorized over x.
     """
-    if not alpha > 0:
-        raise ParameterRangeError(f"alpha must be positive, got {alpha}")
+    if not 0 < alpha < math.inf:
+        raise ParameterRangeError(f"alpha must be positive and finite, got {alpha}")
     scale = math.sqrt(1.0 + 2.0 * alpha) * ((1.0 + 2.0 * alpha) / (2.0 * alpha)) ** alpha
     return scale * x * (1.0 - x * x) ** alpha
 

@@ -9,8 +9,8 @@ from functools import cache, partial
 
 import numpy as np
 
-from .core import (BlochParams, DivergentIntegralError, ParameterRangeError,
-                   classical_params, disk_point, lambda_f)
+from .core import (BlochParams, DivergentIntegralError, HarmonicMap,
+                   ParameterRangeError, classical_params, disk_point, lambda_f)
 from .numerics import (GOLDEN_ITERS, TWO_PI, QuadratureError, dyadic_radius,
                        gl_panel_columns, sup_search)
 
@@ -22,6 +22,8 @@ __all__ = [
 ]
 
 _GFUNC_TOL = 1e-12
+# Panel 47 of the square function is the last with 16 distinct nodes below 1.
+G_PANELS = 48
 
 # Size of the supremum grid (see sup_grid).
 SUP_RADII = 64
@@ -119,30 +121,34 @@ def hardy_mean(f, p, r, plan: SamplingPlan | None = None) -> float:
     """Integral mean M_p(r, f) = ((1/2pi) int |f(r e^{i theta})|^p dtheta)^(1/p)
     for r in [0, 1]; at r = 1, f must be defined on the unit circle.
 
-    Periodic trapezoid rule over roots of unity, doubling the node count (with
-    reuse) until successive means agree to the plan's refinement tolerance.
-    Raises QuadratureError carrying the last two values at MAX_CIRCLE_NODES.
+    ``_circle_mean`` of |f| on the circle of radius r, from the plan's
+    angular resolution up to MAX_CIRCLE_NODES nodes.
     """
     plan = plan or DEFAULT_PLAN
-    p = float(p)
-    if not p > 0.0 or not math.isfinite(p):
+    if not 0.0 < (p := float(p)) < math.inf:
         raise ParameterRangeError(f"hardy_mean requires finite p > 0, got {p}")
-    r = float(r)
-    if not 0.0 <= r <= 1.0:
+    if not 0.0 <= (r := float(r)) <= 1.0:
         raise ParameterRangeError(f"radius must lie in [0, 1], got {r}")
+    return _circle_mean(lambda theta: np.abs(f.eval(r * np.exp(1j * theta))), p,
+                        plan.angular_resolution, MAX_CIRCLE_NODES, plan.refinement_tol)
 
-    n = plan.angular_resolution
-    theta = np.arange(n) * (TWO_PI / n)
-    total = float(np.sum(np.abs(f.eval(r * np.exp(1j * theta))) ** p))
+
+def _circle_mean(sample, p, n, cap, tol) -> float:
+    """((1/2pi) int sample(theta)^p dtheta)^(1/p) for a nonnegative periodic
+    ``sample`` of an array of angles: the periodic trapezoid rule over n
+    equally spaced angles, doubling the count (with reuse) until successive
+    means agree to ``tol`` relatively.  Raises QuadratureError carrying the
+    last two means when the count reaches cap.
+    """
+    total = float(np.sum(sample(np.arange(n) * (TWO_PI / n)) ** p))
     mean = (total / n) ** (1.0 / p)
     while True:
-        fresh = (np.arange(n) + 0.5) * (TWO_PI / n)
-        total += float(np.sum(np.abs(f.eval(r * np.exp(1j * fresh))) ** p))
+        total += float(np.sum(sample((np.arange(n) + 0.5) * (TWO_PI / n)) ** p))
         n *= 2
         new_mean = (total / n) ** (1.0 / p)
-        if abs(new_mean - mean) <= plan.refinement_tol * max(1.0, abs(new_mean)):
+        if abs(new_mean - mean) <= tol * max(1.0, abs(new_mean)):
             return new_mean
-        if n >= MAX_CIRCLE_NODES:
+        if n >= cap:
             raise QuadratureError(
                 f"circle mean did not stabilize within {n} nodes",
                 last_values=(mean, new_mean))
@@ -239,26 +245,24 @@ def bloch_norm(f, params: BlochParams | None = None) -> NormEstimate:
 def _g_squared(f, angles):
     """G(f)^2 at every angle of ``angles`` in one sweep over the dyadic panels.
 
-    Each angle is one column of composite 16-node Gauss-Legendre panels on
-    [1 - 2^-k, 1 - 2^-(k+1)], accumulated by ``gl_panel_columns``.  A column
-    stops at the first panel k >= 4 whose contribution is at most 1e-12 of
-    its running total; later panels evaluate only the columns still open.
-    From k >= 12 a column whose last six contributions are positive and
-    shrink by a mean ratio above 0.9 diverges: DivergentIntegralError is
-    raised with the running totals of the lowest-index column diverging at
-    the first such panel, as it is when 64 panels leave columns open.
+    Each angle is one column of 16-node Gauss-Legendre panels on
+    [1 - 2^-k, 1 - 2^-(k+1)], k < G_PANELS, summed by ``gl_panel_columns``
+    over the columns still open.  Every map the library builds has f'
+    bounded on the closed disk, so G^2 <= sup |f'|^2 / 2; a column closes
+    only on evidence, at the first k >= 4 where its total is positive and
+    finite and the panel added at most 1e-12 of it.  After the last panel a
+    total of exactly 0 is G = 0 (f' vanished on every node); any other open
+    column raises DivergentIntegralError with the partial integrals of the
+    lowest-index one.  A harmonic pair raises ParameterRangeError.
     """
+    if isinstance(f, HarmonicMap):
+        raise ParameterRangeError("the square function takes an analytic map, not a harmonic pair")
     angles = np.asarray(angles, dtype=float)
     zetas = np.cos(angles) + 1j * np.sin(angles)
     totals = np.zeros(angles.size)
-    contributions = np.zeros((64, angles.size))
+    contributions = np.zeros((G_PANELS, angles.size))
     open_cols = np.arange(angles.size)
-
-    def divergent(message, col, k):
-        return DivergentIntegralError(
-            message, partials=np.cumsum(contributions[:k + 1, col]).tolist())
-
-    for k in range(64):
+    for k in range(G_PANELS):
         ring = zetas[open_cols]
 
         def integrand(r):
@@ -267,31 +271,26 @@ def _g_squared(f, angles):
         c = gl_panel_columns(integrand, dyadic_radius(k), dyadic_radius(k + 1))
         contributions[k, open_cols] = c
         totals[open_cols] += c
-        done = (k >= 4) & (np.abs(c) <= _GFUNC_TOL * np.maximum(totals[open_cols], 1e-300))
-        if k >= 12:
-            recent = contributions[k - 5:k + 1, open_cols]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                growing = np.all(recent > 0, axis=0) & \
-                    (np.mean(recent[1:] / recent[:-1], axis=0) > 0.9) & ~done
-            if growing.any():
-                raise divergent("square-function integral grows without stabilizing",
-                                open_cols[np.argmax(growing)], k)
+        t = totals[open_cols]
+        done = (k >= 4) & (t > 0.0) & np.isfinite(t) & (c <= _GFUNC_TOL * t)
         open_cols = open_cols[~done]
         if not open_cols.size:
             return totals
-    raise divergent("square-function integral did not stabilize within 64 dyadic panels",
-                    open_cols[0], 63)
+    open_cols = open_cols[totals[open_cols] != 0.0]
+    if open_cols.size:
+        raise DivergentIntegralError(
+            f"square-function integral did not stabilize within {G_PANELS} dyadic panels",
+            partials=np.cumsum(contributions[:, open_cols[0]]).tolist())
+    return totals
 
 
 def g_function(f, zeta_angle: float) -> float:
-    """(int_0^1 |f'(r zeta)|^2 (1 - r) dr)^(1/2) for zeta = e^{i angle}.
-
-    Composite Gauss-Legendre panels on dyadic subdivisions toward r = 1,
-    refined until the running total moves by less than 1e-12 relatively (the
-    leftover tail is then negligible against every stated tolerance); the
-    one-column case of ``_g_squared``.  Raises DivergentIntegralError,
-    carrying the partial integrals, when panel contributions stop decaying.
+    """(int_0^1 |f'(r zeta)|^2 (1 - r) dr)^(1/2) for zeta = e^{i angle}: the
+    one-column case of ``_g_squared``, whose errors it raises.  A non-finite
+    angle raises ParameterRangeError.
     """
+    if not math.isfinite(zeta_angle := float(zeta_angle)):
+        raise ParameterRangeError(f"angle must be finite, got {zeta_angle}")
     return math.sqrt(float(_g_squared(f, [zeta_angle])[0]))
 
 
@@ -300,32 +299,18 @@ def g_norm_check(f, p, plan: SamplingPlan | None = None) -> dict:
 
     Returns {"hardy": ||f||_p^p, "g_integral": |f(0)|^p + mean of G(f)^p};
     the Hardy side is ``hardy_norm``'s boundary mean M_p(1, f)^p.  The mean
-    of G(f)^p runs over equally spaced angles, doubled (with reuse) until it
-    moves by less than the plan's refinement tolerance or reaches 4096
-    angles; each round integrates all its fresh angles in one ``_g_squared``
-    sweep.  No constant is asserted; callers compare the ratio of the two
-    sides across a family.
+    of G(f)^p is ``_circle_mean`` of G(f) from min(angular_resolution, 256)
+    angles, each round one ``_g_squared`` sweep; one not settled at 4096
+    angles raises QuadratureError.  No constant is asserted; callers compare
+    the ratio of the two sides across a family.
     """
     plan = plan or DEFAULT_PLAN
-    p = float(p)
-    if not p > 0.0:
-        raise ParameterRangeError("g_norm_check requires p > 0")
+    if not 0.0 < (p := float(p)) < math.inf:
+        raise ParameterRangeError(f"g_norm_check requires finite p > 0, got {p}")
+    g_mean = _circle_mean(lambda theta: np.sqrt(_g_squared(f, theta)), p,
+                          min(plan.angular_resolution, 256), 2 ** 12, plan.refinement_tol)
     hardy = hardy_norm(f, p, plan).value ** p
-
-    n = min(plan.angular_resolution, 256)
-    theta = np.arange(n) * (TWO_PI / n)
-    mean = float(np.mean(np.sqrt(_g_squared(f, theta)) ** p))
-    while n < 2 ** 12:
-        fresh = (np.arange(n) + 0.5) * (TWO_PI / n)
-        gnew = np.sqrt(_g_squared(f, fresh))
-        merged = 0.5 * (mean + float(np.mean(gnew ** p)))
-        n *= 2
-        converged = abs(merged - mean) <= plan.refinement_tol * max(1.0, abs(merged))
-        mean = merged
-        if converged:
-            break
-    anchor = abs(complex(f.eval(0j))) ** p
-    return {"hardy": hardy, "g_integral": anchor + mean}
+    return {"hardy": hardy, "g_integral": abs(complex(f.eval(0j))) ** p + g_mean ** p}
 
 
 def power_mean_inequality_check(a: float, b: float, tau: float) -> bool:

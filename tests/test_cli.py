@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blochdisk import (BlochDiskError, Mobius, ParameterRangeError, Polynomial,
-                       analytic_from_descriptor, descriptor_of,
+from blochdisk import (BlochDiskError, DescriptorError, Mobius, ParameterRangeError,
+                       Polynomial, analytic_from_descriptor, descriptor_of,
                        descriptor_of_harmonic, harmonic_from_descriptor)
 from blochdisk.cli import (CatalogError, _build_parser, _round15, catalog,
                            catalog_note, main, parse_complex, parse_config,
@@ -554,6 +554,52 @@ class TestMain:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: blaschke is not a self-map of the disk\n"
+
+    @pytest.mark.parametrize("command", ["gfunction", "compop-criterion", "compop-verdict",
+                                         "bounded-below-probe"])
+    def test_exit_one_on_harmonic_pair(self, capsys, command):
+        pair = '{"h": {"kind": "polynomial", "coefficients": [[0, 0], [0.5, 0]]}, ' \
+               '"g": {"kind": "polynomial", "coefficients": [[0, 0], [0.1, 0]]}}'
+        argv = {"gfunction": ["--func", pair, "--angle", "0"],
+                "bounded-below-probe": ["--phi", pair, "--r", "0.2", "--epsilon", "0.5"]
+                }.get(command, ["--phi", pair])
+        assert main([command, *argv]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and "harmonic pair" in err
+        assert "Traceback" not in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv,error", [
+        (["bloch-seminorm", "--func", "eta", "--beta", "nan"], ParameterRangeError),
+        (["bloch-seminorm", "--func", "eta", "--beta", "inf"], ParameterRangeError),
+        (["bloch-seminorm", "--func", "eta", "--alpha", "inf"], ParameterRangeError),
+        (["compop-criterion", "--phi", "half-identity", "--beta", "nan"], ParameterRangeError),
+        (["extremal-root", "--r0", "0.5", "--alpha", "inf"], ParameterRangeError),
+        (["gfunction", "--func", "eta", "--angle", "nan"], ParameterRangeError),
+        (["gfunction", "--func", "eta", "--angle", "inf"], ParameterRangeError),
+        (["bloch-seminorm", "--func",
+          '{"kind": "polynomial", "coefficients": [[0, 0], [1e400, 0]]}'], DescriptorError),
+        (["hardy-norm", "--p", "2", "--func",
+          '{"kind": "polynomial", "coefficients": [[0, 0], [1e400, 0]]}'], DescriptorError),
+        (["hardy-norm", "--p", "2", "--func",
+          '{"kind": "blaschke", "factors": [[0.5, 0]], "rotation": [NaN, 0]}'], DescriptorError),
+        (["hardy-norm", "--p", "2", "--func", "f-beta:nan"], DescriptorError),
+        (["hardy-norm", "--p", "2", "--func", "kernel:0.5:inf"], DescriptorError),
+    ], ids=["beta-nan", "beta-inf", "alpha-inf", "criterion-beta-nan", "root-alpha-inf",
+            "angle-nan", "angle-inf", "seminorm-coefficient-inf", "hardy-coefficient-inf",
+            "rotation-nan", "f-beta-nan", "kernel-p-inf"])
+    def test_exit_one_on_non_finite_numbers(self, capsys, argv, error):
+        with pytest.raises(error, match="finite"):
+            run(parse_config(argv))
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+    def test_gfunction_near_boundary_mobius(self, capsys):
+        # the panels past 1 - 2^-10 carry most of the integral
+        assert main(["gfunction", "--func", "mobius:0.999,0", "--angle", "0"]) == 0
+        value = json.loads(capsys.readouterr().out)["result"]["value"]
+        assert value == pytest.approx(0.816904013333, rel=1e-11)
 
     @pytest.mark.parametrize("value,token", [
         (math.nan, "nan"), (math.inf, "infinite"), (-math.inf, "-infinite")])

@@ -111,6 +111,16 @@ class TestAdmissibility:
         assert not is_admissible_symbol(PowerKernel(0.9, 2.0))
         assert not is_admissible_symbol(Polynomial((1.5,)))
 
+    def test_harmonic_pair_is_not_a_symbol(self):
+        # z/2 + conj(z/10) maps the disk into itself but is not analytic
+        pair = HarmonicMap(Polynomial((0, 0.5)), Polynomial((0, 0.1)))
+        assert not is_admissible_symbol(pair)
+        for engine in (lambda phi: bloch_to_hardy_criterion(phi, CLASSICAL, 2.0),
+                       lambda phi: hardy_to_bloch_verdict(phi, CLASSICAL, 2.0),
+                       lambda phi: bounded_below_probe(phi, 0.2, 0.5, 10)):
+            with pytest.raises(InadmissibleSymbolError, match="analytic self-map"):
+                engine(pair)
+
     def test_compose_rejects_bad_symbol(self):
         f = as_harmonic(Polynomial((0, 1)))
         with pytest.raises(InadmissibleSymbolError):

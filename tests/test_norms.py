@@ -433,15 +433,55 @@ class TestGFunction:
                                        rtol=1e-14, atol=0.0)
 
     def test_divergence_flag(self):
-        with pytest.raises(DivergentIntegralError) as err:
+        with pytest.raises(DivergentIntegralError,
+                           match="did not stabilize within 48 dyadic panels") as err:
             g_function(ReciprocalGap(), 0.0)
-        assert err.value.partials is not None
-        assert err.value.partials[-1] > err.value.partials[0]
-        assert len(err.value.partials) == 13  # growth is first tested at k = 12
+        partials = err.value.partials
+        assert len(partials) == 48  # every panel up to the last of distinct nodes
+        assert all(b > a for a, b in zip(partials, partials[1:]))
         # beside converging angles, the diverging column's partials are reported
         with pytest.raises(DivergentIntegralError) as among:
             _g_squared(ReciprocalGap(), [2.0, 0.0, 1.0])
         assert among.value.partials == pytest.approx(err.value.partials, rel=1e-14)
+
+    @staticmethod
+    def _mobius_closed_form(a):
+        # G(phi_a)^2 at angle 0 for real a: (1 + a)^2 (1/6 - b^2/2 + b^3/3) / a^2, b = 1 - a
+        b = 1.0 - a
+        return math.sqrt((1.0 + a) ** 2 * (1.0 / 6.0 - b * b / 2.0 + b ** 3 / 3.0) / a ** 2)
+
+    @pytest.mark.parametrize("k,rel", [(10, 1e-12), (14, 1e-12), (20, 1e-12), (26, 1e-9)])
+    def test_near_boundary_mobius_matches_closed_form(self, k, rel):
+        # the mass of |f'|^2 (1 - r) lies near r = a = 1 - 2^-k, past panel 12
+        a = 1.0 - 2.0 ** -k
+        assert g_function(Mobius(a), 0.0) == pytest.approx(self._mobius_closed_form(a), rel=rel)
+
+    def test_mobius_past_the_last_panel_does_not_stabilize(self):
+        with pytest.raises(DivergentIntegralError, match="did not stabilize"):
+            g_function(Mobius(1.0 - 2.0 ** -27), 0.0)
+
+    @pytest.mark.parametrize("n", [1000, 3000, 20000])
+    def test_high_monomials(self, n):
+        # f' of z^20000 underflows to 0 on the first panels; a zero total stays open
+        expected = math.sqrt(n * n * (1.0 / (2 * n - 1) - 1.0 / (2 * n)))
+        assert g_function(Polynomial((0,) * n + (1,)), 0.3) == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowing_contributions_raise(self):
+        class Huge:  # |f'|^2 overflows to inf on every node
+            def deriv(self, z):
+                return np.full(np.shape(z), 1e200, dtype=complex)
+
+        with pytest.raises(DivergentIntegralError, match="did not stabilize") as err:
+            g_function(Huge(), 0.0)
+        assert math.isinf(err.value.partials[-1])
+
+    def test_harmonic_pair_is_refused(self):
+        f = HarmonicMap(Polynomial((0, 0.5)), Polynomial((0, 0.1)))
+        for call in (lambda: g_function(f, 0.0), lambda: _g_squared(f, [0.0, 1.0]),
+                     lambda: g_norm_check(f, 2)):
+            with pytest.raises(ParameterRangeError, match="harmonic pair"):
+                call()
 
 
 class TestGNormCheck:
@@ -470,6 +510,12 @@ class TestGNormCheck:
             rec = g_norm_check(Polynomial(coeffs), 2)
             ratios.append(rec["g_integral"] / rec["hardy"])
         assert max(ratios) / min(ratios) < 4.0
+
+    def test_unsettled_mean_raises(self):
+        # G of phi_0.998 peaks sharply at angle 0; 4096 angles do not resolve it
+        with pytest.raises(QuadratureError, match="within 4096 nodes") as err:
+            g_norm_check(Mobius(0.998), 2)
+        assert len(err.value.last_values) == 2
 
 
 class TestPowerMeanInequality:
