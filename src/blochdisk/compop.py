@@ -39,6 +39,9 @@ SLOPE_THRESHOLD = 0.05
 _TRUNCATION_LO = 4
 _TRUNCATION_HI = 24
 _STABLE_RUNGS = 3
+# Rounding slack of sup |phi| read on the unit circle: up to 1 + slack is a
+# self-map, below 1 - slack a strict contraction.
+_ROUNDING_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -78,10 +81,12 @@ def is_admissible_symbol(phi: AnalyticMap) -> bool:
 
     Automorphism-type kinds are admissible structurally, except the Blaschke
     product of no factors: a unimodular constant, mapping the disk onto one
-    boundary point.  Other kinds are screened on the points of ``sup_grid``,
-    which accepts genuine self-maps and rejects clear violators
-    (boundary-touching counterexamples below grid resolution are inherently
-    undecidable here).
+    boundary point.  Every other kind is continuous on the closed disk, so by
+    the maximum principle phi is a self-map exactly when |phi(0)| < 1 (which
+    refuses unimodular constants) and sup |phi| <= 1.  A polynomial whose
+    coefficient moduli sum to at most 1 has that bound outright; for the rest
+    sup |phi| is its maximum on the unit circle (``hardy_norm`` at p = inf),
+    allowed ``_ROUNDING_SLACK`` above 1.
     """
     if isinstance(phi, HarmonicMap):
         return False
@@ -91,9 +96,10 @@ def is_admissible_symbol(phi: AnalyticMap) -> bool:
         return len(phi.factors) > 0
     if isinstance(phi, ScaledIdentity):
         return abs(phi.c) <= 1.0
-    if isinstance(phi, Polynomial) and phi.degree <= 0:
+    if isinstance(phi, Polynomial) and sum(map(abs, phi.coefficients)) <= 1.0:
         return abs(complex(phi.eval(0j))) < 1.0
-    return bool(np.max(np.abs(phi.eval(sup_grid()[2]))) < 1.0)
+    return (abs(complex(phi.eval(0j))) < 1.0
+            and hardy_norm(phi, math.inf).value <= 1.0 + _ROUNDING_SLACK)
 
 
 def _require_symbol(phi):
@@ -185,8 +191,8 @@ def bloch_to_hardy_criterion(phi: AnalyticMap, params: BlochParams, p: float,
     """
     _require_symbol(phi)
     p = float(p)
-    if not p > 0.0:
-        raise ParameterRangeError(f"criterion requires p > 0, got {p}")
+    if not 0.0 < p < math.inf:
+        raise ParameterRangeError(f"criterion requires finite p > 0, got {p}")
     plan = plan or DEFAULT_PLAN
 
     n_angles = plan.angular_resolution
@@ -269,11 +275,16 @@ def hardy_to_bloch_verdict(phi: AnalyticMap, params: BlochParams, p: float,
     the plan's radial ladder, at the angles of ``sup_grid``, either
     stabilizes (bounded, with a supremum estimate refined on ``sup_grid``) or
     grows under the log-linear fit (unbounded); a ladder of fewer than four
-    rungs shows neither and is inconclusive.  Compactness:
-    when every sampled |phi| stays below 1 - 1e-6 the boundary-limit
+    rungs shows neither and is inconclusive.  Growth is unbounded only when
+    phi touches the circle: every library map has phi' bounded on the closed
+    disk and the weight is bounded, so Q is bounded when sup |phi| < 1, and
+    a growing ladder of such a strict contraction is inconclusive.
+    Compactness: when sup |phi| stays below 1 - 1e-6 the boundary-limit
     condition holds vacuously; otherwise band maxima of Q over
-    {|phi(z)| > 1 - 2^-k} must decay to zero.  phi is evaluated once on the
-    ladder rings and, on the bounded path, once on the grid.
+    {|phi(z)| > 1 - 2^-k} must decay to zero.  sup |phi| (``sup_phi``) is
+    its maximum on the unit circle, ``hardy_norm`` at p = inf.  phi is
+    evaluated once on the ladder rings and, on the bounded path, once on the
+    grid, whose moduli make the bands.
     """
     p = float(p)
     _check_hardy_to_bloch_params(params, p)
@@ -299,6 +310,9 @@ def hardy_to_bloch_verdict(phi: AnalyticMap, params: BlochParams, p: float,
         "bounded": None,
     }
     if growing:
+        diagnostics["sup_phi"] = sup_phi = hardy_norm(phi, math.inf).value
+        if sup_phi < 1.0 - _ROUNDING_SLACK:
+            return CriterionReport("inconclusive", None, evidence, diagnostics)
         diagnostics["bounded"] = False
         return CriterionReport("unbounded", None, evidence, diagnostics)
     if not stabilized:
@@ -311,14 +325,13 @@ def hardy_to_bloch_verdict(phi: AnalyticMap, params: BlochParams, p: float,
     diagnostics["bounded"] = True
     diagnostics["sup_resolution"] = float(res[0])
 
-    phi_mod = np.abs(wgrid)
-    sup_phi = float(np.max(phi_mod))
-    diagnostics["sup_phi"] = sup_phi
+    diagnostics["sup_phi"] = sup_phi = hardy_norm(phi, math.inf).value
     if sup_phi <= 1.0 - 1e-6:
         return CriterionReport("vacuously-compact", float(sup_q), evidence,
                                diagnostics)
 
     band_maxima = []  # bands k = 1, 2, ... up to the first empty one
+    phi_mod = np.abs(wgrid)
     for k in range(1, 19):
         mask = phi_mod > dyadic_radius(k)
         if not np.any(mask):

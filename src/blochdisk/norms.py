@@ -11,8 +11,8 @@ import numpy as np
 
 from .core import (BlochParams, DivergentIntegralError, HarmonicMap,
                    ParameterRangeError, classical_params, disk_point, lambda_f)
-from .numerics import (GOLDEN_ITERS, TWO_PI, QuadratureError, dyadic_radius,
-                       gl_panel_columns, sup_search)
+from .numerics import (GOLDEN_ITERS, TWO_PI, QuadratureError, circle_max,
+                       dyadic_radius, gl_panel_columns, sup_search)
 
 __all__ = [
     "SamplingPlan", "DEFAULT_PLAN", "NormEstimate", "sup_grid",
@@ -38,10 +38,12 @@ class SamplingPlan:
 
     angular_resolution: starting count of roots of unity (power of two, >= 8);
     radial_j: ladder depth, radii r_j = 1 - 2^-j for j = 1..radial_j;
-    refinement_tol: relative stabilization target for self-refining averages.
-    Disk suprema do not depend on the plan: they search the one ``sup_grid``,
-    refined to ``GOLDEN_ITERS`` golden-section steps a side; ``describe``
-    reports those fixed sizes after these three.
+    refinement_tol: relative stabilization target for self-refining averages,
+    finite and positive.
+    Suprema do not depend on the plan: those of |f| lie on the unit circle
+    (``numerics.circle_max``), the others are searched on the one
+    ``sup_grid``, refined to ``GOLDEN_ITERS`` golden-section steps a side;
+    ``describe`` reports the grid's fixed sizes after these three.
     """
 
     angular_resolution: int = 256
@@ -55,8 +57,9 @@ class SamplingPlan:
                 f"angular_resolution must be a power of two >= 8, got {n}")
         if n > MAX_CIRCLE_NODES:
             raise ParameterRangeError(f"angular_resolution must be <= {MAX_CIRCLE_NODES}, got {n}")
-        if not float(self.refinement_tol) > 0.0:
-            raise ParameterRangeError("refinement_tol must be positive")
+        if not 0.0 < float(self.refinement_tol) < math.inf:
+            raise ParameterRangeError(
+                f"refinement_tol must be positive and finite, got {self.refinement_tol}")
         if int(self.radial_j) < 1:
             raise ParameterRangeError("radial_j must be >= 1")
         if int(self.radial_j) > 53:  # 1 - 2^-54 rounds to 1.0
@@ -76,10 +79,13 @@ DEFAULT_PLAN = SamplingPlan()
 
 @cache
 def sup_grid():
-    """``(radii, angles, points)`` of every disk supremum: SUP_RADII
-    tanh-spaced radii up to 1 - 2^-20 joined with the default ladder's 20
-    dyadic radii, SUP_ANGLES equally spaced angles, and their outer product,
-    the points.  Built on first use and shared, so the arrays are read-only."""
+    """``(radii, angles, points)`` of the suprema searched inside the disk
+    (the Bloch-type functional and Q) and of the probe's candidates:
+    SUP_RADII tanh-spaced radii up to 1 - 2^-20 joined with the default
+    ladder's 20 dyadic radii, SUP_ANGLES equally spaced angles, and their
+    outer product, the points.  Suprema of |f| lie on the unit circle and
+    are ``numerics.circle_max``'s instead.  Built on first use and shared,
+    so the arrays are read-only."""
     ladder = DEFAULT_PLAN.ladder
     tanh = np.tanh(np.linspace(0.0, math.atanh(ladder[-1]), SUP_RADII))
     radii = np.union1d(tanh, ladder)
@@ -156,7 +162,7 @@ def _circle_mean(sample, p, n, cap, tol) -> float:
 
 
 def hardy_norm(f, p, plan: SamplingPlan | None = None) -> NormEstimate:
-    """sup_{0<r<1} M_p(r, f), or the supremum of |f| on ``sup_grid`` when p = inf.
+    """sup_{0<r<1} M_p(r, f), or sup |f| over the disk when p = inf.
 
     Every map the library builds is continuous on the closed disk, and
     M_p(r, f) is nondecreasing in r for analytic f (and for harmonic f when
@@ -167,12 +173,14 @@ def hardy_norm(f, p, plan: SamplingPlan | None = None) -> NormEstimate:
     that boundary mean, the limit of M_p(r, f) as r -> 1.  The evidence is the
     single pair (1.0, value), and the resolution is the bound at which the
     mean stopped, ``refinement_tol * max(1, value)``.  A map with a pole on
-    the circle raises QuadratureError.
+    the circle raises QuadratureError.  |f| is subharmonic, so for p = inf
+    the norm is the maximum of |f| on the unit circle, ``circle_max``; the
+    evidence is empty and the resolution is the angle width it reached.
     """
     plan = plan or DEFAULT_PLAN
     if p == math.inf:
-        value, _, res = sup_search(lambda z: np.abs(f.eval(z)), sup_grid())
-        return NormEstimate(value, resolution=float(res[0]))
+        value, width = circle_max(lambda theta: np.abs(f.eval(np.exp(1j * theta))))
+        return NormEstimate(value, resolution=width)
     value = hardy_mean(f, p, 1.0, plan)
     return NormEstimate(value, ((1.0, value),),
                         resolution=plan.refinement_tol * max(1.0, value))

@@ -22,6 +22,8 @@ GL_NODES = 16
 GOLDEN_ITERS = 40
 GOLDEN_ROUNDS = math.ceil(GOLDEN_ITERS * math.log(INV_GOLDEN) / math.log(2.0 / 16.0))
 REFINE_TOP = 4
+# Equally spaced angles at which circle_max samples the circle.
+_CIRCLE_NODES = 256
 
 
 class QuadratureError(BlochDiskError, RuntimeError):
@@ -58,6 +60,14 @@ def gl_panel_columns(fn2, a, b):
     return half * (w @ vals)
 
 
+@lru_cache(maxsize=None)
+def _round_lattice(d):
+    """The 15^d offsets of a golden_max round, read-only."""
+    lattice = np.stack(np.meshgrid(*[_ROUND_OFFSETS] * d, indexing="ij"), -1).reshape(-1, d)
+    lattice.flags.writeable = False
+    return lattice
+
+
 def golden_max(fn, a, b):
     """Maxima of a unimodal function on a batch of d-dimensional boxes [a, b].
 
@@ -78,14 +88,13 @@ def golden_max(fn, a, b):
     a = np.asarray(a, dtype=float)
     centre = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    d = a.shape[-1]
-    lattice = np.stack(np.meshgrid(*[_ROUND_OFFSETS] * d, indexing="ij"), -1).reshape(-1, d)
+    lattice = _round_lattice(a.shape[-1])
     for _ in range(GOLDEN_ROUNDS):
         vals = np.asarray(fn(centre[..., None, :] + half[..., None, :] * lattice), dtype=float)
-        value = np.max(vals, axis=-1)
-        centre = centre + half * lattice[np.argmax(vals, axis=-1)]
+        centre = centre + half * lattice[vals.argmax(axis=-1)]
         half = half / 8.0
-    return centre, value, np.maximum(2.0 * half, np.spacing(np.abs(centre)))
+    return centre, vals.max(axis=-1), np.maximum(2.0 * half, np.spacing(np.abs(centre)))
+
 
 
 def extrapolate_to_zero(us, vals):
@@ -120,6 +129,28 @@ def area_uniform_points(rng, n):
     radius = np.sqrt(rng.random(n))
     angle = TWO_PI * rng.random(n)
     return radius * np.exp(1j * angle)
+
+
+def circle_max(sample):
+    """Maximum of a 2pi-periodic ``sample`` of an array of angles.
+
+    ``sample`` is evaluated at ``_CIRCLE_NODES`` equally spaced angles, and
+    its ``REFINE_TOP`` strongest node-local maxima (ties count) are refined
+    together by one ``golden_max`` call on boxes one step either side.
+    Returns ``(value, angle_width)``: the larger of the best refined value
+    and the node maximum, with the final width of that box.
+    """
+    step = TWO_PI / _CIRCLE_NODES
+    theta = np.arange(_CIRCLE_NODES) * step
+    vals = np.asarray(sample(theta), dtype=float)
+    ring = np.concatenate((vals[-1:], vals, vals[:1]))  # the angle wraps
+    peaks = np.flatnonzero((vals >= ring[:-2]) & (vals >= ring[2:]))
+    if not peaks.size:  # no node compares with both neighbours, as with NaN
+        return float(np.max(vals)), step
+    top = theta[peaks[np.argsort(vals[peaks])[::-1][:REFINE_TOP]], None]
+    _, refined, width = golden_max(lambda t: sample(t[..., 0]), top - step, top + step)
+    k = int(np.argmax(refined))
+    return max(float(refined[k]), float(np.max(vals))), float(width[k, 0])
 
 
 def _grid_local_maxima(vals):

@@ -451,10 +451,10 @@ class TestMain:
                                         ("eta", "0.5"), ("monomial:5", "inf")])
     def test_hardy_norm_does_not_depend_on_plan_j(self, capsys, func, p):
         doc = self._report_at_every_plan_j(capsys, ["hardy-norm", "--func", func, "--p", p])
-        # --p inf is the supremum of |z^5| on the grid, out to 1 - 2^-20
+        # --p inf is the maximum of |z^5| on the unit circle
         value = doc["result"]["value"]
         if p == "inf":
-            assert doc["evidence"] == [] and value == pytest.approx(1.0, abs=5e-6)
+            assert doc["evidence"] == [] and value == pytest.approx(1.0, rel=1e-15)
         else:
             assert doc["evidence"] == [[1.0, value]]
 
@@ -496,6 +496,26 @@ class TestMain:
         code = main(["compop-verdict", "--phi", "identity", "--plan-j", "1"])
         assert code == 2
         assert json.loads(capsys.readouterr().out)["result"]["verdict"] == "inconclusive"
+
+    @pytest.mark.parametrize("phi", [
+        "monomial:2", '{"kind": "blaschke", "factors": [[0.2, 0.1], [0.5, 0], [-0.3, 0.4]]}'])
+    def test_boundary_touching_symbol_is_not_vacuously_compact(self, capsys, phi):
+        # |phi| reaches 1 on the unit circle, beyond the grid's last ring
+        main(["compop-verdict", "--phi", phi, "--alpha", "2", "--p", "2"])
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result["verdict"] != "vacuously-compact"
+        assert result["diagnostics"]["sup_phi"] == pytest.approx(1.0, rel=1e-15)
+
+    @pytest.mark.parametrize("scale,p", [("0.9999995", "2"), ("0.9999999", "2"),
+                                         ("0.9999999", "3")])
+    def test_strict_contraction_is_never_unbounded(self, capsys, scale, p):
+        # Q is bounded when sup |phi| < 1, though each ladder still rises
+        # fast enough at its last rung, 1 - 2^-20, to read as growth
+        phi = f'{{"kind": "polynomial", "coefficients": [[0, 0], [{scale}, 0]]}}'
+        assert main(["compop-verdict", "--phi", phi, "--p", p]) == 2
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result["verdict"] == "inconclusive"
+        assert result["diagnostics"]["sup_phi"] == pytest.approx(float(scale), rel=1e-15)
 
     def test_exit_one_on_quadrature_error(self, capsys, monkeypatch):
         import blochdisk.cli as cli_mod
@@ -555,6 +575,18 @@ class TestMain:
         assert captured.out == ""
         assert captured.err == "error: blaschke is not a self-map of the disk\n"
 
+    @pytest.mark.parametrize("scale", ["1.0000001", "1.0000005"])
+    @pytest.mark.parametrize("command", ["compop-criterion", "compop-verdict",
+                                         "bounded-below-probe"])
+    def test_exit_one_on_a_symbol_just_past_the_circle(self, capsys, command, scale):
+        # (1 + 1e-7) z leaves the disk only within 1e-7 of its boundary
+        argv = [command, "--phi",
+                f'{{"kind": "polynomial", "coefficients": [[0, 0], [{scale}, 0]]}}']
+        if command == "bounded-below-probe":
+            argv += ["--r", "0.2", "--epsilon", "0.5"]
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", "error: polynomial is not a self-map of the disk\n")
+
     @pytest.mark.parametrize("command", ["gfunction", "compop-criterion", "compop-verdict",
                                          "bounded-below-probe"])
     def test_exit_one_on_harmonic_pair(self, capsys, command):
@@ -585,9 +617,14 @@ class TestMain:
           '{"kind": "blaschke", "factors": [[0.5, 0]], "rotation": [NaN, 0]}'], DescriptorError),
         (["hardy-norm", "--p", "2", "--func", "f-beta:nan"], DescriptorError),
         (["hardy-norm", "--p", "2", "--func", "kernel:0.5:inf"], DescriptorError),
+        (["hardy-norm", "--p", "2", "--func", "kernel:0.99,0:2", "--tol", "inf"],
+         ParameterRangeError),
+        (["compop-criterion", "--phi", "half-identity", "--p", "inf"], ParameterRangeError),
+        (["compop-criterion", "--phi", "identity", "--p", "inf"], ParameterRangeError),
     ], ids=["beta-nan", "beta-inf", "alpha-inf", "criterion-beta-nan", "root-alpha-inf",
             "angle-nan", "angle-inf", "seminorm-coefficient-inf", "hardy-coefficient-inf",
-            "rotation-nan", "f-beta-nan", "kernel-p-inf"])
+            "rotation-nan", "f-beta-nan", "kernel-p-inf", "tol-inf",
+            "criterion-p-inf-half-identity", "criterion-p-inf-identity"])
     def test_exit_one_on_non_finite_numbers(self, capsys, argv, error):
         with pytest.raises(error, match="finite"):
             run(parse_config(argv))

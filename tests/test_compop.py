@@ -22,6 +22,7 @@ from blochdisk import (Blaschke, BlochParams, CriterionReport, HarmonicMap,
                        lambda_f, mobius, schwarz_pick_ratio)
 from blochdisk import test_function as kernel_test_function
 from blochdisk.compop import PROBE_RADIUS_SUP, ProbeReport, _stabilized
+from blochdisk.core import Composed
 from blochdisk.norms import SamplingPlan, sup_grid
 from blochdisk.numerics import area_uniform_points
 
@@ -110,6 +111,46 @@ class TestAdmissibility:
         assert not is_admissible_symbol(QuadraticExtremal())
         assert not is_admissible_symbol(PowerKernel(0.9, 2.0))
         assert not is_admissible_symbol(Polynomial((1.5,)))
+
+    @pytest.mark.parametrize("phi", [
+        Polynomial((0, 1 + 1e-7)), Polynomial((0, 1.0000005)),
+        Polynomial((0, 0, 0, 1 + 1e-7)), Polynomial((0.5, 0.5 + 1e-7))],
+        ids=["scaled-1e-7", "scaled-5e-7", "cubed-1e-7", "half-shift-1e-7"])
+    def test_refuses_maps_just_past_the_circle(self, phi):
+        # each leaves the disk only within 1e-7 of the circle, past the
+        # grid's last ring, 1 - 2^-20
+        assert not is_admissible_symbol(phi)
+
+    @pytest.mark.parametrize("phi", [
+        Polynomial((0, 1)), Polynomial((0, 0.5)), HALF,
+        *[Polynomial((0,) * n + (1,)) for n in (2, 5, 17)],
+        Polynomial((0.5, 0.5)), Polynomial((0.5j, 0, 0.5)),
+        Mobius(1 - 1e-15), Mobius(0.6 - 0.7j),
+        Blaschke((1 - 1e-12, -(1 - 1e-12) * 1j, 0.3)),
+        Blaschke((0.2 + 0.1j, 0.5, -0.3 + 0.4j)), Blaschke((0.9,), -1j)],
+        ids=["identity", "half-polynomial", "half-scaled", "monomial-2", "monomial-5",
+             "monomial-17", "half-sum", "half-sum-rotated", "mobius-edge", "mobius",
+             "blaschke-edge", "blaschke3", "blaschke-rotated"])
+    def test_accepts_self_maps(self, phi):
+        # all but the halves reach |phi| = 1 on the circle, where only
+        # rounding lies past 1; the automorphisms with zeros at 1 - 1e-15 and
+        # 1 - 1e-12 read up to 1 + 8e-6 there, and are admissible by kind
+        assert is_admissible_symbol(phi)
+
+    def test_circle_decides_past_the_coefficient_bound(self):
+        # the coefficient moduli sum to 1.41 sup |phi|, so the circle decides
+        c = np.array([-0.4 + 0.4j, 0.9 + 0.9j, -0.5 + 0.5j])
+        circle = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 2 ** 16))
+        sup = np.max(np.abs(np.polyval(c[::-1], circle)))
+        assert is_admissible_symbol(Polynomial(tuple(c / sup * (1 - 1e-8))))
+        assert not is_admissible_symbol(Polynomial(tuple(c / sup * (1 + 1e-7))))
+
+    def test_refuses_unimodular_constants(self):
+        # |phi| = 1 on the circle, but phi maps the disk onto a boundary point
+        assert not is_admissible_symbol(Polynomial((1j,)))
+        assert not is_admissible_symbol(Polynomial((-1, 0)))
+        assert not is_admissible_symbol(Composed(Polynomial((1j,)), HALF))
+        assert is_admissible_symbol(Composed(Polynomial((0.5j,)), HALF))
 
     def test_harmonic_pair_is_not_a_symbol(self):
         # z/2 + conj(z/10) maps the disk into itself but is not analytic
@@ -363,10 +404,11 @@ class TestHardyToBlochVerdict:
         rings = (plan.radial_j + 1, 256)
         grid = sup_grid()[2].shape
         assert counting.calls["eval", rings] == counting.calls["deriv", rings] == 1
-        # the symbol screen evaluates phi (not phi') once on the same grid
-        assert counting.calls["eval", grid] == grid_calls + 1
-        assert counting.calls["deriv", grid] == grid_calls
-        assert not counting.calls["eval", (256,)] and not counting.calls["eval", (1,)]
+        assert counting.calls["eval", grid] == counting.calls["deriv", grid] == grid_calls
+        # the symbol screen and sup |phi| each sample phi (not phi') once on
+        # the 256 nodes of circle_max, never ring by ring or point by point
+        assert counting.calls["eval", (256,)] == 2 and not counting.calls["deriv", (256,)]
+        assert not counting.calls["eval", (1,)]
 
     def test_evidence_running_sup_monotone(self):
         rep = hardy_to_bloch_verdict(HALF, CLASSICAL, 2.0)

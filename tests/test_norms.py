@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,7 +14,8 @@ from blochdisk import (Blaschke, BlochParams, HarmonicMap, Mobius,
                        QuadratureError, QuadraticExtremal, ScaledIdentity,
                        as_harmonic, bloch_functional, bloch_norm, bloch_seminorm,
                        bloch_weight, classical_params, compose, g_function,
-                       g_norm_check, hardy_mean, hardy_norm, lambda_f, mobius,
+                       g_norm_check, hardy_mean, hardy_norm,
+                       hardy_to_bloch_verdict, lambda_f, mobius,
                        power_mean_inequality_check)
 from blochdisk.core import DivergentIntegralError
 from blochdisk.extremal import AntiderivativeExtremal
@@ -41,6 +43,12 @@ class TestSamplingPlan:
         with pytest.raises(ParameterRangeError):
             SamplingPlan(refinement_tol=0.0)
 
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, -1e-6])
+    def test_rejects_a_tolerance_that_is_not_positive_and_finite(self, tol):
+        # an infinite tolerance would stop every circle mean at its first doubling
+        with pytest.raises(ParameterRangeError, match="refinement_tol"):
+            SamplingPlan(refinement_tol=tol)
+
     def test_rejects_plans_past_float_and_node_limits(self):
         # r_54 = 1 - 2^-54 rounds to 1.0; hardy_mean caps its nodes at 2^20
         assert SamplingPlan(radial_j=53).ladder[-1] < 1.0
@@ -61,10 +69,11 @@ class TestSamplingPlan:
                 array[0] = 0.5
 
     def test_default_grid_survives_three_other_depths(self):
-        # a command at another depth searches the same default grid
+        # a verdict at another depth searches the same default grid
         default = sup_grid()
         for radial_j in (3, 4, 5):
-            hardy_norm(Polynomial((0, 1)), math.inf, SamplingPlan(radial_j=radial_j))
+            hardy_to_bloch_verdict(ScaledIdentity(0.5), classical_params(), 2.0,
+                                   SamplingPlan(radial_j=radial_j))
         assert sup_grid()[2] is default[2]
 
     def test_three_settable_fields(self):
@@ -245,6 +254,71 @@ class TestHardyNormOracle:
             assert error < 1e-20
             oracle = float((integral / (2 * mp.pi)) ** (1 / mp.mpf(p)))
         assert hardy_norm(f, p).value == pytest.approx(oracle, rel=1e-9, abs=0.0)
+
+
+def _sup_norm_maps():
+    """A seeded set of maps for the H^inf oracle: two random polynomials of
+    each degree 1-29, power kernels, three-factor Blaschke products, harmonic
+    pairs and the extremals."""
+    rng = np.random.default_rng(20261018)
+
+    def unit_square(n):
+        return rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
+
+    maps = {}
+    for degree in range(1, 30):
+        for k in range(2):
+            maps[f"polynomial-{degree}-{k}"] = Polynomial(tuple(unit_square(degree + 1)))
+    for k, b in enumerate(disk_samples(rng, 8, r_max=0.95)):
+        maps[f"kernel-{k}"] = PowerKernel(b, float(rng.uniform(0.5, 4.0)))
+    for k in range(8):
+        rotation = np.exp(1j * rng.uniform(0, TWO_PI))
+        maps[f"blaschke-{k}"] = Blaschke(tuple(disk_samples(rng, 3, r_max=0.95)), rotation)
+    for degree in (1, 2, 3, 5, 8, 12):
+        maps[f"harmonic-{degree}"] = random_polynomial_pair(rng, degree)
+    maps["eta"] = QuadraticExtremal()
+    for beta in (0.1, 0.5, 1.0):
+        maps[f"f-beta:{beta}"] = AntiderivativeExtremal(beta)
+    return maps
+
+
+_SUP_NORM_MAPS = _sup_norm_maps()
+
+
+def _dense_circle_max(f):
+    """max |f| on the unit circle by a second route: 2^16 equally spaced
+    angles, then scipy's bounded Brent search one step either side of the 16
+    strongest node-local maxima."""
+    step = TWO_PI / 2 ** 16
+    theta = np.arange(2 ** 16) * step
+
+    def modulus(t):
+        return np.abs(f.eval(np.exp(1j * np.asarray(t, dtype=float))))
+
+    vals = modulus(theta)
+    peaks = np.flatnonzero((vals >= np.roll(vals, 1)) & (vals >= np.roll(vals, -1)))
+    best = float(np.max(vals))
+    for t in theta[peaks[np.argsort(vals[peaks])[-16:]]]:
+        res = scipy.optimize.minimize_scalar(
+            lambda x: -float(modulus([x])[0]), bounds=(t - step, t + step),
+            method="bounded", options={"xatol": 1e-13})
+        best = max(best, -float(res.fun))
+    return best
+
+
+class TestSupNormOracle:
+    @pytest.mark.parametrize("name", list(_SUP_NORM_MAPS))
+    def test_dense_circle_search(self, name):
+        f = _SUP_NORM_MAPS[name]
+        est = hardy_norm(f, math.inf)
+        assert est.evidence == () and 0.0 < est.resolution < 1e-9
+        assert est.value == pytest.approx(_dense_circle_max(f), rel=1e-12, abs=0.0)
+
+    def test_does_not_depend_on_the_plan(self):
+        f = _SUP_NORM_MAPS["polynomial-29-0"]
+        values = {hardy_norm(f, math.inf, SamplingPlan(angular_resolution=n, radial_j=j)).value
+                  for n, j in ((8, 1), (256, 20), (4096, 53))}
+        assert len(values) == 1
 
 
 class TestBlochWeight:
