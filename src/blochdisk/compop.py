@@ -18,9 +18,9 @@ from .extremal import LIP_CONSTANT
 from .metrics import rho_array
 from .norms import (DEFAULT_PLAN, SamplingPlan, bloch_weight, hardy_norm,
                     sup_grid, weight_from_gap)
-from .numerics import (GL_NODES, TWO_PI, area_uniform_points, dyadic_radius,
-                       extrapolate_to_zero, fit_slope, gl_panel_columns,
-                       sup_search)
+from .numerics import (GL_NODES, TWO_PI, QuadratureError, area_uniform_points,
+                       dyadic_radius, extrapolate_to_zero, fit_slope,
+                       gl_panel_columns, sup_search)
 
 __all__ = [
     "CriterionReport", "is_admissible_symbol", "compose",
@@ -98,8 +98,12 @@ def is_admissible_symbol(phi: AnalyticMap) -> bool:
         return abs(phi.c) <= 1.0
     if isinstance(phi, Polynomial) and sum(map(abs, phi.coefficients)) <= 1.0:
         return abs(complex(phi.eval(0j))) < 1.0
-    return (abs(complex(phi.eval(0j))) < 1.0
-            and hardy_norm(phi, math.inf).value <= 1.0 + _ROUNDING_SLACK)
+    if not abs(complex(phi.eval(0j))) < 1.0:
+        return False
+    try:
+        return hardy_norm(phi, math.inf).value <= 1.0 + _ROUNDING_SLACK
+    except QuadratureError:  # |phi| overflows on the circle
+        return False
 
 
 def _require_symbol(phi):
@@ -188,8 +192,13 @@ def bloch_to_hardy_criterion(phi: AnalyticMap, params: BlochParams, p: float,
     Stabilization of the last rungs gives ``convergent`` (for this criterion,
     bounded and compact coincide); a positive log-linear growth fit gives
     ``divergent``; otherwise ``inconclusive``.
+
+    Each panel takes phi and phi' from one ``phi.jet`` call, so phi must be
+    an ``AnalyticMap``; any other symbol raises TypeError.
     """
     _require_symbol(phi)
+    if not isinstance(phi, AnalyticMap):
+        raise TypeError(f"criterion requires an AnalyticMap symbol, got {type(phi).__name__}")
     p = float(p)
     if not 0.0 < p < math.inf:
         raise ParameterRangeError(f"criterion requires finite p > 0, got {p}")
@@ -201,10 +210,9 @@ def bloch_to_hardy_criterion(phi: AnalyticMap, params: BlochParams, p: float,
     omega = params.omega
 
     def panel_columns(r):
-        z = r[:, None] * phases[None, :]
-        w = phi.eval(z)
+        w, dw = phi.jet(r[:, None] * phases[None, :])
         gap_weight = omega(bloch_weight(params, np.abs(w)))
-        return np.abs(phi.deriv(z)) ** 2 * (1.0 - r)[:, None] / gap_weight ** 2
+        return np.abs(dw) ** 2 * (1.0 - r)[:, None] / gap_weight ** 2
 
     inner = np.zeros(n_angles)
     evidence = []

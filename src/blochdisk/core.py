@@ -98,7 +98,10 @@ class AnalyticMap:
     that matches the array evaluation to rounding: numpy's vectorized loops
     may round differently from its scalar arithmetic.  Scalar entry points
     such as ``norms.bloch_functional`` convert to Python numbers once, where
-    they validate their point.  Subclasses are immutable.
+    they validate their point.  ``jet(z)`` returns ``(f(z), f'(z))`` under the
+    same contract, and each component is bitwise ``eval(z)`` and
+    ``deriv(z)``; kinds that share work between the two override it.
+    Subclasses are immutable.
     """
 
     kind = "abstract"
@@ -108,6 +111,9 @@ class AnalyticMap:
 
     def deriv(self, z):
         raise NotImplementedError
+
+    def jet(self, z):
+        return self.eval(z), self.deriv(z)
 
     def __call__(self, z):
         return self.eval(z)
@@ -166,6 +172,11 @@ class Mobius(AnalyticMap):
         ac = self.a.conjugate()
         return -(1.0 - abs(self.a) ** 2) / (1.0 - ac * z) ** 2
 
+    def jet(self, z):
+        # no reciprocal of d: (a - z) * (1 / d) moves |phi| by an ulp
+        d = 1.0 - self.a.conjugate() * z
+        return (self.a - z) / d, -(1.0 - abs(self.a) ** 2) / d ** 2
+
 
 @dataclass(frozen=True)
 class Blaschke(AnalyticMap):
@@ -194,16 +205,18 @@ class Blaschke(AnalyticMap):
         return out
 
     def deriv(self, z):
-        parts = self._parts
-        vals = [p.eval(z) for p in parts]
-        out = np.zeros(np.shape(z), dtype=complex)
-        for k, part in enumerate(parts):
-            term = part.deriv(z)
-            for j, v in enumerate(vals):
-                if j != k:
-                    term = term * v
-            out = out + term
-        return self.rotation * out
+        return self.jet(z)[1]
+
+    def jet(self, z):
+        # product rule on the running product, whose value is eval's
+        val = self.rotation * np.ones(np.shape(z), dtype=complex)
+        der = np.zeros(np.shape(z), dtype=complex)
+        for part in self._parts:
+            v, dv = part.jet(z)
+            der *= v
+            der += val * dv
+            val *= v
+        return val, der[()]
 
 
 @dataclass(frozen=True)
@@ -277,7 +290,8 @@ class Composed(AnalyticMap):
         return self.outer.eval(self.inner.eval(z)) + self.offset
 
     def deriv(self, z):
-        return self.outer.deriv(self.inner.eval(z)) * self.inner.deriv(z)
+        w, dw = self.inner.jet(z)
+        return self.outer.deriv(w) * dw
 
 
 # --------------------------------------------------------------------------

@@ -175,11 +175,14 @@ def hardy_norm(f, p, plan: SamplingPlan | None = None) -> NormEstimate:
     mean stopped, ``refinement_tol * max(1, value)``.  A map with a pole on
     the circle raises QuadratureError.  |f| is subharmonic, so for p = inf
     the norm is the maximum of |f| on the unit circle, ``circle_max``; the
-    evidence is empty and the resolution is the angle width it reached.
+    evidence is empty and the resolution is the angle width it reached; a
+    maximum that is not finite (|f| overflows) raises QuadratureError.
     """
     plan = plan or DEFAULT_PLAN
     if p == math.inf:
         value, width = circle_max(lambda theta: np.abs(f.eval(np.exp(1j * theta))))
+        if not math.isfinite(value):
+            raise QuadratureError(f"max |f| on the unit circle is not finite: {value}")
         return NormEstimate(value, resolution=width)
     value = hardy_mean(f, p, 1.0, plan)
     return NormEstimate(value, ((1.0, value),),

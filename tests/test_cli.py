@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import subprocess
 import sys
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import blochdisk
 from blochdisk import (BlochDiskError, DescriptorError, Mobius, ParameterRangeError,
                        Polynomial, analytic_from_descriptor, descriptor_of,
                        descriptor_of_harmonic, harmonic_from_descriptor)
@@ -631,6 +633,22 @@ class TestMain:
         assert main(argv) == 1
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+    def test_overflowing_sup_norm_exits_one_without_report(self):
+        # in a subprocess, numpy's overflow warnings stay out of this suite's
+        # RuntimeWarning-as-error filter
+        doc = ('{"kind": "polynomial", "coefficients": '
+               '[[1e308, 1e308], [1e308, -1e308], [-1e308, 1e308]]}')
+        src = os.path.dirname(os.path.dirname(blochdisk.__file__))
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "blochdisk.cli", "hardy-norm", "--func", doc, "--p", "inf"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 1 and proc.stdout == ""
+        errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+        assert errors == ["error: max |f| on the unit circle is not finite: inf"]
+        assert "Traceback" not in proc.stderr
 
     def test_gfunction_near_boundary_mobius(self, capsys):
         # the panels past 1 - 2^-10 carry most of the integral

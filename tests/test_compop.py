@@ -167,6 +167,11 @@ class TestAdmissibility:
         with pytest.raises(InadmissibleSymbolError):
             compose(f, Polynomial((0.5, 1)))
 
+    def test_overflowing_symbol_is_inadmissible(self):
+        # |phi| overflows on the circle, where hardy_norm at p = inf raises
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not is_admissible_symbol(Polynomial((0, 1e308, 1e308)))
+
     def test_empty_blaschke_product_is_inadmissible(self):
         # no factors: the unimodular constant 1 maps the disk onto a boundary point
         assert is_admissible_symbol(Blaschke((0.3,)))
@@ -285,6 +290,26 @@ class TestBlochToHardyCriterion:
     def test_rejects_bad_p(self):
         with pytest.raises(ParameterRangeError):
             bloch_to_hardy_criterion(HALF, CLASSICAL, 0.0)
+
+    def test_refuses_a_symbol_without_jet(self):
+        # the panels need AnalyticMap.jet; the Q engines still take duck types
+        counting = _Counting(HALF)
+        with pytest.raises(TypeError, match="AnalyticMap"):
+            bloch_to_hardy_criterion(counting, CLASSICAL, 2.0)
+        assert hardy_to_bloch_verdict(counting, CLASSICAL, 2.0).verdict == \
+            hardy_to_bloch_verdict(HALF, CLASSICAL, 2.0).verdict
+
+    def test_one_jet_per_factor_and_panel(self, monkeypatch):
+        # phi and phi' come from one Blaschke.jet per panel, which takes one
+        # Mobius.jet per factor: 24 dyadic panels, 3 factors
+        calls = Counter()
+        for name in ("eval", "deriv", "jet"):
+            def counted(self, z, _method=getattr(Mobius, name), _name=name):
+                calls[_name] += 1
+                return _method(self, z)
+            monkeypatch.setattr(Mobius, name, counted)
+        bloch_to_hardy_criterion(Blaschke((0.2 + 0.1j, 0.5, -0.3 + 0.4j)), CLASSICAL, 2.0)
+        assert calls == Counter(jet=24 * 3)
 
 
 class TestHardyToBlochQ:

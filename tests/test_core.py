@@ -230,6 +230,8 @@ _CONTRACT_MAPS = [
 _CONTRACT_CASES = (
     [pytest.param(getattr(f, m), complex, id=f"{f.kind}{i}.{m}")
      for i, f in enumerate(_CONTRACT_MAPS) for m in ("eval", "deriv")]
+    + [pytest.param(lambda z, f=f, k=k: f.jet(z)[k], complex, id=f"{f.kind}{i}.jet{k}")
+       for i, f in enumerate(_CONTRACT_MAPS) for k in (0, 1)]
     + [pytest.param(w, float, id=f"majorant-{w.kind}") for w in (
         IdentityMajorant(), PowerMajorant(0.37),
         TabulatedMajorant([0.5, 1.0, 2.0, 5.0], [0.4, 0.7, 1.0, 1.5]))]
@@ -259,3 +261,64 @@ def test_evaluation_contract(fn, kind, ndim):
         expected = reference.reshape(shaped.shape)
     assert np.all(np.abs(values - expected)
                   <= _CONTRACT_ROUNDING * np.maximum(1.0, np.abs(expected)))
+
+
+@pytest.mark.parametrize("f", _CONTRACT_MAPS,
+                         ids=[f"{f.kind}{i}" for i, f in enumerate(_CONTRACT_MAPS)])
+def test_jet_is_eval_and_deriv_bitwise(f):
+    for z in (_CONTRACT_POINTS, _CONTRACT_POINTS.ravel()):
+        value, slope = f.jet(z)
+        assert np.array_equal(value, f.eval(z)) and np.array_equal(slope, f.deriv(z))
+    flat = _CONTRACT_POINTS.ravel()
+    for z in [complex(x) for x in flat] + list(flat) + [np.asarray(x) for x in flat]:
+        assert f.jet(z) == (f.eval(z), f.deriv(z))
+
+
+class TestDerivativeAgainstMpmath:
+    """Derivatives by a second route: 40-digit mpmath ``diff`` of the map
+    written out in mpmath, at seeded points with |z| <= 0.95."""
+
+    @staticmethod
+    def _check(f, reference, rng):
+        mp = pytest.importorskip("mpmath")
+        radius = 0.95 * np.sqrt(rng.random(12))
+        points = radius * np.exp(2j * np.pi * rng.random(12))
+        with mp.workdps(40):
+            expected = np.array([complex(mp.diff(lambda w: reference(mp, w), mp.mpc(z)))
+                                 for z in points])
+        for got in (f.deriv(points), np.array([f.deriv(complex(z)) for z in points])):
+            assert np.all(np.abs(got - expected) <= 1e-14 * np.maximum(1.0, np.abs(expected)))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_blaschke(self, n):
+        rng = np.random.default_rng(1400 + n)
+        factors = 0.95 * np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
+        rotation = complex(np.exp(2j * np.pi * rng.random()))
+
+        def reference(mp, w):
+            out = mp.mpc(rotation)
+            for a in factors:
+                a = mp.mpc(complex(a))
+                out *= (a - w) / (1 - mp.conj(a) * w)
+            return out
+
+        self._check(Blaschke(tuple(factors), rotation), reference, rng)
+
+    @pytest.mark.parametrize("b, p", [(0.0, 2.0), (0.6 - 0.3j, 0.7), (-0.9j, 3.0)])
+    def test_power_kernel(self, b, p):
+        def reference(mp, w):
+            bc = mp.conj(mp.mpc(b))
+            return (1 - abs(mp.mpc(b)) ** 2) ** (1 / mp.mpf(p)) \
+                * mp.exp(-2 / mp.mpf(p) * mp.log(1 - bc * w))
+
+        self._check(PowerKernel(b, p), reference, np.random.default_rng(1409))
+
+    def test_composed(self):
+        a, coeffs, offset = 0.4 - 0.5j, (0.1j, 0.5, -0.2 + 0.1j), 0.3 + 0.2j
+
+        def reference(mp, w):
+            inner = sum(mp.mpc(c) * w ** k for k, c in enumerate(coeffs))
+            return (mp.mpc(a) - inner) / (1 - mp.conj(mp.mpc(a)) * inner) + mp.mpc(offset)
+
+        self._check(Composed(Mobius(a), Polynomial(coeffs), offset), reference,
+                    np.random.default_rng(1410))
