@@ -249,6 +249,8 @@ def bloch_to_hardy_criterion(phi: AnalyticMap, params: BlochParams, p: float,
 # --------------------------------------------------------------------------
 
 def _check_hardy_to_bloch_params(params: BlochParams, p: float):
+    """ParameterRangeError outside the paper's range: p > 1, alpha = 1 with beta <= 0
+    or alpha > 1, and a finite ``omega.ratio_limit_at_zero()`` (exact, per kind)."""
     if not p > 1.0:
         raise ParameterRangeError(f"requires p > 1, got {p}")
     ok = (params.alpha == 1.0 and params.beta <= 0.0) or params.alpha > 1.0

@@ -358,6 +358,11 @@ class Majorant:
     def __call__(self, t):
         raise NotImplementedError
 
+    def ratio_limit_at_zero(self):
+        """The limit of omega(t)/t as t -> 0+, in closed form for each kind, or
+        None when it is infinite (it exists, as omega(t)/t is non-increasing)."""
+        raise NotImplementedError
+
     def _validate(self):
         origin = float(self(0.0))
         if abs(origin) > 1e-15:
@@ -374,70 +379,51 @@ class Majorant:
         if bad.size:
             raise MajorantValidationError("ratio-increasing", float(grid[bad[0] + 1]))
 
-    def ratio_limit_at_zero(self):
-        """Finite limit of omega(t)/t as t -> 0+, or None when it diverges.
 
-        Estimated on t = 2^-j, j = 10..40: the sequence must stay bounded and
-        Cauchy-stabilize.
-        """
-        t = 0.5 ** np.arange(10, 41)
-        ratios = np.asarray(self(t), dtype=float) / t
-        if not np.all(np.isfinite(ratios)):
-            return None
-        diffs = np.abs(np.diff(ratios))
-        scale = max(1.0, float(np.abs(ratios[-1])))
-        if float(ratios.max()) > 1e12 or diffs[-1] > 1e-6 * scale:
-            return None
-        if diffs[0] > 0 and diffs[-1] > diffs[0]:
-            return None
-        return float(ratios[-1])
-
-
+@dataclass(frozen=True)
 class IdentityMajorant(Majorant):
     """omega(t) = t."""
 
     kind = "identity"
 
-    def __init__(self):
+    def __post_init__(self):
         self._validate()
 
     def __call__(self, t):
         return np.asarray(t, dtype=float)[()]
 
-    def __eq__(self, other):
-        return isinstance(other, IdentityMajorant)
-
-    def __hash__(self):
-        return hash(self.kind)
+    def ratio_limit_at_zero(self):
+        return 1.0
 
 
+@dataclass(frozen=True)
 class PowerMajorant(Majorant):
     """omega(t) = t^s for s in (0, 1]."""
 
+    s: float
     kind = "power"
 
-    def __init__(self, s):
-        s = float(s)
+    def __post_init__(self):
+        s = float(self.s)
         if not 0.0 < s <= 1.0:
             raise ParameterRangeError(f"power majorant requires s in (0, 1], got {s}")
-        self.s = s
+        object.__setattr__(self, "s", s)
         self._validate()
 
     def __call__(self, t):
         return np.asarray(t, dtype=float) ** self.s
 
-    def __eq__(self, other):
-        return isinstance(other, PowerMajorant) and other.s == self.s
-
-    def __hash__(self):
-        return hash((self.kind, self.s))
+    def ratio_limit_at_zero(self):
+        return 1.0 if self.s == 1.0 else None
 
 
 class TabulatedMajorant(Majorant):
     """Piecewise-linear weight through sampled points, anchored at (0, 0).
 
-    Beyond the last sample the weight continues with its final value, which
-    preserves the non-increasing ratio property.
+    Samples must be finite and abscissae positive and increasing, or
+    ParameterRangeError is raised.  Beyond the last sample the weight
+    continues with its final value, which preserves the non-increasing ratio
+    property; omega(t)/t tends to the first segment's slope at 0.
     """
 
     kind = "custom"
@@ -446,15 +432,20 @@ class TabulatedMajorant(Majorant):
         ts = np.asarray(ts, dtype=float)
         values = np.asarray(values, dtype=float)
         if ts.ndim != 1 or ts.shape != values.shape or ts.size < 2:
-            raise ValueError("tabulation needs matching 1-d arrays of >= 2 points")
+            raise ParameterRangeError("tabulation needs matching 1-d arrays of >= 2 points")
+        if not (np.all(np.isfinite(ts)) and np.all(np.isfinite(values))):
+            raise ParameterRangeError("tabulation abscissae and values must be finite")
         if np.any(np.diff(ts) <= 0) or ts[0] <= 0:
-            raise ValueError("tabulation abscissae must be positive and increasing")
+            raise ParameterRangeError("tabulation abscissae must be positive and increasing")
         self._ts = np.concatenate(([0.0], ts))
         self._vals = np.concatenate(([0.0], values))
         self._validate()
 
     def __call__(self, t):
         return np.interp(t, self._ts, self._vals)
+
+    def ratio_limit_at_zero(self):
+        return float(self._vals[1] / self._ts[1])
 
 
 def validate_majorant(candidate) -> Majorant:

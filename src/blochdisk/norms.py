@@ -222,7 +222,8 @@ def bloch_seminorm(f, params: BlochParams | None = None) -> NormEstimate:
     and the weight vanishes on the circle, so the supremum is finite and
     attained inside.  The functional is evaluated once on ``sup_grid``; the
     evidence is its angular ridge maxima on the 20 dyadic rows, and the grid
-    peaks are refined by ``sup_search``.  A grid maximum on the outermost
+    peaks are refined by ``sup_search``.  A grid maximum that is not finite
+    (f' overflows) raises QuadratureError.  A grid maximum on the outermost
     ring, |z| = 1 - 2^-20, means the peak lies beyond the grid, or that the
     functional does not decay: QuadratureError, carrying the last two ridge
     maxima, is raised instead of a value.
@@ -233,7 +234,10 @@ def bloch_seminorm(f, params: BlochParams | None = None) -> NormEstimate:
     values = bloch_values(f, params, points)
     ladder = DEFAULT_PLAN.ladder
     ridge = np.max(values[np.searchsorted(radii, ladder)], axis=1).tolist()
-    if np.argmax(values) // values.shape[1] == len(radii) - 1:
+    peak = int(np.argmax(values))  # argmax stops at the first NaN
+    if not math.isfinite(top := values.flat[peak]):
+        raise QuadratureError(f"Bloch-type functional is not finite on the grid: {top}")
+    if peak // values.shape[1] == len(radii) - 1:
         raise QuadratureError(
             f"Bloch-type functional peaks on the outermost grid ring, |z| = "
             f"{float(radii[-1])!r}: its supremum lies beyond the grid",

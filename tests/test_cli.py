@@ -411,6 +411,9 @@ class TestMain:
          "unknown majorant descriptor 'bogus'"),
         (["bloch-seminorm", "--func", "eta", "--omega", "pow:abc"],
          "could not convert string to float: 'abc'"),
+        # omega(t)/t = t^(-2^-52) has no finite limit at 0
+        (["compop-verdict", "--phi", "half-identity", "--omega", "pow:0.9999999999999998"],
+         "majorant must have a finite limit of omega(t)/t at 0"),
     ])
     def test_bad_points_and_names_are_typed(self, capsys, argv, message):
         with pytest.raises(ParameterRangeError) as err:
@@ -634,20 +637,30 @@ class TestMain:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
-    def test_overflowing_sup_norm_exits_one_without_report(self):
+    _OVERFLOWING = ('{"kind": "polynomial", "coefficients": '
+                    '[[1e308, 1e308], [1e308, -1e308], [-1e308, 1e308]]}')
+    _OVERFLOWING_DERIVATIVE = \
+        '{"kind": "polynomial", "coefficients": [[0, 0], [1e308, 0], [1e308, 0]]}'
+
+    @pytest.mark.parametrize("argv,error", [
+        (["hardy-norm", "--func", _OVERFLOWING, "--p", "inf"],
+         "max |f| on the unit circle is not finite: inf"),
+        (["bloch-seminorm", "--func", _OVERFLOWING_DERIVATIVE],
+         "Bloch-type functional is not finite on the grid: nan"),
+        (["lipschitz-scan", "--func", _OVERFLOWING_DERIVATIVE],
+         "Bloch-type functional is not finite on the grid: nan"),
+    ], ids=["hardy-norm-inf", "bloch-seminorm", "lipschitz-scan"])
+    def test_overflowing_sup_norm_exits_one_without_report(self, argv, error):
         # in a subprocess, numpy's overflow warnings stay out of this suite's
         # RuntimeWarning-as-error filter
-        doc = ('{"kind": "polynomial", "coefficients": '
-               '[[1e308, 1e308], [1e308, -1e308], [-1e308, 1e308]]}')
         src = os.path.dirname(os.path.dirname(blochdisk.__file__))
         env = {**os.environ,
                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run(
-            [sys.executable, "-m", "blochdisk.cli", "hardy-norm", "--func", doc, "--p", "inf"],
-            capture_output=True, text=True, env=env, timeout=120)
+        proc = subprocess.run([sys.executable, "-m", "blochdisk.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 1 and proc.stdout == ""
         errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
-        assert errors == ["error: max |f| on the unit circle is not finite: inf"]
+        assert errors == [f"error: {error}"]
         assert "Traceback" not in proc.stderr
 
     def test_gfunction_near_boundary_mobius(self, capsys):

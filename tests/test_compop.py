@@ -13,6 +13,7 @@ from blochdisk import (Blaschke, BlochParams, CriterionReport, HarmonicMap,
                        InadmissibleSymbolError, LIP_CONSTANT, Mobius,
                        ParameterRangeError, Polynomial, PowerKernel,
                        PowerMajorant, QuadraticExtremal, ScaledIdentity,
+                       TabulatedMajorant,
                        as_harmonic, bloch_functional, bloch_to_hardy_criterion,
                        bloch_weight,
                        bounded_below_probe, chi_ratio, classical_params,
@@ -335,6 +336,12 @@ class TestHardyToBlochQ:
             # omega(t)/t unbounded at 0
             hardy_to_bloch_q(HALF, BlochParams(1.0, 0.0, PowerMajorant(0.5)),
                              2.0, 0j)
+
+    def test_tabulation_with_a_steep_first_segment_is_supported(self):
+        # omega(t)/t tends to 1 at 0, though it is at most 1e-3 from t = 1 on
+        omega = TabulatedMajorant([1e-15, 1, 5], [1e-15, 1e-3, 2e-3])
+        rep = hardy_to_bloch_verdict(HALF, BlochParams(1.0, 0.0, omega), 2.0)
+        assert rep.verdict == "vacuously-compact"
 
     def test_admissible_param_corner(self):
         assert hardy_to_bloch_q(HALF, BlochParams(1.0, -1.0), 2.0, 0j) >= 0.0

@@ -1,10 +1,11 @@
 """Core types: disk points, analytic kinds, harmonic pairs, majorants."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from blochdisk import (AnalyticMap, Blaschke, BlochParams, Composed,
@@ -175,6 +176,13 @@ class TestMajorants:
             TabulatedMajorant(ts, vals)
         assert err.value.reason == "not-increasing"
 
+    def test_closed_form_kinds_are_frozen_values(self):
+        assert PowerMajorant(1) == PowerMajorant(1.0) != PowerMajorant(0.5)
+        assert len({IdentityMajorant(), IdentityMajorant(), PowerMajorant(0.5),
+                    PowerMajorant(0.5)}) == 2
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            PowerMajorant(0.5).s = 2.0
+
     def test_power_out_of_range(self):
         with pytest.raises(ParameterRangeError):
             PowerMajorant(2.0)
@@ -185,10 +193,53 @@ class TestMajorants:
         assert omega(2.0) == pytest.approx(2.0)
         assert omega.ratio_limit_at_zero() == pytest.approx(1.0)
 
-    def test_ratio_limit(self):
-        assert IdentityMajorant().ratio_limit_at_zero() == pytest.approx(1.0)
-        assert PowerMajorant(0.5).ratio_limit_at_zero() is None
-        assert PowerMajorant(1.0).ratio_limit_at_zero() == pytest.approx(1.0)
+    @pytest.mark.parametrize("omega,limit", [
+        (IdentityMajorant(), 1.0),
+        (PowerMajorant(0.5), None),
+        (PowerMajorant(1.0), 1.0),
+        # omega(t)/t = t^(-2^-52) grows without bound, however slowly
+        (PowerMajorant(0.9999999999999998), None),
+        # the first segment's slope 1 sits far above the later ones
+        (TabulatedMajorant([1e-15, 1, 5], [1e-15, 1e-3, 2e-3]), 1.0),
+    ], ids=["identity", "pow-half", "pow-one", "pow-one-minus-ulp", "steep-first-segment"])
+    def test_ratio_limit(self, omega, limit):
+        assert omega.ratio_limit_at_zero() == limit
+
+    @settings(max_examples=200, deadline=None)
+    @seed(20240817)
+    @given(st.lists(st.floats(1e-3, 1e3), min_size=2, max_size=8),
+           st.lists(st.floats(1e-3, 1e3), min_size=8, max_size=8),
+           st.floats(1e-12, 1.0))
+    def test_ratio_limit_matches_sampled_ratios(self, widths, slopes, first):
+        # a concave tabulation through the origin: decreasing segment slopes,
+        # and the last abscissa at 4, the top of the validation grid, so the
+        # weight grows on the whole grid
+        widths = np.array(widths) / sum(widths) * 4.0
+        widths[0] *= first
+        ts = np.cumsum(widths)
+        ts[-1] = 4.0
+        slopes = np.sort(slopes[:len(ts)])[::-1]
+        values = np.cumsum(slopes * np.diff(ts, prepend=0.0))
+        omega = TabulatedMajorant(ts, values)
+        limit = omega.ratio_limit_at_zero()
+        t = ts[0] * 0.5 ** np.arange(1, 61)
+        assert np.max(np.abs(omega(t) / t - limit)) <= 4 * np.spacing(limit)
+
+    @pytest.mark.parametrize("ts,values", [
+        ([1.0, 2.0, 5.0], [math.nan, 1.0, 2.0]),
+        ([1.0, 2.0, 5.0], [0.5, 1.0, math.inf]),
+        ([1.0, math.nan, 5.0], [0.5, 1.0, 2.0]),
+        ([1.0, 2.0, math.inf], [0.5, 1.0, 2.0]),
+        ([1.0, 2.0], [0.5, 1.0, 2.0]),
+        ([[1.0, 2.0]], [[0.5, 1.0]]),
+        ([1.0], [0.5]),
+        ([2.0, 1.0, 5.0], [0.5, 1.0, 2.0]),
+        ([0.0, 1.0, 5.0], [0.0, 1.0, 2.0]),
+    ], ids=["nan-value", "inf-value", "nan-abscissa", "inf-abscissa", "shape-mismatch",
+            "two-dimensional", "one-point", "decreasing-abscissae", "zero-abscissa"])
+    def test_malformed_tabulation_rejected(self, ts, values):
+        with pytest.raises(ParameterRangeError):
+            TabulatedMajorant(ts, values)
 
 
 class TestBlochParams:

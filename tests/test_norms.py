@@ -393,6 +393,16 @@ class TestBlochSeminorm:
         before, last = err.value.last_values
         assert 1.0 < before < last
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("f", [
+        Polynomial((0, 1e308, 1e308)),  # f' overflows, and Horner's scheme makes NaN
+        # |h'| + |g'| = 1.8e308 overflows to inf at every point
+        HarmonicMap(Polynomial((0, 0.9e308)), Polynomial((0, 0.9e308))),
+    ], ids=["nan", "inf"])
+    def test_non_finite_grid_maximum_raises_quadrature_error(self, f):
+        with pytest.raises(QuadratureError, match="not finite on the grid"):
+            bloch_seminorm(f)
+
     @pytest.mark.parametrize("plan", [SamplingPlan(), SamplingPlan(radial_j=7)])
     def test_ridge_rows_match_per_rung_evaluation(self, plan, rng):
         # the grid rows at the 20 dyadic radii give the ridge bit for bit,
