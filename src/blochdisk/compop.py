@@ -19,29 +19,23 @@ from .metrics import rho_array
 from .norms import (DEFAULT_PLAN, SamplingPlan, bloch_weight, hardy_norm,
                     sup_grid, weight_from_gap)
 from .numerics import (GL_NODES, TWO_PI, QuadratureError, area_uniform_points,
-                       dyadic_radius, extrapolate_to_zero, fit_slope,
-                       gl_panel_columns, sup_search)
+                       dyadic_radius, extrapolate_to_zero, gl_panel_columns,
+                       sup_search)
 
 __all__ = [
     "CriterionReport", "is_admissible_symbol", "compose",
     "bloch_to_hardy_criterion", "hardy_to_bloch_q", "hardy_to_bloch_verdict",
     "test_function", "growth_bound_check", "bounded_below_probe", "ProbeReport",
     "schwarz_pick_ratio", "doubling_ratio", "chi_ratio", "doubling_limits",
-    "STABILIZATION_TOL", "SLOPE_THRESHOLD",
 ]
 
-# Two-sided verdict heuristic: stabilization of the truncation ladder versus
-# log-linear growth of partial values in -log(1 - R).  Calibrated so the
-# closed-form symbols (constant, half-identity, automorphism, identity)
-# classify with wide margin.
-STABILIZATION_TOL = 1e-4
-SLOPE_THRESHOLD = 0.05
 _TRUNCATION_LO = 4
 _TRUNCATION_HI = 24
-_STABLE_RUNGS = 3
 # Rounding slack of sup |phi| read on the unit circle: up to 1 + slack is a
-# self-map, below 1 - slack a strict contraction.
+# self-map, from 1 - slack on a symbol that touches the circle.
 _ROUNDING_SLACK = 1e-12
+# sup |phi| at most 1 - _CONTACT_GAP is no contact with the circle.
+_CONTACT_GAP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -147,34 +141,32 @@ def schwarz_pick_ratio(phi: AnalyticMap, z):
     return _schwarz_pick(phi, z, phi.eval(z))
 
 
-def _stabilized(rel_changes) -> bool:
-    """Whether the last three relative changes of a ladder all lie below the
-    stabilization tolerance; a ladder with fewer changes has not shown it."""
-    tail = rel_changes[-_STABLE_RUNGS:]
-    return len(tail) == _STABLE_RUNGS and all(c < STABILIZATION_TOL for c in tail)
+def _contact(phi):
+    """How an admissible symbol meets the unit circle: ``(contact, sup_phi)``.
 
-
-def _ladder_trend(ks, values):
-    """The two-sided trend of a truncation ladder, shared by both engines.
-
-    Returns the relative changes between successive rungs (taken against the
-    last value), whether they have stabilized, whether the ladder grows, and
-    the least-squares slope of the last eight values against k log 2, i.e.
-    against -log(1 - R_k).  Growth needs a slope above ``SLOPE_THRESHOLD``
-    over at least ``_STABLE_RUNGS + 1`` rungs, the evidence stabilization
-    needs: a fit through fewer points claims more than they show.  It also
-    needs the top rung to rise by at least ``STABILIZATION_TOL``: the slope of
-    a ladder that has levelled off still carries its earlier rise.
+    ``"none"`` when sup |phi| <= 1 - ``_CONTACT_GAP``.  ``"whole"`` (|phi| = 1
+    on the circle) for automorphisms and Blaschke products, decided by kind
+    without sampling, and for a touching ``c z`` or one-term ``c z^n``, whose
+    sup is |c|.  ``"isolated"`` for any other touching polynomial: only c z^n
+    is unimodular on an arc.  ``"undecided"`` when sup |phi| lies in
+    (1 - ``_CONTACT_GAP``, 1 - ``_ROUNDING_SLACK``), or for a touching map of
+    any other kind.  Touching is sup |phi| >= 1 - ``_ROUNDING_SLACK``; other
+    kinds read sup |phi| once, as ``hardy_norm`` at p = inf.
     """
-    scale = max(abs(values[-1]), 1e-300)
-    rel_changes = [abs(values[i] - values[i - 1]) / scale
-                   for i in range(1, len(values))]
-    xs = [k * math.log(2.0) for k in ks[-8:]]
-    slope = fit_slope(xs, values[-8:])
-    stabilized = _stabilized(rel_changes)
-    growing = (not stabilized and len(values) > _STABLE_RUNGS
-               and slope > SLOPE_THRESHOLD and rel_changes[-1] >= STABILIZATION_TOL)
-    return rel_changes, stabilized, growing, slope
+    if isinstance(phi, (Mobius, Blaschke)):
+        return "whole", 1.0
+    if isinstance(phi, ScaledIdentity):
+        shape, sup_phi = "whole", abs(phi.c)
+    elif isinstance(phi, Polynomial) and sum(map(bool, phi.coefficients)) <= 1:
+        shape, sup_phi = "whole", max(map(abs, phi.coefficients), default=0.0)
+    else:
+        shape = "isolated" if isinstance(phi, Polynomial) else "undecided"
+        sup_phi = hardy_norm(phi, math.inf).value
+    if sup_phi <= 1.0 - _CONTACT_GAP:
+        return "none", sup_phi
+    if sup_phi < 1.0 - _ROUNDING_SLACK:
+        return "undecided", sup_phi
+    return shape, sup_phi
 
 
 # --------------------------------------------------------------------------
@@ -187,11 +179,21 @@ def bloch_to_hardy_criterion(phi: AnalyticMap, params: BlochParams, p: float,
 
         (1/2pi) int_0^2pi ( int_0^1 |phi'|^2 (1-r) / omega(chi(|phi|))^2 dr )^(p/2) dtheta.
 
-    The inner integral is accumulated over dyadic panels toward r = 1 and the
-    angular mean is reported at truncations R_k = 1 - 2^-k for k = 4..24.
-    Stabilization of the last rungs gives ``convergent`` (for this criterion,
-    bounded and compact coincide); a positive log-linear growth fit gives
-    ``divergent``; otherwise ``inconclusive``.
+    The inner integral is accumulated over dyadic panels toward r = 1; the
+    evidence is the angular mean at R_k = 1 - 2^-k for k = 4..24, and its top
+    rung is the estimate of a convergent integral.
+
+    The verdict (bounded and compact coincide here) is read from the contact
+    (``_contact``) and a = alpha s, b = beta s, s = ``omega.order_at_zero()``,
+    so omega(chi) ~ u^a log^b(1/u) in u = 1 - |phi|^2, which near a contact
+    is comparable to 1 - |z|^2 (Julia-Caratheodory).  On the whole circle
+    the inner integral behaves as int u^(1 - 2a) log^(-2b)(1/u) du; at an
+    isolated contact of order 2m, as |theta - theta_0|^(2m(2 - 2a)) for
+    a > 1.  ``convergent``: no contact, or a < 1, or a = 1 at an isolated
+    contact, or a = 1 < 2b on the whole circle.  ``divergent``: any other
+    whole-circle case, or an isolated contact with 2p(a - 1) > 1, whatever
+    m.  ``inconclusive``: isolated contacts with 1 < a <= 1 + 1/(2p), and
+    undecided contacts with a >= 1.
 
     Each panel takes phi and phi' from one ``phi.jet`` call, so phi must be
     an ``AnalyticMap``; any other symbol raises TypeError.
@@ -222,26 +224,24 @@ def bloch_to_hardy_criterion(phi: AnalyticMap, params: BlochParams, p: float,
         if k + 1 >= _TRUNCATION_LO:
             evidence.append((k + 1, float(np.mean(inner ** (p / 2.0)))))
 
-    ks = [k for k, _ in evidence]
-    vals = [v for _, v in evidence]
-    rel_changes, stabilized, growing, slope = _ladder_trend(ks, vals)
-
+    contact, sup_phi = _contact(phi)
+    s = omega.order_at_zero()
+    a, b = params.alpha * s, params.beta * s
     diagnostics = {
         "angular_nodes": n_angles,
         "radial_nodes_per_panel": GL_NODES,
-        "growth_fit_slope": slope,
-        "last_rel_changes": rel_changes[-3:],
-        "stabilization_tol": STABILIZATION_TOL,
-        "slope_threshold": SLOPE_THRESHOLD,
+        "contact": contact,
+        "sup_phi": sup_phi,
+        "exponent": a,
+        "log_exponent": b,
         "note": "finite criterion integral: operator bounded, equivalently compact",
     }
-    if stabilized:
-        verdict, estimate = "convergent", float(vals[-1])
-    elif growing:
-        verdict, estimate = "divergent", None
-    else:
-        verdict, estimate = "inconclusive", None
-    return CriterionReport(verdict, estimate, tuple(evidence), diagnostics)
+    if contact == "none" or a < 1.0 or (a == 1.0 and (
+            contact == "isolated" or (contact == "whole" and b > 0.5))):
+        return CriterionReport("convergent", evidence[-1][1], tuple(evidence), diagnostics)
+    if contact == "whole" or (contact == "isolated" and 2.0 * p * (a - 1.0) > 1.0):
+        return CriterionReport("divergent", None, tuple(evidence), diagnostics)
+    return CriterionReport("inconclusive", None, tuple(evidence), diagnostics)
 
 
 # --------------------------------------------------------------------------
@@ -277,24 +277,35 @@ def hardy_to_bloch_q(phi: AnalyticMap, params: BlochParams, p: float, z) -> floa
     return float(_q(phi, params, p, z, complex(phi.eval(z))))
 
 
+def _q_exponent(alpha, p):
+    """e = alpha - 1 - 1/p, so that Q ~ (1 - |z|^2)^e toward a contact.
+
+    e = 0 is decided by one exact comparison, alpha == 1 at p = inf and
+    alpha * p == p + 1 otherwise: alpha - 1 - 1/p can round away from 0, as
+    it does to -5.6e-17 at alpha = 4/3, p = 3.
+    """
+    if p == math.inf:
+        return alpha - 1.0
+    return 0.0 if alpha * p == p + 1.0 else alpha - 1.0 - 1.0 / p
+
+
 def hardy_to_bloch_verdict(phi: AnalyticMap, params: BlochParams, p: float,
                            plan: SamplingPlan | None = None) -> CriterionReport:
     """Boundedness and compactness verdicts from the functional Q.
 
-    Boundedness: the running supremum of Q on the rings r = 0 and r_j up
-    the plan's radial ladder, at the angles of ``sup_grid``, either
-    stabilizes (bounded, with a supremum estimate refined on ``sup_grid``) or
-    grows under the log-linear fit (unbounded); a ladder of fewer than four
-    rungs shows neither and is inconclusive.  Growth is unbounded only when
-    phi touches the circle: every library map has phi' bounded on the closed
-    disk and the weight is bounded, so Q is bounded when sup |phi| < 1, and
-    a growing ladder of such a strict contraction is inconclusive.
-    Compactness: when sup |phi| stays below 1 - 1e-6 the boundary-limit
-    condition holds vacuously; otherwise band maxima of Q over
-    {|phi(z)| > 1 - 2^-k} must decay to zero.  sup |phi| (``sup_phi``) is
-    its maximum on the unit circle, ``hardy_norm`` at p = inf.  phi is
-    evaluated once on the ladder rings and, on the bounded path, once on the
-    grid, whose moduli make the bands.
+    The verdict is read from the contact (``_contact``) and the exponent
+    e = alpha - 1 - 1/p (``_q_exponent``).  The range check makes omega(t)
+    comparable to t at 0, and toward a contact 1 - |phi|^2 is comparable to
+    1 - |z|^2 while phi' tends to the angular derivative (Julia-Caratheodory),
+    so Q behaves as (1 - |z|^2)^e log^beta(1/(1 - |z|^2)) there (Madigan &
+    Matheson, Trans. AMS 347, 1995).  No contact is ``vacuously-compact``; on
+    the whole circle or at isolated contacts, ``unbounded`` if e < 0 or
+    e = 0 < beta, ``non-compact`` if e = 0 = beta, and ``compact`` if e > 0 or
+    e = 0 > beta; an undecided contact is ``inconclusive``.  The other three
+    verdicts carry sup Q, searched on ``sup_grid`` (phi evaluated once on
+    it); a sup Q that is not finite makes them ``inconclusive``.  The evidence
+    is the running supremum of Q on the rings r = 0 and r_j up the plan's
+    radial ladder at the angles of ``sup_grid``, phi evaluated once on them.
     """
     p = float(p)
     _check_hardy_to_bloch_params(params, p)
@@ -304,64 +315,32 @@ def hardy_to_bloch_verdict(phi: AnalyticMap, params: BlochParams, p: float,
     grid = sup_grid()
     _, angles, zgrid = grid
     ladder = plan.ladder
-    # The ladder rings alone first: most verdicts end there (unbounded or
-    # inconclusive), and the default ladder's rings are 1/4 of the grid.
     rings = np.array([0.0] + ladder)[:, None] * np.exp(1j * angles)[None, :]
     ring_max = np.max(_q(phi, params, p, rings, phi.eval(rings)), axis=1).tolist()
     # Python's max, as a per-ring loop takes it: a later NaN ring is skipped
     running = list(itertools.accumulate(ring_max, max))[1:]
     evidence = tuple(zip(ladder, running))
 
-    rel_changes, stabilized, growing, slope = _ladder_trend(range(1, len(ladder) + 1), running)
-
-    diagnostics = {
-        "growth_fit_slope": slope,
-        "last_rel_changes": rel_changes[-3:],
-        "bounded": None,
-    }
-    if growing:
-        diagnostics["sup_phi"] = sup_phi = hardy_norm(phi, math.inf).value
-        if sup_phi < 1.0 - _ROUNDING_SLACK:
-            return CriterionReport("inconclusive", None, evidence, diagnostics)
+    contact, sup_phi = _contact(phi)
+    e, beta = _q_exponent(params.alpha, p), params.beta
+    diagnostics = {"contact": contact, "sup_phi": sup_phi, "exponent": e, "bounded": None}
+    if contact == "undecided":
+        return CriterionReport("inconclusive", None, evidence, diagnostics)
+    if contact == "none":
+        verdict = "vacuously-compact"
+    elif e < 0.0 or (e == 0.0 and beta > 0.0):
         diagnostics["bounded"] = False
         return CriterionReport("unbounded", None, evidence, diagnostics)
-    if not stabilized:
-        return CriterionReport("inconclusive", None, evidence, diagnostics)
+    else:
+        verdict = "non-compact" if e == 0.0 and beta == 0.0 else "compact"
 
-    wgrid = phi.eval(zgrid)
-    qgrid = _q(phi, params, p, zgrid, wgrid)
     sup_q, _, res = sup_search(lambda z: _q(phi, params, p, z, phi.eval(z)), grid,
-                               values=qgrid)
+                               values=_q(phi, params, p, zgrid, phi.eval(zgrid)))
+    if not math.isfinite(sup_q):
+        return CriterionReport("inconclusive", None, evidence, diagnostics)
     diagnostics["bounded"] = True
     diagnostics["sup_resolution"] = float(res[0])
-
-    diagnostics["sup_phi"] = sup_phi = hardy_norm(phi, math.inf).value
-    if sup_phi <= 1.0 - 1e-6:
-        return CriterionReport("vacuously-compact", float(sup_q), evidence,
-                               diagnostics)
-
-    band_maxima = []  # bands k = 1, 2, ... up to the first empty one
-    phi_mod = np.abs(wgrid)
-    for k in range(1, 19):
-        mask = phi_mod > dyadic_radius(k)
-        if not np.any(mask):
-            break
-        band_maxima.append(float(np.max(qgrid[mask])))
-    diagnostics["band_maxima"] = band_maxima
-    # decay of band maxima toward the boundary bands: geometric decay (or
-    # absolute smallness against the supremum) reads as a vanishing limit
-    if len(band_maxima) >= 3:
-        floor = 1e-300
-        decay_slope = fit_slope(range(1, len(band_maxima) + 1),
-                                [math.log(max(b, floor)) for b in band_maxima])
-        diagnostics["band_decay_slope"] = decay_slope
-        tiny = band_maxima[-1] <= 1e-3 * max(sup_q, floor)
-        if tiny or decay_slope < -0.05:
-            return CriterionReport("compact", float(sup_q), evidence, diagnostics)
-        if decay_slope > -0.005:
-            return CriterionReport("non-compact", float(sup_q), evidence,
-                                   diagnostics)
-    return CriterionReport("inconclusive", float(sup_q), evidence, diagnostics)
+    return CriterionReport(verdict, float(sup_q), evidence, diagnostics)
 
 
 # --------------------------------------------------------------------------

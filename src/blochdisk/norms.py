@@ -9,8 +9,9 @@ from functools import cache, partial
 
 import numpy as np
 
-from .core import (BlochParams, DivergentIntegralError, HarmonicMap,
-                   ParameterRangeError, classical_params, disk_point, lambda_f)
+from .core import (BlochParams, Composed, DivergentIntegralError, HarmonicMap,
+                   ParameterRangeError, Polynomial, classical_params, disk_point,
+                   lambda_f)
 from .numerics import (GOLDEN_ITERS, TWO_PI, QuadratureError, circle_max,
                        dyadic_radius, gl_panel_columns, sup_search)
 
@@ -161,6 +162,15 @@ def _circle_mean(sample, p, n, cap, tol) -> float:
         mean = new_mean
 
 
+def _vanishes(g) -> bool:
+    """Whether g is zero by construction: the zero polynomial of
+    ``as_harmonic``, or a zero map composed with a symbol and offset by 0, as
+    ``compose`` builds from it."""
+    if isinstance(g, Composed):
+        return g.offset == 0 and _vanishes(g.outer)
+    return isinstance(g, Polynomial) and not any(g.coefficients)
+
+
 def hardy_norm(f, p, plan: SamplingPlan | None = None) -> NormEstimate:
     """sup_{0<r<1} M_p(r, f), or sup |f| over the disk when p = inf.
 
@@ -169,16 +179,20 @@ def hardy_norm(f, p, plan: SamplingPlan | None = None) -> NormEstimate:
     p >= 1), so for finite p the norm is the boundary mean M_p(1, f): one
     ``hardy_mean`` on the unit circle, whose trapezoid rule converges
     geometrically when f continues analytically across it (Trefethen &
-    Weideman, SIAM Review 56, 2014).  For a harmonic f with p < 1 the value is
-    that boundary mean, the limit of M_p(r, f) as r -> 1.  The evidence is the
-    single pair (1.0, value), and the resolution is the bound at which the
-    mean stopped, ``refinement_tol * max(1, value)``.  A map with a pole on
+    Weideman, SIAM Review 56, 2014).  A harmonic f whose conjugate part does
+    not vanish by construction (``_vanishes``) raises ParameterRangeError at
+    p < 1, where the boundary mean can lie below the supremum.  The evidence
+    is the single pair (1.0, value), and the resolution is the bound at which
+    the mean stopped, ``refinement_tol * max(1, value)``.  A map with a pole on
     the circle raises QuadratureError.  |f| is subharmonic, so for p = inf
     the norm is the maximum of |f| on the unit circle, ``circle_max``; the
     evidence is empty and the resolution is the angle width it reached; a
     maximum that is not finite (|f| overflows) raises QuadratureError.
     """
     plan = plan or DEFAULT_PLAN
+    if isinstance(f, HarmonicMap) and p < 1.0 and not _vanishes(f.g):
+        raise ParameterRangeError(
+            f"the Hardy norm of a harmonic pair with a conjugate part needs p >= 1, got {p}")
     if p == math.inf:
         value, width = circle_max(lambda theta: np.abs(f.eval(np.exp(1j * theta))))
         if not math.isfinite(value):

@@ -108,17 +108,6 @@ def extrapolate_to_zero(us, vals):
     return t[0]
 
 
-def fit_slope(xs, ys):
-    """Least-squares slope of ys against xs."""
-    x = np.asarray(xs, dtype=float)
-    y = np.asarray(ys, dtype=float)
-    xm, ym = x.mean(), y.mean()
-    denom = float(np.sum((x - xm) ** 2))
-    if denom == 0.0:
-        return 0.0
-    return float(np.sum((x - xm) * (y - ym)) / denom)
-
-
 def dyadic_radius(k):
     """Truncation radius 1 - 2**(-k)."""
     return 1.0 - 0.5 ** k

@@ -489,7 +489,7 @@ class TestMain:
 
         def stub(phi, params, p, plan=None):
             return CriterionReport("inconclusive", None, ((4, 0.1), (5, 0.2)),
-                                   {"growth_fit_slope": 0.01})
+                                   {"contact": "undecided"})
 
         monkeypatch.setattr(cli_mod, "hardy_to_bloch_verdict", stub)
         code = main(["compop-verdict", "--phi", "half-identity", "--p", "2"])
@@ -497,10 +497,56 @@ class TestMain:
         doc = json.loads(capsys.readouterr().out)
         assert doc["result"]["verdict"] == "inconclusive"
 
-    def test_one_rung_verdict_is_inconclusive(self, capsys):
-        code = main(["compop-verdict", "--phi", "identity", "--plan-j", "1"])
-        assert code == 2
-        assert json.loads(capsys.readouterr().out)["result"]["verdict"] == "inconclusive"
+    # Verdicts read from the contact and the exponents, each one that the
+    # truncation-ladder heuristics got wrong or left inconclusive: argv,
+    # verdict, exit status.
+    _B2 = '{"kind": "blaschke", "factors": [[0.3, 0.1], [-0.5, 0.2]]}'
+    _HALF_PLUS = '{"kind": "polynomial", "coefficients": [[0.5, 0], [0.5, 0]]}'
+
+    @pytest.mark.parametrize("argv,verdict,status", [
+        (["compop-criterion", "--phi", "identity", "--alpha", "0.95", "--p", "2"],
+         "convergent", 0),
+        (["compop-criterion", "--phi", "mobius:0.5", "--alpha", "0.95", "--p", "2"],
+         "convergent", 0),
+        (["compop-criterion", "--phi", _B2, "--alpha", "0.95", "--p", "2"], "convergent", 0),
+        (["compop-criterion", "--phi", "identity", "--alpha", "0.99", "--p", "2"],
+         "convergent", 0),
+        (["compop-criterion", "--phi", "identity", "--p", "2", "--beta", "0.5"],
+         "divergent", 0),
+        (["compop-criterion", "--phi", "identity", "--p", "2", "--beta", "0.6"],
+         "convergent", 0),
+        (["compop-criterion", "--phi", "identity", "--p", "2", "--beta", "1"],
+         "convergent", 0),
+        (["compop-criterion", "--phi", "identity", "--alpha", "1.5", "--omega", "pow:0.5"],
+         "convergent", 0),
+        (["compop-criterion", "--phi", _HALF_PLUS, "--alpha", "1.2", "--p", "2"],
+         "inconclusive", 2),
+        (["compop-verdict", "--phi", "identity", "--alpha", "1.55", "--p", "2"], "compact", 0),
+        (["compop-verdict", "--phi", "identity", "--alpha", "1.3", "--p", "4"], "compact", 0),
+        (["compop-verdict", "--phi", "mobius:0.5", "--alpha", "1.3", "--p", "4"], "compact", 0),
+        (["compop-verdict", "--phi", "identity", "--plan-j", "1"], "unbounded", 0),
+    ])
+    def test_verdict_from_contact(self, capsys, argv, verdict, status):
+        assert main(argv) == status
+        assert json.loads(capsys.readouterr().out)["result"]["verdict"] == verdict
+
+    def test_unchanged_non_compact_estimate(self, capsys):
+        assert main(["compop-verdict", "--phi", self._HALF_PLUS, "--alpha", "1.5",
+                     "--p", "2"]) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result["verdict"] == "non-compact"
+        assert result["estimate"] == 1.41421305669874
+        assert result["diagnostics"]["contact"] == "isolated"
+
+    def test_harmonic_hardy_norm_below_one_exits_one(self, capsys):
+        # 1 + 0.9 Re z: its boundary mean at p = 0.5 is 0.87, below M_p(0, f) = 1
+        doc = '{"h": {"kind": "polynomial", "coefficients": [[1, 0], [0.45, 0]]}, ' \
+              '"g": {"kind": "polynomial", "coefficients": [[0, 0], [0.45, 0]]}}'
+        assert main(["hardy-norm", "--func", doc, "--p", "0.5"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert main(["hardy-norm", "--func", doc, "--p", "1"]) == 0
 
     @pytest.mark.parametrize("phi", [
         "monomial:2", '{"kind": "blaschke", "factors": [[0.2, 0.1], [0.5, 0], [-0.3, 0.4]]}'])

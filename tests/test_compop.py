@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 import scipy.integrate
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blochdisk import (Blaschke, BlochParams, CriterionReport, HarmonicMap,
@@ -22,7 +22,7 @@ from blochdisk import (Blaschke, BlochParams, CriterionReport, HarmonicMap,
                        hardy_to_bloch_verdict, is_admissible_symbol,
                        lambda_f, mobius, schwarz_pick_ratio)
 from blochdisk import test_function as kernel_test_function
-from blochdisk.compop import PROBE_RADIUS_SUP, ProbeReport, _stabilized
+from blochdisk.compop import PROBE_RADIUS_SUP, ProbeReport, _contact
 from blochdisk.core import Composed
 from blochdisk.norms import SamplingPlan, sup_grid
 from blochdisk.numerics import area_uniform_points
@@ -35,11 +35,6 @@ HALF = ScaledIdentity(0.5)
 CONSTANT = Polynomial((0.3,))
 
 
-# What a Hardy-to-Bloch verdict claims about (bounded, compact); None is no
-# claim.
-_CLAIMS = {"unbounded": (False, False), "non-compact": (True, False),
-           "compact": (True, True), "vacuously-compact": (True, True),
-           "inconclusive": (None, None)}
 # Calibration symbols: constants, scalings c z, automorphisms with |a| < 0.95
 # and Blaschke products of one to three factors.
 _DISK = st.complex_numbers(max_magnitude=0.949)
@@ -79,6 +74,13 @@ class _Spiky:
     def deriv(self, z):
         t = np.abs(z)
         return np.where(t > 0.8, np.nan, np.where(t > 0.55, np.inf, 0.5)) + 0j
+
+
+def _log_slope(evidence):
+    """Least-squares slope of the last eight criterion rungs against
+    k log 2 = -log(1 - R_k)."""
+    ks, vals = np.array(evidence[-8:]).T
+    return float(np.polyfit(ks * math.log(2.0), vals, 1)[0])
 
 
 def _per_ring_evidence(phi, params, p, plan):
@@ -256,13 +258,14 @@ class TestBlochToHardyCriterion:
     def test_identity_diverges_with_log_slope(self):
         rep = bloch_to_hardy_criterion(IDENTITY, CLASSICAL, 2.0)
         assert rep.verdict == "divergent"
+        assert rep.diagnostics["contact"] == "whole"
         # inner integral grows like (1/4) log(1/(1-R))
-        assert rep.diagnostics["growth_fit_slope"] == pytest.approx(0.25, rel=0.1)
+        assert _log_slope(rep.evidence) == pytest.approx(0.25, rel=0.1)
 
     def test_automorphism_diverges_like_identity(self):
         rep = bloch_to_hardy_criterion(Mobius(0.3), CLASSICAL, 2.0)
         assert rep.verdict == "divergent"
-        assert rep.diagnostics["growth_fit_slope"] == pytest.approx(0.25, rel=0.1)
+        assert _log_slope(rep.evidence) == pytest.approx(0.25, rel=0.1)
 
     def test_scaled_identity_sweep(self):
         for c in (0.0, 0.3, 0.9):
@@ -369,10 +372,12 @@ class TestHardyToBlochVerdict:
     def test_boundary_touching_polynomial_non_compact(self):
         # phi(z) = (1+z)/2 touches the boundary at z -> 1 with Q blowing up
         rep = hardy_to_bloch_verdict(Polynomial((0.5, 0.5)), CLASSICAL, 2.0)
-        assert rep.verdict in ("unbounded", "non-compact")
+        assert rep.verdict == "unbounded"
+        assert rep.diagnostics["contact"] == "isolated"
 
-    def test_synthetic_compact_band_decay(self):
-        # duck-typed symbol with |phi| -> 1 but Q -> 0 near the boundary
+    def test_touching_duck_type_is_inconclusive(self):
+        # |phi| -> 1 with Q -> 0 near the circle, but a duck type's contact
+        # is not classified, so no verdict is read from it
         class Damped:
             kind = "test-damped"
 
@@ -384,35 +389,9 @@ class TestHardyToBlochVerdict:
                 return gap ** 0.75 + 0j
 
         rep = hardy_to_bloch_verdict(Damped(), CLASSICAL, 2.0)
-        assert rep.verdict == "compact"
-        assert rep.diagnostics["band_decay_slope"] < -0.05
-        bands = rep.diagnostics["band_maxima"]
-        assert bands[-1] < bands[0]
-
-    @pytest.mark.parametrize("phi", [IDENTITY, HALF, CONSTANT, Mobius(0.4)])
-    def test_one_rung_is_inconclusive(self, phi):
-        # a one-rung ladder has no relative change, so nothing has stabilized
-        rep = hardy_to_bloch_verdict(phi, CLASSICAL, 2.0, SamplingPlan(radial_j=1))
-        assert rep.verdict == "inconclusive"
-        assert rep.diagnostics["last_rel_changes"] == []
-
-    def test_stabilization_needs_three_changes(self):
-        for j in (2, 3):
-            rep = hardy_to_bloch_verdict(HALF, CLASSICAL, 2.0, SamplingPlan(radial_j=j))
-            assert rep.verdict == "inconclusive"
-        rep = hardy_to_bloch_verdict(HALF, CLASSICAL, 2.0, SamplingPlan(radial_j=4))
-        assert rep.verdict == "vacuously-compact"
-        # growth needs as many rungs as stabilization: a steep fit through
-        # two or three rungs is not evidence of unboundedness
-        for j in (2, 3):
-            rep = hardy_to_bloch_verdict(IDENTITY, CLASSICAL, 2.0, SamplingPlan(radial_j=j))
-            assert rep.verdict == "inconclusive"
-            assert rep.diagnostics["growth_fit_slope"] > 0.05
-        rep = hardy_to_bloch_verdict(IDENTITY, CLASSICAL, 2.0, SamplingPlan(radial_j=4))
-        assert rep.verdict == "unbounded"
-        assert not _stabilized([])
-        assert not _stabilized([0.0, 0.0])
-        assert _stabilized([1.0, 0.0, 0.0, 0.0])
+        assert rep.verdict == "inconclusive" and rep.estimate is None
+        assert rep.diagnostics["contact"] == "undecided"
+        assert rep.diagnostics["sup_phi"] == pytest.approx(1.0, rel=1e-15)
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("radial_j", [3, 4, 20, 24])
@@ -429,35 +408,37 @@ class TestHardyToBlochVerdict:
 
     @pytest.mark.parametrize("phi,verdict,grid_calls", [
         (HALF, "vacuously-compact", 1), (Polynomial((0, 1)), "unbounded", 0)])
-    def test_one_ladder_call_and_one_grid_evaluation(self, phi, verdict, grid_calls):
+    def test_one_ladder_call_and_one_grid_evaluation(self, phi, verdict, grid_calls,
+                                                     monkeypatch):
         plan = SamplingPlan(radial_j=10)
-        counting = _Counting(phi)
-        assert hardy_to_bloch_verdict(counting, CLASSICAL, 2.0, plan).verdict == verdict
+        calls = Counter()
+        for name in ("eval", "deriv"):
+            def counted(self, z, _method=getattr(type(phi), name), _name=name):
+                calls[_name, np.shape(z)] += 1
+                return _method(self, z)
+            monkeypatch.setattr(type(phi), name, counted)
+        assert hardy_to_bloch_verdict(phi, CLASSICAL, 2.0, plan).verdict == verdict
         rings = (plan.radial_j + 1, 256)
         grid = sup_grid()[2].shape
-        assert counting.calls["eval", rings] == counting.calls["deriv", rings] == 1
-        assert counting.calls["eval", grid] == counting.calls["deriv", grid] == grid_calls
-        # the symbol screen and sup |phi| each sample phi (not phi') once on
-        # the 256 nodes of circle_max, never ring by ring or point by point
+        assert calls["eval", rings] == calls["deriv", rings] == 1
+        assert calls["eval", grid] == calls["deriv", grid] == grid_calls
+        # c z and c z^n take the symbol screen and sup |phi| from their
+        # coefficients: phi is never sampled on the circle, nor point by point
+        assert not calls["eval", (256,)] and not calls["deriv", (256,)]
+        assert not calls["eval", (1,)]
+
+    def test_duck_type_samples_the_circle_once_per_screen(self):
+        # the symbol screen and the contact each take sup |phi| from one
+        # circle_max, which samples phi (not phi') on its 256 nodes
+        counting = _Counting(HALF)
+        assert hardy_to_bloch_verdict(counting, CLASSICAL, 2.0).verdict == "vacuously-compact"
         assert counting.calls["eval", (256,)] == 2 and not counting.calls["deriv", (256,)]
-        assert not counting.calls["eval", (1,)]
 
     def test_evidence_running_sup_monotone(self):
         rep = hardy_to_bloch_verdict(HALF, CLASSICAL, 2.0)
         vals = [v for _, v in rep.evidence]
         assert all(b >= a - 1e-15 for a, b in zip(vals, vals[1:]))
 
-    @settings(max_examples=120, deadline=None)
-    @given(st.one_of(_CONSTANTS, _SCALINGS, st.just(IDENTITY), _MOBIUS, _BLASCHKE),
-           st.integers(1, 23), st.sampled_from([1.5, 2.0, 3.0]))
-    # a ladder that levels off at rung 3: its fit slope still reads growth
-    @example(ScaledIdentity(0.65625 + 0.65625j), 5, 1.5)
-    def test_deeper_ladder_never_reverses_a_verdict(self, phi, j, p):
-        shallow = hardy_to_bloch_verdict(phi, CLASSICAL, p, SamplingPlan(radial_j=j))
-        deep = hardy_to_bloch_verdict(phi, CLASSICAL, p, SamplingPlan(radial_j=j + 1))
-        for said, now in zip(_CLAIMS[shallow.verdict], _CLAIMS[deep.verdict]):
-            assert said is None or now is None or said == now, \
-                (shallow.verdict, deep.verdict)
 
 
 class TestCriterionReport:
@@ -626,3 +607,179 @@ class TestDoubling:
     def test_range_error(self):
         with pytest.raises(ParameterRangeError):
             chi_ratio(1.0, 0.0, 0.0)
+
+
+# --------------------------------------------------------------------------
+# Boundary contact and the exponent rules
+# --------------------------------------------------------------------------
+
+_B2 = Blaschke((0.3 + 0.1j, -0.5 + 0.2j))
+
+
+class TestContact:
+    @pytest.mark.parametrize("phi,contact,sup_phi", [
+        (Mobius(0.4 - 0.2j), "whole", 1.0),
+        (_B2, "whole", 1.0),
+        (IDENTITY, "whole", 1.0),
+        (ScaledIdentity(1j), "whole", 1.0),
+        (Polynomial((0, 1)), "whole", 1.0),
+        (Polynomial((0, 0, 0, -1j)), "whole", 1.0),
+        (Polynomial((0.5, 0.5)), "isolated", 1.0),
+        (Polynomial((0.25, 0.5, 0.25)), "isolated", 1.0),
+        (HALF, "none", 0.5),
+        (CONSTANT, "none", 0.3),
+        (Polynomial(()), "none", 0.0),
+        (Polynomial((0.1, 0.2)), "none", pytest.approx(0.3, rel=1e-15)),
+        (ScaledIdentity(1 - 1e-6), "none", 1 - 1e-6),
+        (ScaledIdentity(0.9999995), "undecided", 0.9999995),
+        (Polynomial((0, 0.9999995)), "undecided", 0.9999995),
+        (ScaledIdentity(1 - 1e-12), "whole", 1 - 1e-12),
+        (_Counting(Polynomial((0, 1))), "undecided", pytest.approx(1.0, rel=1e-15)),
+        (_Counting(HALF), "none", pytest.approx(0.5, rel=1e-15)),
+        (Composed(Mobius(0.3), Mobius(0.5)), "undecided", pytest.approx(1.0, rel=1e-12)),
+    ], ids=lambda v: getattr(v, "kind", None))
+    def test_classification(self, phi, contact, sup_phi):
+        assert _contact(phi) == (contact, sup_phi)
+
+    @pytest.mark.parametrize("phi", [Mobius(0.9 + 0.05j), _B2, IDENTITY, Polynomial((0, 1))])
+    def test_kinds_decided_without_sampling(self, phi, monkeypatch):
+        import blochdisk.compop as compop_mod
+
+        def refuse(*args):
+            raise AssertionError("sampled the circle")
+        monkeypatch.setattr(compop_mod, "hardy_norm", refuse)
+        assert _contact(phi)[0] == "whole"
+
+
+def _verdict(phi, alpha, p, beta=0.0, plan=None):
+    return hardy_to_bloch_verdict(phi, BlochParams(alpha, beta), p, plan).verdict
+
+
+def _criterion(phi, alpha, p=2.0, beta=0.0, omega=None, plan=None):
+    return bloch_to_hardy_criterion(phi, BlochParams(alpha, beta, omega), p, plan).verdict
+
+
+class TestExponentRules:
+    @pytest.mark.parametrize("phi", [IDENTITY, Mobius(0.5), _B2, Polynomial((0.5, 0.5))],
+                             ids=["identity", "mobius", "blaschke2", "half-plus-half-z"])
+    @pytest.mark.parametrize("alpha,beta,p,verdict", [
+        (1.0, 0.0, 2.0, "unbounded"),      # e < 0
+        (1.5, 0.5, 2.0, "unbounded"),      # e = 0 < beta
+        (1.5, 0.0, 2.0, "non-compact"),    # e = 0 = beta
+        (1.5, -1.0, 2.0, "compact"),       # e = 0 > beta
+        (1.55, 0.0, 2.0, "compact"),       # e > 0
+        (1.3, 0.0, 4.0, "compact"),
+        (1.2, -1.0, 4.0, "unbounded"),     # u^-0.05 beats 1/log(1/u)
+        (1.0, 0.0, math.inf, "non-compact"),
+        (1.5, 0.0, math.inf, "compact"),
+    ])
+    def test_verdict_table(self, phi, alpha, beta, p, verdict):
+        assert _verdict(phi, alpha, p, beta) == verdict
+
+    def test_zero_exponent_is_one_exact_comparison(self):
+        # alpha - 1 - 1/p rounds to -5.6e-17 here, yet e = 0
+        alpha, p = 4.0 / 3.0, 3.0
+        assert alpha - 1.0 - 1.0 / p < 0.0 and alpha * p == p + 1.0
+        rep = hardy_to_bloch_verdict(IDENTITY, BlochParams(alpha, 0.0), p)
+        assert rep.verdict == "non-compact"
+        assert rep.diagnostics["exponent"] == 0.0
+
+    @pytest.mark.parametrize("alpha,p", [(1.2, 2.0), (1.5, 2.0), (2.0, 3.0), (1.1, math.inf)])
+    def test_q_along_the_identity_radius_in_mpmath(self, alpha, p):
+        mp = pytest.importorskip("mpmath")
+        # 1 - r^2 is exact in floats at r = 1 - 2^-26
+        for r in (0.0, 0.3, 0.9, 0.999, 1 - 2.0 ** -26):
+            with mp.workdps(30):
+                e = mp.mpf(alpha) - 1 - (0 if p == math.inf else 1 / mp.mpf(p))
+                oracle = float((1 - mp.mpf(r) ** 2) ** e)
+            q = hardy_to_bloch_q(Polynomial((0, 1)), BlochParams(alpha, 0.0), p, r)
+            assert q == pytest.approx(oracle, rel=1e-12)
+
+    def test_identity_criterion_in_mpmath(self):
+        # the inner integral in u = 1 - r is int u^-0.9 (2 - u)^-1.9 du: rung 24
+        # is its truncation at u = 2^-24, and the whole integral is finite,
+        # 2^-1.9 / 0.1 2F1(1.9, 0.1; 1.1; 1/2) = 3.0718 (a plain mp.quad over
+        # [0, 1] misses the u^-0.9 end, so the quadrature splits toward 0)
+        mp = pytest.importorskip("mpmath")
+        rep = bloch_to_hardy_criterion(Polynomial((0, 1)), BlochParams(0.95, 0.0), 2.0)
+        assert rep.verdict == "convergent"
+        with mp.workdps(30):
+            a, b = mp.mpf(-0.9), mp.mpf(-1.9)
+
+            def f(u):
+                return u ** a * (2 - u) ** b
+            rung24 = mp.quad(f, [mp.mpf(2) ** -24, 1])
+            eps = mp.mpf(2) ** -200
+            split = mp.quad(f, [eps] + [mp.mpf(2) ** -k for k in range(199, -1, -1)]) \
+                + 2 ** b * eps ** mp.mpf(0.1) / mp.mpf(0.1)
+            closed = 2 ** b / mp.mpf(0.1) * mp.hyp2f1(-b, mp.mpf(0.1), mp.mpf(1.1), 0.5)
+            assert abs(split / closed - 1) < 1e-12
+        assert rep.evidence[-1] == (24, rep.estimate)
+        assert rep.estimate == pytest.approx(float(rung24), rel=1e-10)
+        assert float(closed) == pytest.approx(3.0718, abs=1e-4)
+
+    @pytest.mark.parametrize("phi", [IDENTITY, Mobius(0.5), _B2, ScaledIdentity(1j)])
+    @pytest.mark.parametrize("alpha,beta,omega,verdict", [
+        (0.95, 0.0, None, "convergent"),
+        (0.99, 0.0, None, "convergent"),
+        (0.5, 3.0, None, "convergent"),
+        (1.0, 0.0, None, "divergent"),
+        (1.0, 0.5, None, "divergent"),     # int du / (u log(1/u))
+        (1.0, 0.6, None, "convergent"),
+        (1.0, 1.0, None, "convergent"),
+        (1.05, 2.0, None, "divergent"),
+        (1.5, 0.0, PowerMajorant(0.5), "convergent"),   # a = 0.75
+        (2.0, 0.0, PowerMajorant(0.5), "divergent"),    # a = 1, b = 0
+    ])
+    def test_whole_circle_criterion_table(self, phi, alpha, beta, omega, verdict):
+        assert _criterion(phi, alpha, beta=beta, omega=omega) == verdict
+
+    @pytest.mark.parametrize("alpha,p,verdict", [
+        (0.9, 2.0, "convergent"),
+        (1.0, 2.0, "convergent"),        # log-singular at the contact: finite
+        (1.2, 2.0, "inconclusive"),      # 1 < a <= 1 + 1/(2p): needs the order
+        (1.25, 2.0, "inconclusive"),
+        (1.3, 2.0, "divergent"),         # 2p(a - 1) > 1
+        (1.2, 3.0, "divergent"),
+    ])
+    def test_isolated_contact_criterion_table(self, alpha, p, verdict):
+        assert _criterion(Polynomial((0.5, 0.5)), alpha, p) == verdict
+
+    def test_undecided_contact(self):
+        near = ScaledIdentity(0.9999995)
+        assert _criterion(near, 0.5) == "convergent"
+        assert _criterion(near, 1.0) == "inconclusive"
+        assert _criterion(near, 2.0) == "inconclusive"
+        for alpha, p in ((1.0, 2.0), (1.5, 2.0), (2.0, 3.0)):
+            rep = hardy_to_bloch_verdict(near, BlochParams(alpha, 0.0), p)
+            assert rep.verdict == "inconclusive" and rep.estimate is None
+            assert rep.diagnostics["sup_phi"] == 0.9999995
+
+
+class TestPlanIndependence:
+    # the verdicts are read from the contact and the exponents, so the
+    # ladder depth changes the evidence but never the verdict
+    @pytest.mark.parametrize("phi", [
+        IDENTITY, HALF, CONSTANT, Mobius(0.4), _B2, Polynomial((0.5, 0.5)),
+        ScaledIdentity(0.9999995)],
+        ids=["identity", "half", "constant", "mobius", "blaschke2", "half-plus-half-z",
+             "near-identity"])
+    def test_same_verdict_at_every_ladder_depth(self, phi):
+        for alpha, beta, p in ((1.0, 0.0, 2.0), (1.5, 0.0, 2.0), (1.55, 0.0, 2.0),
+                               (1.3, -1.0, 4.0)):
+            verdicts = {_verdict(phi, alpha, p, beta, SamplingPlan(radial_j=j))
+                        for j in range(1, 25)}
+            assert len(verdicts) == 1, (alpha, beta, p, verdicts)
+        for alpha in (0.95, 1.0, 1.2):
+            verdicts = {_criterion(phi, alpha, plan=SamplingPlan(radial_j=j))
+                        for j in range(1, 25)}
+            assert len(verdicts) == 1, (alpha, verdicts)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(_CONSTANTS, _SCALINGS, st.just(IDENTITY), _MOBIUS, _BLASCHKE),
+           st.integers(1, 24), st.sampled_from([1.5, 2.0, 3.0]))
+    def test_calibration_symbols_at_any_depth(self, phi, j, p):
+        shallow = hardy_to_bloch_verdict(phi, CLASSICAL, p, SamplingPlan(radial_j=j))
+        deep = hardy_to_bloch_verdict(phi, CLASSICAL, p)
+        assert shallow.verdict == deep.verdict
+        assert shallow.verdict in ("unbounded", "vacuously-compact")

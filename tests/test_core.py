@@ -205,6 +205,27 @@ class TestMajorants:
     def test_ratio_limit(self, omega, limit):
         assert omega.ratio_limit_at_zero() == limit
 
+    @pytest.mark.parametrize("ts,values,reason,witness", [
+        # omega(t)/t rises from 1 to 1000 on [1e-10, 1e-9], below any grid
+        ([1e-10, 1e-9, 5], [1e-10, 1e-6, 2], "ratio-increasing", 1e-9),
+        # omega = 0 on [0, 1e-300]: flat first segment, omega(t)/t -> 0
+        ([1e-300, 1, 5], [0, 1, 2], "not-increasing", 1e-300),
+    ])
+    def test_tabulation_checked_exactly(self, ts, values, reason, witness):
+        with pytest.raises(MajorantValidationError) as err:
+            TabulatedMajorant(ts, values)
+        assert (err.value.reason, err.value.witness) == (reason, witness)
+
+    def test_flat_part_past_the_last_knot(self):
+        omega = TabulatedMajorant([0.5, 1.0], [0.5, 0.75])
+        assert omega(3.0) == omega(1.0) == 0.75
+
+    @pytest.mark.parametrize("omega,order", [
+        (IdentityMajorant(), 1.0), (PowerMajorant(0.37), 0.37), (PowerMajorant(1.0), 1.0),
+        (TabulatedMajorant([1e-15, 1, 5], [1e-15, 1e-3, 2e-3]), 1.0)])
+    def test_order_at_zero(self, omega, order):
+        assert omega.order_at_zero() == order
+
     @settings(max_examples=200, deadline=None)
     @seed(20240817)
     @given(st.lists(st.floats(1e-3, 1e3), min_size=2, max_size=8),

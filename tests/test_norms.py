@@ -193,6 +193,25 @@ class TestHardyNorm:
         assert est.resolution == pytest.approx(1e-6 * 4 / math.pi, rel=1e-6)
         assert abs(est.value - 4 / math.pi) <= est.resolution
 
+    def test_harmonic_pair_below_one_is_refused(self):
+        # f = 1 + 0.9 Re z: M_p(0, f) = 1, but its boundary mean at p = 0.5
+        # is 0.870151268466866, since |f|^p is not subharmonic there
+        f = HarmonicMap(Polynomial((1, 0.45)), Polynomial((0, 0.45)))
+        assert hardy_mean(f, 0.5, 0.0) == pytest.approx(1.0, rel=1e-12)
+        assert hardy_mean(f, 0.5, 1.0) < 0.9
+        with pytest.raises(ParameterRangeError):
+            hardy_norm(f, 0.5)
+        assert hardy_norm(f, 1.0).value == pytest.approx(1.0, rel=1e-9)
+
+    @pytest.mark.parametrize("p", [0.25, 0.5, 0.9])
+    def test_pairs_without_conjugate_part_keep_their_values(self, p):
+        h = PowerKernel(0.6, 1.5)
+        assert hardy_norm(as_harmonic(h), p).value == hardy_norm(h, p).value
+        assert hardy_norm(HarmonicMap(h, Polynomial((0, 0))), p).value == \
+            hardy_norm(h, p).value
+        composed = compose(as_harmonic(h), Mobius(0.2 - 0.3j))
+        assert hardy_norm(composed, p).value == hardy_norm(composed.h, p).value
+
 
 _B3 = (0.3, 0.5j, -0.4 - 0.4j)
 _ORACLE_MAPS = ("eta", "f-beta:0.5", "f-beta:1", "identity", "half-identity",
@@ -253,6 +272,13 @@ class TestHardyNormOracle:
                                       error=True)
             assert error < 1e-20
             oracle = float((integral / (2 * mp.pi)) ** (1 / mp.mpf(p)))
+        if name == "harmonic" and p < 1:
+            # below p = 1 the boundary mean of a harmonic pair need not be
+            # its norm: hardy_norm refuses, and the mean is checked alone
+            with pytest.raises(ParameterRangeError):
+                hardy_norm(f, p)
+            assert hardy_mean(f, p, 1.0) == pytest.approx(oracle, rel=1e-9, abs=0.0)
+            return
         assert hardy_norm(f, p).value == pytest.approx(oracle, rel=1e-9, abs=0.0)
 
 
