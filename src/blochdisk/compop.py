@@ -19,8 +19,7 @@ from .metrics import rho_array
 from .norms import (DEFAULT_PLAN, SamplingPlan, bloch_weight, hardy_norm,
                     sup_grid, weight_from_gap)
 from .numerics import (GL_NODES, TWO_PI, QuadratureError, area_uniform_points,
-                       dyadic_radius, extrapolate_to_zero, gl_panel_columns,
-                       sup_search)
+                       dyadic_radius, extrapolate_to_zero, gl_nodes, sup_search)
 
 __all__ = [
     "CriterionReport", "is_admissible_symbol", "compose",
@@ -36,6 +35,12 @@ _TRUNCATION_HI = 24
 _ROUNDING_SLACK = 1e-12
 # sup |phi| at most 1 - _CONTACT_GAP is no contact with the circle.
 _CONTACT_GAP = 1e-6
+# The criterion's angular mean starts at no more than _ANGLES_START angles
+# and doubles up to _ANGLES_CAP; each phi.jet call holds at most _JET_BLOCK
+# points.
+_ANGLES_START = 16
+_ANGLES_CAP = 2 ** 12
+_JET_BLOCK = 2 ** 14
 
 
 @dataclass(frozen=True)
@@ -82,30 +87,42 @@ def is_admissible_symbol(phi: AnalyticMap) -> bool:
     sup |phi| is its maximum on the unit circle (``hardy_norm`` at p = inf),
     allowed ``_ROUNDING_SLACK`` above 1.
     """
+    return _screen(phi)[0]
+
+
+def _screen(phi):
+    """``(is_admissible_symbol(phi), sup_phi)``, sup_phi being the sup |phi|
+    read on the unit circle to decide, or None when the kind or the
+    coefficients decided without sampling."""
     if isinstance(phi, HarmonicMap):
-        return False
+        return False, None
     if isinstance(phi, Mobius):
-        return True
+        return True, None
     if isinstance(phi, Blaschke):
-        return len(phi.factors) > 0
+        return len(phi.factors) > 0, None
     if isinstance(phi, ScaledIdentity):
-        return abs(phi.c) <= 1.0
+        return abs(phi.c) <= 1.0, None
     if isinstance(phi, Polynomial) and sum(map(abs, phi.coefficients)) <= 1.0:
-        return abs(complex(phi.eval(0j))) < 1.0
+        return abs(complex(phi.eval(0j))) < 1.0, None
     if not abs(complex(phi.eval(0j))) < 1.0:
-        return False
+        return False, None
     try:
-        return hardy_norm(phi, math.inf).value <= 1.0 + _ROUNDING_SLACK
+        sup_phi = hardy_norm(phi, math.inf).value
     except QuadratureError:  # |phi| overflows on the circle
-        return False
+        return False, None
+    return sup_phi <= 1.0 + _ROUNDING_SLACK, sup_phi
 
 
 def _require_symbol(phi):
+    """The screen's sup |phi| (see ``_screen``); InadmissibleSymbolError
+    unless phi is an analytic self-map of the disk."""
     if isinstance(phi, HarmonicMap):
         raise InadmissibleSymbolError("a harmonic pair is not an analytic self-map of the disk")
-    if not is_admissible_symbol(phi):
+    admissible, sup_phi = _screen(phi)
+    if not admissible:
         raise InadmissibleSymbolError(
             f"{getattr(phi, 'kind', type(phi).__name__)} is not a self-map of the disk")
+    return sup_phi
 
 
 def compose(f: HarmonicMap, phi: AnalyticMap) -> HarmonicMap:
@@ -141,7 +158,7 @@ def schwarz_pick_ratio(phi: AnalyticMap, z):
     return _schwarz_pick(phi, z, phi.eval(z))
 
 
-def _contact(phi):
+def _contact(phi, sup_phi=None):
     """How an admissible symbol meets the unit circle: ``(contact, sup_phi)``.
 
     ``"none"`` when sup |phi| <= 1 - ``_CONTACT_GAP``.  ``"whole"`` (|phi| = 1
@@ -151,7 +168,8 @@ def _contact(phi):
     is unimodular on an arc.  ``"undecided"`` when sup |phi| lies in
     (1 - ``_CONTACT_GAP``, 1 - ``_ROUNDING_SLACK``), or for a touching map of
     any other kind.  Touching is sup |phi| >= 1 - ``_ROUNDING_SLACK``; other
-    kinds read sup |phi| once, as ``hardy_norm`` at p = inf.
+    kinds take sup |phi| from ``sup_phi``, the symbol screen's reading, or
+    read it once, as ``hardy_norm`` at p = inf, when that is None.
     """
     if isinstance(phi, (Mobius, Blaschke)):
         return "whole", 1.0
@@ -161,7 +179,8 @@ def _contact(phi):
         shape, sup_phi = "whole", max(map(abs, phi.coefficients), default=0.0)
     else:
         shape = "isolated" if isinstance(phi, Polynomial) else "undecided"
-        sup_phi = hardy_norm(phi, math.inf).value
+        if sup_phi is None:
+            sup_phi = hardy_norm(phi, math.inf).value
     if sup_phi <= 1.0 - _CONTACT_GAP:
         return "none", sup_phi
     if sup_phi < 1.0 - _ROUNDING_SLACK:
@@ -173,6 +192,32 @@ def _contact(phi):
 # Bloch -> Hardy criterion integral
 # --------------------------------------------------------------------------
 
+def _angular_means(sample, n, cap, tol):
+    """Circle means of every row of ``sample(theta)``, an array of shape
+    rows + theta.shape for a 1-D array of angles: the periodic trapezoid rule
+    over n equally spaced angles, doubling the count (with reuse) until every
+    row's mean has changed by at most ``tol * max(1, |mean|)`` at two
+    consecutive doublings, or until the count reaches cap.  One agreement is
+    not enough: the errors at n and 2n nodes can agree by coincidence, as
+    for 1 + cos(32 theta) at 16 and 32 nodes.  Returns ``(means, nodes,
+    settled, change)``, change being the largest relative change over the
+    rows at the last doubling; a mean that stays infinite has not changed.
+    """
+    total = np.sum(sample(np.arange(n) * (TWO_PI / n)), axis=-1)
+    means = total / n
+    agreements, change = 0, math.nan
+    while n < cap and agreements < 2:
+        total = total + np.sum(sample((np.arange(n) + 0.5) * (TWO_PI / n)), axis=-1)
+        n *= 2
+        new_means = total / n
+        with np.errstate(invalid="ignore"):  # inf - inf, inf / inf
+            moved = np.where(new_means == means, 0.0, np.abs(new_means - means))
+            change = float(np.max(moved / np.maximum(1.0, np.abs(new_means))))
+        agreements = agreements + 1 if change <= tol else 0
+        means = new_means
+    return means, n, agreements == 2, change
+
+
 def bloch_to_hardy_criterion(phi: AnalyticMap, params: BlochParams, p: float,
                              plan: SamplingPlan | None = None) -> CriterionReport:
     """Truncation ladder for the criterion integral
@@ -182,6 +227,16 @@ def bloch_to_hardy_criterion(phi: AnalyticMap, params: BlochParams, p: float,
     The inner integral is accumulated over dyadic panels toward r = 1; the
     evidence is the angular mean at R_k = 1 - 2^-k for k = 4..24, and its top
     rung is the estimate of a convergent integral.
+
+    The angular mean is the periodic trapezoid rule of ``_angular_means``:
+    it starts at min(``plan.angular_resolution``, 16) angles and doubles,
+    reusing the earlier angles, until every rung has changed by at most
+    ``plan.refinement_tol * max(1, |mean|)`` at two consecutive doublings,
+    or until 4096 angles.  The diagnostics report the final count
+    (``angular_nodes``), whether the rungs settled (``angular_settled``) and
+    their largest relative change at the last doubling (``angular_change``).
+    A mean that has not settled, as at the isolated contact of (1 + z)/2,
+    leaves the verdict as it is: it never reads the ladder.
 
     The verdict (bounded and compact coincide here) is read from the contact
     (``_contact``) and a = alpha s, b = beta s, s = ``omega.order_at_zero()``,
@@ -195,10 +250,11 @@ def bloch_to_hardy_criterion(phi: AnalyticMap, params: BlochParams, p: float,
     m.  ``inconclusive``: isolated contacts with 1 < a <= 1 + 1/(2p), and
     undecided contacts with a >= 1.
 
-    Each panel takes phi and phi' from one ``phi.jet`` call, so phi must be
-    an ``AnalyticMap``; any other symbol raises TypeError.
+    Each round evaluates its new angles on all 24 panels, taking phi and
+    phi' from one ``phi.jet`` call per block of at most 2^14 points, so phi
+    must be an ``AnalyticMap``; any other symbol raises TypeError.
     """
-    _require_symbol(phi)
+    sup_phi = _require_symbol(phi)
     if not isinstance(phi, AnalyticMap):
         raise TypeError(f"criterion requires an AnalyticMap symbol, got {type(phi).__name__}")
     p = float(p)
@@ -206,29 +262,39 @@ def bloch_to_hardy_criterion(phi: AnalyticMap, params: BlochParams, p: float,
         raise ParameterRangeError(f"criterion requires finite p > 0, got {p}")
     plan = plan or DEFAULT_PLAN
 
-    n_angles = plan.angular_resolution
-    thetas = np.arange(n_angles) * (TWO_PI / n_angles)
-    phases = np.exp(1j * thetas)
+    edges = dyadic_radius(np.arange(_TRUNCATION_HI + 1))
+    radii, gl_weights, halves = gl_nodes(edges[:-1], edges[1:])
     omega = params.omega
 
-    def panel_columns(r):
-        w, dw = phi.jet(r[:, None] * phases[None, :])
-        gap_weight = omega(bloch_weight(params, np.abs(w)))
-        return np.abs(dw) ** 2 * (1.0 - r)[:, None] / gap_weight ** 2
+    def rungs(thetas):
+        """inner^(p/2) at rungs 4..24 (rows) and the angles ``thetas``."""
+        phases = np.exp(1j * thetas)
+        panels = np.empty((_TRUNCATION_HI, thetas.size))
+        block_angles = min(thetas.size, _JET_BLOCK // GL_NODES)
+        block_panels = _JET_BLOCK // (GL_NODES * block_angles)
+        for j in range(0, thetas.size, block_angles):
+            for k in range(0, _TRUNCATION_HI, block_panels):
+                r = radii[k:k + block_panels, :, None]
+                w, dw = phi.jet(r * phases[j:j + block_angles])
+                gap_weight = omega(bloch_weight(params, np.abs(w)))
+                vals = np.abs(dw) ** 2 * (1.0 - r) / gap_weight ** 2
+                panels[k:k + block_panels, j:j + block_angles] = \
+                    halves[k:k + block_panels, None] * (gl_weights @ vals)
+        inner = np.cumsum(panels, axis=0)[_TRUNCATION_LO - 1:]
+        return inner ** (p / 2.0)
 
-    inner = np.zeros(n_angles)
-    evidence = []
-    for k in range(_TRUNCATION_HI):
-        inner = inner + gl_panel_columns(panel_columns,
-                                         dyadic_radius(k), dyadic_radius(k + 1))
-        if k + 1 >= _TRUNCATION_LO:
-            evidence.append((k + 1, float(np.mean(inner ** (p / 2.0)))))
+    means, n_angles, settled, change = _angular_means(
+        rungs, min(plan.angular_resolution, _ANGLES_START), _ANGLES_CAP,
+        plan.refinement_tol)
+    evidence = list(zip(range(_TRUNCATION_LO, _TRUNCATION_HI + 1), means.tolist()))
 
-    contact, sup_phi = _contact(phi)
+    contact, sup_phi = _contact(phi, sup_phi)
     s = omega.order_at_zero()
     a, b = params.alpha * s, params.beta * s
     diagnostics = {
         "angular_nodes": n_angles,
+        "angular_settled": settled,
+        "angular_change": change,
         "radial_nodes_per_panel": GL_NODES,
         "contact": contact,
         "sup_phi": sup_phi,
@@ -309,7 +375,7 @@ def hardy_to_bloch_verdict(phi: AnalyticMap, params: BlochParams, p: float,
     """
     p = float(p)
     _check_hardy_to_bloch_params(params, p)
-    _require_symbol(phi)
+    sup_phi = _require_symbol(phi)
     plan = plan or DEFAULT_PLAN
 
     grid = sup_grid()
@@ -321,7 +387,7 @@ def hardy_to_bloch_verdict(phi: AnalyticMap, params: BlochParams, p: float,
     running = list(itertools.accumulate(ring_max, max))[1:]
     evidence = tuple(zip(ladder, running))
 
-    contact, sup_phi = _contact(phi)
+    contact, sup_phi = _contact(phi, sup_phi)
     e, beta = _q_exponent(params.alpha, p), params.beta
     diagnostics = {"contact": contact, "sup_phi": sup_phi, "exponent": e, "bounded": None}
     if contact == "undecided":

@@ -50,6 +50,19 @@ def gl_panel(fn, a, b):
     return half * float(np.dot(w, np.asarray(fn(mid + half * x), dtype=float)))
 
 
+def gl_nodes(a, b):
+    """``(nodes, weights, half)`` of ``GL_NODES``-point Gauss-Legendre panels
+    on [a, b], elementwise over arrays a and b: nodes has shape
+    a.shape + (GL_NODES,), weights are the rule's on [-1, 1], and the
+    integral of fn over [a, b] is ``half * (weights @ fn(nodes))``.
+    ``gl_panel_columns`` keeps its scalar form: it is called once per panel,
+    and the array handling here would add a third to each call."""
+    x, w = _leggauss()
+    a = np.asarray(a, dtype=float)
+    half = 0.5 * (b - a)
+    return (0.5 * (a + b))[..., None] + half[..., None] * x, w, half
+
+
 def gl_panel_columns(fn2, a, b):
     """Column-wise ``gl_panel``: ``fn2(r)`` returns an array of shape
     (GL_NODES, m), and the integral over r in [a, b] comes back as an (m,) array."""

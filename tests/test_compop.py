@@ -22,10 +22,10 @@ from blochdisk import (Blaschke, BlochParams, CriterionReport, HarmonicMap,
                        hardy_to_bloch_verdict, is_admissible_symbol,
                        lambda_f, mobius, schwarz_pick_ratio)
 from blochdisk import test_function as kernel_test_function
-from blochdisk.compop import PROBE_RADIUS_SUP, ProbeReport, _contact
+from blochdisk.compop import PROBE_RADIUS_SUP, ProbeReport, _angular_means, _contact
 from blochdisk.core import Composed
 from blochdisk.norms import SamplingPlan, sup_grid
-from blochdisk.numerics import area_uniform_points
+from blochdisk.numerics import area_uniform_points, dyadic_radius, gl_panel_columns
 
 from conftest import disk_samples, random_polynomial_pair
 
@@ -303,17 +303,127 @@ class TestBlochToHardyCriterion:
         assert hardy_to_bloch_verdict(counting, CLASSICAL, 2.0).verdict == \
             hardy_to_bloch_verdict(HALF, CLASSICAL, 2.0).verdict
 
-    def test_one_jet_per_factor_and_panel(self, monkeypatch):
-        # phi and phi' come from one Blaschke.jet per panel, which takes one
-        # Mobius.jet per factor: 24 dyadic panels, 3 factors
-        calls = Counter()
-        for name in ("eval", "deriv", "jet"):
-            def counted(self, z, _method=getattr(Mobius, name), _name=name):
-                calls[_name] += 1
-                return _method(self, z)
-            monkeypatch.setattr(Mobius, name, counted)
-        bloch_to_hardy_criterion(Blaschke((0.2 + 0.1j, 0.5, -0.3 + 0.4j)), CLASSICAL, 2.0)
-        assert calls == Counter(jet=24 * 3)
+    @pytest.mark.parametrize("phi,nodes", [
+        (Blaschke((0.2 + 0.1j, 0.5, -0.3 + 0.4j)), 64), (Polynomial((0.5, 0.5)), 4096)],
+        ids=["blaschke3", "half-plus-half-z"])
+    def test_each_point_once_in_bounded_jet_calls(self, phi, nodes, monkeypatch):
+        # every round evaluates only its new angles, on 24 panels of 16 radii,
+        # and takes phi and phi' from jet calls of at most 2^14 points
+        points = []
+
+        def counted(self, z, _jet=type(phi).jet):
+            points.append(np.ravel(z))
+            return _jet(self, z)
+        monkeypatch.setattr(type(phi), "jet", counted)
+        rep = bloch_to_hardy_criterion(phi, CLASSICAL, 2.0)
+        assert rep.diagnostics["angular_nodes"] == nodes
+        assert max(z.size for z in points) <= 2 ** 14
+        evaluated = np.sort(np.concatenate(points))
+        assert evaluated.size == 24 * 16 * nodes
+        assert np.all(evaluated[1:] != evaluated[:-1])
+
+
+def _disk_draws(rng, radius, size):
+    return np.sqrt(rng.random(size)) * radius * np.exp(2j * math.pi * rng.random(size))
+
+
+_ORACLE_RNG = np.random.default_rng(17)
+_ORACLE_SYMBOLS = (
+    [Blaschke(tuple(_disk_draws(_ORACLE_RNG, 0.8, 3))) for _ in range(6)]
+    + [Mobius(complex(a)) for a in _disk_draws(_ORACLE_RNG, 0.9, 6)]
+    + [Polynomial((0, 1)), HALF, Polynomial((0.3 - 0.2j,)), Polynomial((0.1, 0.5, 0.3j))])
+_ORACLE_ALPHAS = (0.5, 0.95, 1.0, 1.2, 1.5)
+_ORACLE_BETAS = (0.0, 0.5)
+_ORACLE_PS = (1.5, 2.0, 3.0)
+
+
+def _fixed_angle_rungs(phi, n=4096):
+    """The criterion's rungs for every oracle (alpha, beta, p), with the
+    angular mean on a fixed grid of n angles: each dyadic panel's inner
+    integral as ``gl_panel_columns`` of one phi.jet on the panel's nodes
+    times all angles, and each rung the plain mean of inner^(p/2)."""
+    phases = np.exp(1j * np.arange(n) * (2.0 * math.pi / n))
+    inner = {(a, b): np.zeros(n) for a in _ORACLE_ALPHAS for b in _ORACLE_BETAS}
+    rungs = {}
+    for k in range(24):
+        jets = {}
+
+        def columns(r, a, b):
+            if not jets:  # one jet per panel, shared by every (alpha, beta)
+                w, dw = phi.jet(r[:, None] * phases)
+                u = 1.0 - np.abs(w) ** 2
+                jets.update(u=u, log=1.0 - np.log(u),
+                            scale=np.abs(dw) ** 2 * (1.0 - r)[:, None])
+            # omega(chi)^2 = u^(2a) (1 - log u)^(2b) for the identity majorant
+            return jets["scale"] / (jets["u"] ** (2.0 * a) * jets["log"] ** (2.0 * b))
+
+        for (a, b), total in inner.items():
+            total += gl_panel_columns(lambda r: columns(r, a, b),
+                                      dyadic_radius(k), dyadic_radius(k + 1))
+            if k + 1 >= 4:
+                for p in _ORACLE_PS:
+                    rungs.setdefault((a, b, p), []).append(float(np.mean(total ** (p / 2.0))))
+    return rungs
+
+
+class TestCriterionAngles:
+    def test_one_agreement_does_not_stop_the_mean(self):
+        # every 16th and 32nd root of unity is a peak of cos(32 theta), so the
+        # 16- and 32-node means agree at 1.5; the mean is 1
+        def sample(theta):
+            return 1.0 + 0.5 * np.cos(32.0 * theta)
+        for n in (16, 32):
+            assert np.mean(sample(np.arange(n) * (2.0 * math.pi / n))) == pytest.approx(1.5)
+        means, nodes, settled, change = _angular_means(sample, 16, 2 ** 12, 1e-6)
+        assert abs(means - 1.0) <= 1e-15
+        assert nodes >= 128 and settled and change <= 1e-6
+
+    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_rungs_that_stay_infinite_have_settled(self):
+        # at alpha 40 omega(chi)^2 underflows to 0 near the circle, so the top
+        # rungs are inf at every count: unchanged, not unsettled
+        rep = bloch_to_hardy_criterion(IDENTITY, BlochParams(40.0, 0.0), 2.0)
+        assert rep.verdict == "divergent"
+        assert rep.evidence[-1][1] == math.inf
+        assert rep.diagnostics["angular_nodes"] == 64 and rep.diagnostics["angular_settled"]
+
+    @pytest.mark.parametrize("phi", _ORACLE_SYMBOLS,
+                             ids=[f"blaschke{i}" for i in range(6)]
+                             + [f"mobius{i}" for i in range(6)]
+                             + ["identity", "half-identity", "constant", "quadratic"])
+    def test_rungs_match_a_4096_angle_reference(self, phi):
+        # every verdict is the contact rule's: z/2, the constant and the
+        # quadratic (coefficient moduli sum 0.9) never touch the circle
+        touches = isinstance(phi, (Blaschke, Mobius)) or phi == Polynomial((0, 1))
+        for (a, b, p), reference in _fixed_angle_rungs(phi).items():
+            rep = bloch_to_hardy_criterion(phi, BlochParams(a, b), p)
+            assert rep.verdict == ("divergent" if touches and a >= 1.0 else "convergent")
+            assert rep.diagnostics["angular_settled"]
+            rungs = [v for _, v in rep.evidence]
+            assert rungs == pytest.approx(reference, rel=1e-8, abs=0.0), (a, b, p)
+
+    def test_isolated_contact_keeps_its_verdict_at_the_cap(self):
+        # the inner integral of (1 + z)/2 is log-singular at theta = 0, so
+        # the mean creeps toward its 16,384-angle value and never settles
+        rep = bloch_to_hardy_criterion(Polynomial((0.5, 0.5)), CLASSICAL, 2.0)
+        assert rep.verdict == "convergent"
+        assert rep.diagnostics["contact"] == "isolated"
+        assert rep.diagnostics["angular_nodes"] == 4096
+        assert rep.diagnostics["angular_settled"] is False
+        assert rep.diagnostics["angular_change"] > 1e-6
+        assert rep.estimate == pytest.approx(0.407515619366953, abs=1e-3)
+
+    def test_reads_tol_and_starts_at_most_at_16_angles(self):
+        loose = bloch_to_hardy_criterion(Mobius(0.6), BlochParams(0.5, 0.0), 2.0,
+                                         SamplingPlan(refinement_tol=1e-3))
+        tight = bloch_to_hardy_criterion(Mobius(0.6), BlochParams(0.5, 0.0), 2.0,
+                                         SamplingPlan(refinement_tol=1e-12))
+        assert loose.diagnostics["angular_nodes"] < tight.diagnostics["angular_nodes"]
+        for angular in (8, 16, 1024):
+            rep = bloch_to_hardy_criterion(HALF, CLASSICAL, 2.0,
+                                           SamplingPlan(angular_resolution=angular))
+            assert rep.diagnostics["angular_nodes"] == 4 * min(angular, 16)
 
 
 class TestHardyToBlochQ:
@@ -428,11 +538,11 @@ class TestHardyToBlochVerdict:
         assert not calls["eval", (1,)]
 
     def test_duck_type_samples_the_circle_once_per_screen(self):
-        # the symbol screen and the contact each take sup |phi| from one
-        # circle_max, which samples phi (not phi') on its 256 nodes
+        # the symbol screen takes sup |phi| from one circle_max, which samples
+        # phi (not phi') on its 256 nodes, and the contact reuses it
         counting = _Counting(HALF)
         assert hardy_to_bloch_verdict(counting, CLASSICAL, 2.0).verdict == "vacuously-compact"
-        assert counting.calls["eval", (256,)] == 2 and not counting.calls["deriv", (256,)]
+        assert counting.calls["eval", (256,)] == 1 and not counting.calls["deriv", (256,)]
 
     def test_evidence_running_sup_monotone(self):
         rep = hardy_to_bloch_verdict(HALF, CLASSICAL, 2.0)
