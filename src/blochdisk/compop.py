@@ -75,54 +75,62 @@ class CriterionReport:
 # --------------------------------------------------------------------------
 
 def is_admissible_symbol(phi: AnalyticMap) -> bool:
-    """Whether phi is an analytic self-map of the open disk; a harmonic pair
-    never is.
-
-    Automorphism-type kinds are admissible structurally, except the Blaschke
-    product of no factors: a unimodular constant, mapping the disk onto one
-    boundary point.  Every other kind is continuous on the closed disk, so by
-    the maximum principle phi is a self-map exactly when |phi(0)| < 1 (which
-    refuses unimodular constants) and sup |phi| <= 1.  A polynomial whose
-    coefficient moduli sum to at most 1 has that bound outright; for the rest
-    sup |phi| is its maximum on the unit circle (``hardy_norm`` at p = inf),
-    allowed ``_ROUNDING_SLACK`` above 1.
-    """
-    return _screen(phi)[0]
-
-
-def _screen(phi):
-    """``(is_admissible_symbol(phi), sup_phi)``, sup_phi being the sup |phi|
-    read on the unit circle to decide, or None when the kind or the
-    coefficients decided without sampling."""
-    if isinstance(phi, HarmonicMap):
-        return False, None
-    if isinstance(phi, Mobius):
-        return True, None
-    if isinstance(phi, Blaschke):
-        return len(phi.factors) > 0, None
-    if isinstance(phi, ScaledIdentity):
-        return abs(phi.c) <= 1.0, None
-    if isinstance(phi, Polynomial) and sum(map(abs, phi.coefficients)) <= 1.0:
-        return abs(complex(phi.eval(0j))) < 1.0, None
-    if not abs(complex(phi.eval(0j))) < 1.0:
-        return False, None
+    """Whether phi is an analytic self-map of the open disk (``_symbol``); a
+    harmonic pair never is."""
     try:
-        sup_phi = hardy_norm(phi, math.inf).value
-    except QuadratureError:  # |phi| overflows on the circle
-        return False, None
-    return sup_phi <= 1.0 + _ROUNDING_SLACK, sup_phi
+        _symbol(phi)
+    except InadmissibleSymbolError:
+        return False
+    return True
 
 
-def _require_symbol(phi):
-    """The screen's sup |phi| (see ``_screen``); InadmissibleSymbolError
-    unless phi is an analytic self-map of the disk."""
+def _symbol(phi):
+    """``(contact, sup_phi)`` for an analytic self-map phi of the disk;
+    InadmissibleSymbolError for anything else.
+
+    Harmonic pairs are refused.  Automorphisms and Blaschke products of at
+    least one factor are ``("whole", 1.0)`` by kind: |phi| = 1 on the
+    circle.  ``c z`` and one-term polynomials ``c z^n`` take sup |phi| = |c|;
+    any other map reads it once on the unit circle, as ``hardy_norm`` at
+    p = inf, an overflow there being refused.  Every kind is continuous on
+    the closed disk, so by the maximum principle phi is a self-map exactly
+    when |phi(0)| < 1 (which refuses unimodular constants, the Blaschke
+    product of no factors among them, without sampling) and sup |phi| <= 1,
+    allowing ``_ROUNDING_SLACK`` above 1.
+
+    The contact is how phi meets the unit circle: ``"none"`` when
+    sup |phi| <= 1 - ``_CONTACT_GAP``; ``"whole"`` for the kinds above that
+    touch it; ``"isolated"`` for any other touching polynomial, as only
+    c z^n is unimodular on an arc; ``"undecided"`` when sup |phi| lies in
+    (1 - ``_CONTACT_GAP``, 1 - ``_ROUNDING_SLACK``), or for a touching map of
+    any other kind.  Touching is sup |phi| >= 1 - ``_ROUNDING_SLACK``.
+    """
     if isinstance(phi, HarmonicMap):
         raise InadmissibleSymbolError("a harmonic pair is not an analytic self-map of the disk")
-    admissible, sup_phi = _screen(phi)
-    if not admissible:
+    if isinstance(phi, Mobius) or (isinstance(phi, Blaschke) and phi.factors):
+        return "whole", 1.0
+    if isinstance(phi, ScaledIdentity):
+        shape, at_zero, sup_phi = "whole", 0.0, abs(phi.c)
+    elif isinstance(phi, Blaschke):  # no factors: the constant phi(0), unimodular
+        shape, at_zero, sup_phi = "whole", 1.0, 1.0
+    else:
+        at_zero = abs(complex(phi.eval(0j)))
+        if isinstance(phi, Polynomial) and sum(map(bool, phi.coefficients)) <= 1:
+            shape, sup_phi = "whole", max(map(abs, phi.coefficients), default=0.0)
+        else:
+            shape = "isolated" if isinstance(phi, Polynomial) else "undecided"
+            try:  # sup |phi| >= |phi(0)|, which refuses phi without the circle
+                sup_phi = hardy_norm(phi, math.inf).value if at_zero < 1.0 else at_zero
+            except QuadratureError:  # |phi| overflows on the circle
+                sup_phi = math.inf
+    if not (at_zero < 1.0 and sup_phi <= 1.0 + _ROUNDING_SLACK):
         raise InadmissibleSymbolError(
             f"{getattr(phi, 'kind', type(phi).__name__)} is not a self-map of the disk")
-    return sup_phi
+    if sup_phi <= 1.0 - _CONTACT_GAP:
+        return "none", sup_phi
+    if sup_phi < 1.0 - _ROUNDING_SLACK:
+        return "undecided", sup_phi
+    return shape, sup_phi
 
 
 def compose(f: HarmonicMap, phi: AnalyticMap) -> HarmonicMap:
@@ -132,7 +140,7 @@ def compose(f: HarmonicMap, phi: AnalyticMap) -> HarmonicMap:
     the constant conj(g(phi(0))) into the analytic part; pointwise values and
     the maximal directional derivative are unchanged.
     """
-    _require_symbol(phi)
+    _symbol(phi)
     anchor = complex(f.g.eval(complex(phi.eval(0j))))
     h = Composed(f.h, phi, offset=anchor.conjugate())
     g = Composed(f.g, phi, offset=-anchor)
@@ -156,36 +164,6 @@ def schwarz_pick_ratio(phi: AnalyticMap, z):
     """(1 - |z|^2) |phi'(z)| / (1 - |phi(z)|^2); at most 1 for self-maps,
     identically 1 for automorphisms.  Follows the AnalyticMap array contract."""
     return _schwarz_pick(phi, z, phi.eval(z))
-
-
-def _contact(phi, sup_phi=None):
-    """How an admissible symbol meets the unit circle: ``(contact, sup_phi)``.
-
-    ``"none"`` when sup |phi| <= 1 - ``_CONTACT_GAP``.  ``"whole"`` (|phi| = 1
-    on the circle) for automorphisms and Blaschke products, decided by kind
-    without sampling, and for a touching ``c z`` or one-term ``c z^n``, whose
-    sup is |c|.  ``"isolated"`` for any other touching polynomial: only c z^n
-    is unimodular on an arc.  ``"undecided"`` when sup |phi| lies in
-    (1 - ``_CONTACT_GAP``, 1 - ``_ROUNDING_SLACK``), or for a touching map of
-    any other kind.  Touching is sup |phi| >= 1 - ``_ROUNDING_SLACK``; other
-    kinds take sup |phi| from ``sup_phi``, the symbol screen's reading, or
-    read it once, as ``hardy_norm`` at p = inf, when that is None.
-    """
-    if isinstance(phi, (Mobius, Blaschke)):
-        return "whole", 1.0
-    if isinstance(phi, ScaledIdentity):
-        shape, sup_phi = "whole", abs(phi.c)
-    elif isinstance(phi, Polynomial) and sum(map(bool, phi.coefficients)) <= 1:
-        shape, sup_phi = "whole", max(map(abs, phi.coefficients), default=0.0)
-    else:
-        shape = "isolated" if isinstance(phi, Polynomial) else "undecided"
-        if sup_phi is None:
-            sup_phi = hardy_norm(phi, math.inf).value
-    if sup_phi <= 1.0 - _CONTACT_GAP:
-        return "none", sup_phi
-    if sup_phi < 1.0 - _ROUNDING_SLACK:
-        return "undecided", sup_phi
-    return shape, sup_phi
 
 
 # --------------------------------------------------------------------------
@@ -239,7 +217,7 @@ def bloch_to_hardy_criterion(phi: AnalyticMap, params: BlochParams, p: float,
     leaves the verdict as it is: it never reads the ladder.
 
     The verdict (bounded and compact coincide here) is read from the contact
-    (``_contact``) and a = alpha s, b = beta s, s = ``omega.order_at_zero()``,
+    (``_symbol``) and a = alpha s, b = beta s, s = ``omega.order_at_zero()``,
     so omega(chi) ~ u^a log^b(1/u) in u = 1 - |phi|^2, which near a contact
     is comparable to 1 - |z|^2 (Julia-Caratheodory).  On the whole circle
     the inner integral behaves as int u^(1 - 2a) log^(-2b)(1/u) du; at an
@@ -254,7 +232,7 @@ def bloch_to_hardy_criterion(phi: AnalyticMap, params: BlochParams, p: float,
     phi' from one ``phi.jet`` call per block of at most 2^14 points, so phi
     must be an ``AnalyticMap``; any other symbol raises TypeError.
     """
-    sup_phi = _require_symbol(phi)
+    contact, sup_phi = _symbol(phi)
     if not isinstance(phi, AnalyticMap):
         raise TypeError(f"criterion requires an AnalyticMap symbol, got {type(phi).__name__}")
     p = float(p)
@@ -288,7 +266,6 @@ def bloch_to_hardy_criterion(phi: AnalyticMap, params: BlochParams, p: float,
         plan.refinement_tol)
     evidence = list(zip(range(_TRUNCATION_LO, _TRUNCATION_HI + 1), means.tolist()))
 
-    contact, sup_phi = _contact(phi, sup_phi)
     s = omega.order_at_zero()
     a, b = params.alpha * s, params.beta * s
     diagnostics = {
@@ -338,7 +315,7 @@ def _q(phi, params, p, z, w):
 def hardy_to_bloch_q(phi: AnalyticMap, params: BlochParams, p: float, z) -> float:
     """Boundedness functional Q(z) = |phi'(z)| omega(chi(|z|)) / (1-|phi(z)|^2)^(1+1/p)."""
     _check_hardy_to_bloch_params(params, float(p))
-    _require_symbol(phi)
+    _symbol(phi)
     z = disk_point(z)
     return float(_q(phi, params, p, z, complex(phi.eval(z))))
 
@@ -359,7 +336,7 @@ def hardy_to_bloch_verdict(phi: AnalyticMap, params: BlochParams, p: float,
                            plan: SamplingPlan | None = None) -> CriterionReport:
     """Boundedness and compactness verdicts from the functional Q.
 
-    The verdict is read from the contact (``_contact``) and the exponent
+    The verdict is read from the contact (``_symbol``) and the exponent
     e = alpha - 1 - 1/p (``_q_exponent``).  The range check makes omega(t)
     comparable to t at 0, and toward a contact 1 - |phi|^2 is comparable to
     1 - |z|^2 while phi' tends to the angular derivative (Julia-Caratheodory),
@@ -375,7 +352,7 @@ def hardy_to_bloch_verdict(phi: AnalyticMap, params: BlochParams, p: float,
     """
     p = float(p)
     _check_hardy_to_bloch_params(params, p)
-    sup_phi = _require_symbol(phi)
+    contact, sup_phi = _symbol(phi)
     plan = plan or DEFAULT_PLAN
 
     grid = sup_grid()
@@ -387,7 +364,6 @@ def hardy_to_bloch_verdict(phi: AnalyticMap, params: BlochParams, p: float,
     running = list(itertools.accumulate(ring_max, max))[1:]
     evidence = tuple(zip(ladder, running))
 
-    contact, sup_phi = _contact(phi, sup_phi)
     e, beta = _q_exponent(params.alpha, p), params.beta
     diagnostics = {"contact": contact, "sup_phi": sup_phi, "exponent": e, "bounded": None}
     if contact == "undecided":
@@ -497,7 +473,7 @@ def bounded_below_probe(phi: AnalyticMap, r: float, epsilon: float,
         raise ParameterRangeError(f"epsilon must be positive, got {epsilon}")
     if samples < 1:
         raise ParameterRangeError("samples must be >= 1")
-    _require_symbol(phi)
+    _symbol(phi)
 
     points = sup_grid()[2]
     targets = area_uniform_points(np.random.default_rng(seed), samples)

@@ -145,17 +145,22 @@ def _circle_mean(sample, p, n, cap, tol) -> float:
     ``sample`` of an array of angles: the periodic trapezoid rule over n
     equally spaced angles, doubling the count (with reuse) until successive
     means agree to ``tol`` relatively.  Raises QuadratureError carrying the
-    last two means when the count reaches cap.
+    last two means when the count reaches cap, or at once when a mean is
+    not finite (sample^p overflows, or sample holds NaN).
     """
-    total = float(np.sum(sample(np.arange(n) * (TWO_PI / n)) ** p))
+    def power_sum(thetas):
+        with np.errstate(over="ignore"):  # an overflow is a mean of inf
+            return float(np.sum(sample(thetas) ** p))
+
+    total = power_sum(np.arange(n) * (TWO_PI / n))
     mean = (total / n) ** (1.0 / p)
     while True:
-        total += float(np.sum(sample((np.arange(n) + 0.5) * (TWO_PI / n)) ** p))
+        total += power_sum((np.arange(n) + 0.5) * (TWO_PI / n))
         n *= 2
         new_mean = (total / n) ** (1.0 / p)
         if abs(new_mean - mean) <= tol * max(1.0, abs(new_mean)):
             return new_mean
-        if n >= cap:
+        if n >= cap or not math.isfinite(new_mean):
             raise QuadratureError(
                 f"circle mean did not stabilize within {n} nodes",
                 last_values=(mean, new_mean))

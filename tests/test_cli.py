@@ -583,6 +583,14 @@ class TestMain:
         assert captured.out == ""
         assert captured.err.startswith("error: circle mean did not stabilize")
 
+    def test_overflowing_circle_mean_exits_one(self, capsys):
+        # |f|^200 overflows on the circle; no RuntimeWarning escapes, as the
+        # suite would raise it, and one error line is printed
+        assert main(["hardy-norm", "--func", "kernel:0.95,0:0.5", "--p", "200"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: circle mean did not stabilize within 512 nodes\n"
+
     def test_out_and_csv_files(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         evidence = tmp_path / "evidence.csv"

@@ -22,7 +22,7 @@ from blochdisk import (Blaschke, BlochParams, CriterionReport, HarmonicMap,
                        hardy_to_bloch_verdict, is_admissible_symbol,
                        lambda_f, mobius, schwarz_pick_ratio)
 from blochdisk import test_function as kernel_test_function
-from blochdisk.compop import PROBE_RADIUS_SUP, ProbeReport, _angular_means, _contact
+from blochdisk.compop import PROBE_RADIUS_SUP, ProbeReport, _angular_means, _symbol
 from blochdisk.core import Composed
 from blochdisk.norms import SamplingPlan, sup_grid
 from blochdisk.numerics import area_uniform_points, dyadic_radius, gl_panel_columns
@@ -117,8 +117,9 @@ class TestAdmissibility:
 
     @pytest.mark.parametrize("phi", [
         Polynomial((0, 1 + 1e-7)), Polynomial((0, 1.0000005)),
-        Polynomial((0, 0, 0, 1 + 1e-7)), Polynomial((0.5, 0.5 + 1e-7))],
-        ids=["scaled-1e-7", "scaled-5e-7", "cubed-1e-7", "half-shift-1e-7"])
+        Polynomial((0, 0, 0, 1 + 1e-7)), Polynomial((0.5, 0.5 + 1e-7)),
+        Polynomial((0, 1 + 1e-11))],
+        ids=["scaled-1e-7", "scaled-5e-7", "cubed-1e-7", "half-shift-1e-7", "scaled-1e-11"])
     def test_refuses_maps_just_past_the_circle(self, phi):
         # each leaves the disk only within 1e-7 of the circle, past the
         # grid's last ring, 1 - 2^-20
@@ -139,6 +140,13 @@ class TestAdmissibility:
         # rounding lies past 1; the automorphisms with zeros at 1 - 1e-15 and
         # 1 - 1e-12 read up to 1 + 8e-6 there, and are admissible by kind
         assert is_admissible_symbol(phi)
+
+    @pytest.mark.parametrize("c", [1.0, -1j, 1 + 2 ** -52, 0.9999995, 0.5j])
+    def test_c_z_is_one_symbol_whatever_its_kind(self, c):
+        # |c| decides admissibility and contact, with the same rounding slack
+        assert is_admissible_symbol(ScaledIdentity(c))
+        assert _symbol(ScaledIdentity(c)) == _symbol(Polynomial((0, c))) == \
+            _symbol(Polynomial((0, 0, c)))
 
     def test_circle_decides_past_the_coefficient_bound(self):
         # the coefficient moduli sum to 1.41 sup |phi|, so the circle decides
@@ -532,14 +540,14 @@ class TestHardyToBlochVerdict:
         grid = sup_grid()[2].shape
         assert calls["eval", rings] == calls["deriv", rings] == 1
         assert calls["eval", grid] == calls["deriv", grid] == grid_calls
-        # c z and c z^n take the symbol screen and sup |phi| from their
-        # coefficients: phi is never sampled on the circle, nor point by point
+        # c z and c z^n take sup |phi| from their coefficients: phi is never
+        # sampled on the circle, nor point by point
         assert not calls["eval", (256,)] and not calls["deriv", (256,)]
         assert not calls["eval", (1,)]
 
     def test_duck_type_samples_the_circle_once_per_screen(self):
-        # the symbol screen takes sup |phi| from one circle_max, which samples
-        # phi (not phi') on its 256 nodes, and the contact reuses it
+        # admissibility and contact read sup |phi| from one circle_max, which
+        # samples phi (not phi') on its 256 nodes
         counting = _Counting(HALF)
         assert hardy_to_bloch_verdict(counting, CLASSICAL, 2.0).verdict == "vacuously-compact"
         assert counting.calls["eval", (256,)] == 1 and not counting.calls["deriv", (256,)]
@@ -747,18 +755,22 @@ class TestContact:
         (_Counting(Polynomial((0, 1))), "undecided", pytest.approx(1.0, rel=1e-15)),
         (_Counting(HALF), "none", pytest.approx(0.5, rel=1e-15)),
         (Composed(Mobius(0.3), Mobius(0.5)), "undecided", pytest.approx(1.0, rel=1e-12)),
+        (Polynomial((0, 1 + 1e-13)), "whole", 1 + 1e-13),
     ], ids=lambda v: getattr(v, "kind", None))
     def test_classification(self, phi, contact, sup_phi):
-        assert _contact(phi) == (contact, sup_phi)
+        assert _symbol(phi) == (contact, sup_phi)
 
-    @pytest.mark.parametrize("phi", [Mobius(0.9 + 0.05j), _B2, IDENTITY, Polynomial((0, 1))])
+    @pytest.mark.parametrize("phi", [Mobius(0.9 + 0.05j), _B2, IDENTITY, Polynomial((0, 1)),
+                                     Polynomial((0, 1 + 1e-13))])
     def test_kinds_decided_without_sampling(self, phi, monkeypatch):
+        # one sup |phi| decides admissibility and contact: for (1 + 1e-13) z
+        # it is the coefficient's modulus, where the circle reads 1.0000000000001001
         import blochdisk.compop as compop_mod
 
         def refuse(*args):
             raise AssertionError("sampled the circle")
         monkeypatch.setattr(compop_mod, "hardy_norm", refuse)
-        assert _contact(phi)[0] == "whole"
+        assert _symbol(phi)[0] == "whole"
 
 
 def _verdict(phi, alpha, p, beta=0.0, plan=None):
@@ -868,7 +880,8 @@ class TestExponentRules:
 
 class TestPlanIndependence:
     # the verdicts are read from the contact and the exponents, so the
-    # ladder depth changes the evidence but never the verdict
+    # ladder depth changes the evidence but never the verdict; the criterion
+    # does not read the depth at all, so its whole report is the same
     @pytest.mark.parametrize("phi", [
         IDENTITY, HALF, CONSTANT, Mobius(0.4), _B2, Polynomial((0.5, 0.5)),
         ScaledIdentity(0.9999995)],
@@ -881,9 +894,10 @@ class TestPlanIndependence:
                         for j in range(1, 25)}
             assert len(verdicts) == 1, (alpha, beta, p, verdicts)
         for alpha in (0.95, 1.0, 1.2):
-            verdicts = {_criterion(phi, alpha, plan=SamplingPlan(radial_j=j))
-                        for j in range(1, 25)}
-            assert len(verdicts) == 1, (alpha, verdicts)
+            shallow, deep = (bloch_to_hardy_criterion(phi, BlochParams(alpha, 0.0), 2.0,
+                                                      SamplingPlan(radial_j=j))
+                             for j in (1, 24))
+            assert shallow == deep, alpha
 
     @settings(max_examples=60, deadline=None)
     @given(st.one_of(_CONSTANTS, _SCALINGS, st.just(IDENTITY), _MOBIUS, _BLASCHKE),
