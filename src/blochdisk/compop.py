@@ -18,8 +18,9 @@ from .extremal import LIP_CONSTANT
 from .metrics import rho_array
 from .norms import (DEFAULT_PLAN, SamplingPlan, bloch_weight, hardy_norm,
                     sup_grid, weight_from_gap)
-from .numerics import (GL_NODES, TWO_PI, QuadratureError, area_uniform_points,
-                       dyadic_radius, extrapolate_to_zero, gl_nodes, sup_search)
+from .numerics import (BLOCK_POINTS, GL_NODES, TWO_PI, QuadratureError,
+                       area_uniform_points, dyadic_radius, extrapolate_to_zero,
+                       gl_panel_columns, sup_search)
 
 __all__ = [
     "CriterionReport", "is_admissible_symbol", "compose",
@@ -36,11 +37,10 @@ _ROUNDING_SLACK = 1e-12
 # sup |phi| at most 1 - _CONTACT_GAP is no contact with the circle.
 _CONTACT_GAP = 1e-6
 # The criterion's angular mean starts at no more than _ANGLES_START angles
-# and doubles up to _ANGLES_CAP; each phi.jet call holds at most _JET_BLOCK
+# and doubles up to _ANGLES_CAP; each phi.jet call holds at most BLOCK_POINTS
 # points.
 _ANGLES_START = 16
 _ANGLES_CAP = 2 ** 12
-_JET_BLOCK = 2 ** 14
 
 
 @dataclass(frozen=True)
@@ -228,9 +228,10 @@ def bloch_to_hardy_criterion(phi: AnalyticMap, params: BlochParams, p: float,
     m.  ``inconclusive``: isolated contacts with 1 < a <= 1 + 1/(2p), and
     undecided contacts with a >= 1.
 
-    Each round evaluates its new angles on all 24 panels, taking phi and
-    phi' from one ``phi.jet`` call per block of at most 2^14 points, so phi
-    must be an ``AnalyticMap``; any other symbol raises TypeError.
+    Each round evaluates its new angles on all 24 panels, in blocks of at
+    most ``BLOCK_POINTS`` (2^12) points summed by ``gl_panel_columns``, taking
+    phi and phi' from one ``phi.jet`` call per block, so phi must be an
+    ``AnalyticMap``; any other symbol raises TypeError.
     """
     contact, sup_phi = _symbol(phi)
     if not isinstance(phi, AnalyticMap):
@@ -241,23 +242,27 @@ def bloch_to_hardy_criterion(phi: AnalyticMap, params: BlochParams, p: float,
     plan = plan or DEFAULT_PLAN
 
     edges = dyadic_radius(np.arange(_TRUNCATION_HI + 1))
-    radii, gl_weights, halves = gl_nodes(edges[:-1], edges[1:])
     omega = params.omega
 
     def rungs(thetas):
         """inner^(p/2) at rungs 4..24 (rows) and the angles ``thetas``."""
         phases = np.exp(1j * thetas)
         panels = np.empty((_TRUNCATION_HI, thetas.size))
-        block_angles = min(thetas.size, _JET_BLOCK // GL_NODES)
-        block_panels = _JET_BLOCK // (GL_NODES * block_angles)
+        block_angles = min(thetas.size, BLOCK_POINTS // GL_NODES)
+        block_panels = BLOCK_POINTS // (GL_NODES * block_angles)
         for j in range(0, thetas.size, block_angles):
-            for k in range(0, _TRUNCATION_HI, block_panels):
-                r = radii[k:k + block_panels, :, None]
-                w, dw = phi.jet(r * phases[j:j + block_angles])
+            ring = phases[j:j + block_angles]
+
+            def integrand(r):
+                r = r[:, :, None]
+                w, dw = phi.jet(r * ring)
                 gap_weight = omega(bloch_weight(params, np.abs(w)))
-                vals = np.abs(dw) ** 2 * (1.0 - r) / gap_weight ** 2
-                panels[k:k + block_panels, j:j + block_angles] = \
-                    halves[k:k + block_panels, None] * (gl_weights @ vals)
+                return np.abs(dw) ** 2 * (1.0 - r) / gap_weight ** 2
+
+            for k in range(0, _TRUNCATION_HI, block_panels):
+                stop = min(k + block_panels, _TRUNCATION_HI)
+                panels[k:stop, j:j + block_angles] = gl_panel_columns(
+                    integrand, edges[k:stop], edges[k + 1:stop + 1])
         inner = np.cumsum(panels, axis=0)[_TRUNCATION_LO - 1:]
         return inner ** (p / 2.0)
 

@@ -12,8 +12,8 @@ import numpy as np
 from .core import (BlochParams, Composed, DivergentIntegralError, HarmonicMap,
                    ParameterRangeError, Polynomial, classical_params, disk_point,
                    lambda_f)
-from .numerics import (GOLDEN_ITERS, TWO_PI, QuadratureError, circle_max,
-                       dyadic_radius, gl_panel_columns, sup_search)
+from .numerics import (BLOCK_POINTS, GL_NODES, GOLDEN_ITERS, TWO_PI, QuadratureError,
+                       circle_max, dyadic_radius, gl_nodes, sup_search)
 
 __all__ = [
     "SamplingPlan", "DEFAULT_PLAN", "NormEstimate", "sup_grid",
@@ -280,41 +280,63 @@ def _g_squared(f, angles):
     """G(f)^2 at every angle of ``angles`` in one sweep over the dyadic panels.
 
     Each angle is one column of 16-node Gauss-Legendre panels on
-    [1 - 2^-k, 1 - 2^-(k+1)], k < G_PANELS, summed by ``gl_panel_columns``
-    over the columns still open.  Every map the library builds has f'
-    bounded on the closed disk, so G^2 <= sup |f'|^2 / 2; a column closes
-    only on evidence, at the first k >= 4 where its total is positive and
-    finite and the panel added at most 1e-12 of it.  After the last panel a
-    total of exactly 0 is G = 0 (f' vanished on every node); any other open
-    column raises DivergentIntegralError with the partial integrals of the
-    lowest-index one.  A harmonic pair raises ParameterRangeError.
+    [1 - 2^-k, 1 - 2^-(k+1)], k < G_PANELS, summed over the columns still
+    open.  Every map the library builds has f' bounded on the closed disk,
+    so G^2 <= sup |f'|^2 / 2; a column closes only on evidence, at the first
+    k >= 4 where its total is positive and finite and the panel added at
+    most 1e-12 of it.  After the last panel a total of exactly 0 is G = 0
+    (f' vanished on every node); any other open column raises
+    DivergentIntegralError with the partial integrals of the lowest-index
+    one.  A harmonic pair raises ParameterRangeError.
+
+    The panels are swept in blocks, one ``f.deriv`` call each: as many
+    panels as fit ``BLOCK_POINTS`` points over the open columns, at least
+    one.  BLAS rounds each column of ``w @ vals`` by its place among the
+    columns it is given, so a block is summed in runs, each over the columns
+    open at its first panel and up to the first panel that closes one.  The
+    totals and partials are then bit for bit those of a sweep that
+    integrates one panel at a time; panels past a column's close are
+    evaluated and dropped.
     """
     if isinstance(f, HarmonicMap):
         raise ParameterRangeError("the square function takes an analytic map, not a harmonic pair")
     angles = np.asarray(angles, dtype=float)
     zetas = np.cos(angles) + 1j * np.sin(angles)
+    edges = dyadic_radius(np.arange(G_PANELS + 1))
+    radii, w, halves = gl_nodes(edges[:-1], edges[1:])
     totals = np.zeros(angles.size)
     contributions = np.zeros((G_PANELS, angles.size))
-    open_cols = np.arange(angles.size)
-    for k in range(G_PANELS):
-        ring = zetas[open_cols]
-
-        def integrand(r):
-            return np.abs(f.deriv(r[:, None] * ring)) ** 2 * (1.0 - r)[:, None]
-
-        c = gl_panel_columns(integrand, dyadic_radius(k), dyadic_radius(k + 1))
-        contributions[k, open_cols] = c
-        totals[open_cols] += c
-        t = totals[open_cols]
-        done = (k >= 4) & (t > 0.0) & np.isfinite(t) & (c <= _GFUNC_TOL * t)
-        open_cols = open_cols[~done]
-        if not open_cols.size:
-            return totals
-    open_cols = open_cols[totals[open_cols] != 0.0]
-    if open_cols.size:
+    cols = np.arange(angles.size)  # the open columns, those of vals and acc
+    acc = np.zeros(angles.size)
+    k = end = 0  # vals holds panels k..end-1
+    while cols.size and k < G_PANELS:
+        if k == end:
+            end = min(G_PANELS, k + max(1, BLOCK_POINTS // (GL_NODES * cols.size)))
+            r = radii[k:end, :, None]
+            vals = np.abs(f.deriv(r * zetas[cols])) ** 2 * (1.0 - r)
+        c = halves[k:end, None] * (w @ vals)
+        # the running totals after each panel; cumsum down the rows costs
+        # per column, so one row is a plain sum
+        running = (acc + c if end - k == 1 else
+                   np.cumsum(np.concatenate((acc[None], c)), axis=0)[1:])
+        done = (running > 0.0) & np.isfinite(running) & (c <= _GFUNC_TOL * running)
+        done[:max(4 - k, 0)] = False  # no column closes before panel 4
+        closing = np.flatnonzero(done)
+        n = closing[0] // cols.size + 1 if closing.size else end - k
+        contributions[k:k + n, cols] = c[:n]
+        acc = running[n - 1]
+        k += n
+        if closing.size:
+            totals[cols] = acc
+            still = ~done[n - 1]
+            cols, acc = cols[still], acc[still]
+            vals = np.compress(still, vals[n:], axis=2)
+    totals[cols] = acc
+    cols = cols[totals[cols] != 0.0]
+    if cols.size:
         raise DivergentIntegralError(
             f"square-function integral did not stabilize within {G_PANELS} dyadic panels",
-            partials=np.cumsum(contributions[:, open_cols[0]]).tolist())
+            partials=np.cumsum(contributions[:, cols[0]]).tolist())
     return totals
 
 

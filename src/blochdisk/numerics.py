@@ -16,6 +16,11 @@ INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _ROUND_OFFSETS = np.arange(-7, 8) / 8.0
 # Nodes per Gauss-Legendre panel of gl_panel and gl_panel_columns.
 GL_NODES = 16
+# Most points one map evaluation holds in the blocked radial quadratures (the
+# Bloch-to-Hardy criterion and the square function).  A complex temporary of
+# 2^12 points is 64 kB, below glibc malloc's 128 kB threshold; larger arrays
+# get fresh pages, and each block pays their page faults.
+BLOCK_POINTS = 2 ** 12
 # sup_search refines its REFINE_TOP strongest grid peaks to the width of
 # GOLDEN_ITERS golden-section steps per side, which GOLDEN_ROUNDS rounds of
 # golden_max, each shrinking a side by 2/16, reach.
@@ -54,9 +59,7 @@ def gl_nodes(a, b):
     """``(nodes, weights, half)`` of ``GL_NODES``-point Gauss-Legendre panels
     on [a, b], elementwise over arrays a and b: nodes has shape
     a.shape + (GL_NODES,), weights are the rule's on [-1, 1], and the
-    integral of fn over [a, b] is ``half * (weights @ fn(nodes))``.
-    ``gl_panel_columns`` keeps its scalar form: it is called once per panel,
-    and the array handling here would add a third to each call."""
+    integral of fn over [a, b] is ``half * (weights @ fn(nodes))``."""
     x, w = _leggauss()
     a = np.asarray(a, dtype=float)
     half = 0.5 * (b - a)
@@ -64,13 +67,14 @@ def gl_nodes(a, b):
 
 
 def gl_panel_columns(fn2, a, b):
-    """Column-wise ``gl_panel``: ``fn2(r)`` returns an array of shape
-    (GL_NODES, m), and the integral over r in [a, b] comes back as an (m,) array."""
-    x, w = _leggauss()
-    half = 0.5 * (b - a)
-    r = 0.5 * (a + b) + half * x
+    """Column-wise ``gl_panel`` over a block of K panels [a[k], b[k]] in one
+    call of ``fn2``: it takes the nodes of every panel, shape (K, GL_NODES),
+    and returns values of shape (K, GL_NODES, m).  Row k of the (K, m) result
+    is the integral over panel k of each of the m columns, bit for bit the
+    single panel's."""
+    r, w, half = gl_nodes(a, b)
     vals = np.asarray(fn2(r), dtype=float)
-    return half * (w @ vals)
+    return half[:, None] * (w @ vals)
 
 
 @lru_cache(maxsize=None)

@@ -717,6 +717,14 @@ class TestMain:
         assert errors == [f"error: {error}"]
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("func,angle,value", [
+        ("mobius:0.999,0", "0", "0.816904013333189"),
+        ("monomial:20000", "0.3", "0.500006250116703")], ids=["mobius", "monomial"])
+    def test_readme_gfunction_values(self, capsys, func, angle, value):
+        # the README quotes these two reports; the panel blocks move no digit
+        assert main(["gfunction", "--func", func, "--angle", angle]) == 0
+        assert f'"value": {value}\n' in capsys.readouterr().out
+
     def test_gfunction_near_boundary_mobius(self, capsys):
         # the panels past 1 - 2^-10 carry most of the integral
         assert main(["gfunction", "--func", "mobius:0.999,0", "--angle", "0"]) == 0

@@ -352,22 +352,23 @@ def _fixed_angle_rungs(phi, n=4096):
     times all angles, and each rung the plain mean of inner^(p/2)."""
     phases = np.exp(1j * np.arange(n) * (2.0 * math.pi / n))
     inner = {(a, b): np.zeros(n) for a in _ORACLE_ALPHAS for b in _ORACLE_BETAS}
+    edges = dyadic_radius(np.arange(25))
     rungs = {}
     for k in range(24):
         jets = {}
 
         def columns(r, a, b):
             if not jets:  # one jet per panel, shared by every (alpha, beta)
-                w, dw = phi.jet(r[:, None] * phases)
+                w, dw = phi.jet(r[..., None] * phases)
                 u = 1.0 - np.abs(w) ** 2
                 jets.update(u=u, log=1.0 - np.log(u),
-                            scale=np.abs(dw) ** 2 * (1.0 - r)[:, None])
+                            scale=np.abs(dw) ** 2 * (1.0 - r)[..., None])
             # omega(chi)^2 = u^(2a) (1 - log u)^(2b) for the identity majorant
             return jets["scale"] / (jets["u"] ** (2.0 * a) * jets["log"] ** (2.0 * b))
 
         for (a, b), total in inner.items():
             total += gl_panel_columns(lambda r: columns(r, a, b),
-                                      dyadic_radius(k), dyadic_radius(k + 1))
+                                      edges[k:k + 1], edges[k + 1:k + 2])[0]
             if k + 1 >= 4:
                 for p in _ORACLE_PS:
                     rungs.setdefault((a, b, p), []).append(float(np.mean(total ** (p / 2.0))))

@@ -21,7 +21,7 @@ from blochdisk.core import DivergentIntegralError
 from blochdisk.extremal import AntiderivativeExtremal
 from blochdisk.norms import (DEFAULT_PLAN, MAX_CIRCLE_NODES, SamplingPlan, _g_squared,
                              sup_grid)
-from blochdisk.numerics import TWO_PI, gl_panel
+from blochdisk.numerics import BLOCK_POINTS, GL_NODES, TWO_PI, gl_panel
 
 from conftest import (ReciprocalGap, disk_samples, g_sq_oracle,
                       parseval_mean_sq, random_polynomial_pair)
@@ -524,6 +524,61 @@ def g_squared_reference(f, angle):
     raise AssertionError("reference loop did not stabilize")
 
 
+def g_squared_per_panel(f, angles):
+    """The square-function sweep one dyadic panel at a time: one f.deriv
+    call and one ``w @ vals`` over the columns still open per panel, closing
+    a column at the first k >= 4 where its total is positive and finite and
+    the panel added at most 1e-12 of it.  ``_g_squared`` must match it bit
+    for bit, totals and DivergentIntegralError partials alike."""
+    x, w = np.polynomial.legendre.leggauss(16)
+    angles = np.asarray(angles, dtype=float)
+    zetas = np.cos(angles) + 1j * np.sin(angles)
+    totals = np.zeros(angles.size)
+    contributions = np.zeros((48, angles.size))
+    open_cols = np.arange(angles.size)
+    for k in range(48):
+        a, b = 1.0 - 0.5 ** k, 1.0 - 0.5 ** (k + 1)
+        half = 0.5 * (b - a)
+        r = 0.5 * (a + b) + half * x
+        vals = np.abs(f.deriv(r[:, None] * zetas[open_cols])) ** 2 * (1.0 - r)[:, None]
+        c = half * (w @ vals)
+        contributions[k, open_cols] = c
+        totals[open_cols] += c
+        t = totals[open_cols]
+        open_cols = open_cols[~((k >= 4) & (t > 0.0) & np.isfinite(t) & (c <= 1e-12 * t))]
+        if not open_cols.size:
+            return totals
+    open_cols = open_cols[totals[open_cols] != 0.0]
+    if open_cols.size:
+        raise DivergentIntegralError(
+            "per-panel sweep did not stabilize",
+            partials=np.cumsum(contributions[:, open_cols[0]]).tolist())
+    return totals
+
+
+_SWEEP_RNG = np.random.default_rng(11)
+_RANDOM_POLYNOMIAL = Polynomial(tuple(_SWEEP_RNG.uniform(-1, 1, 9)
+                                      + 1j * _SWEEP_RNG.uniform(-1, 1, 9)))
+
+
+class Huge:
+    """|f'|^2 overflows to inf on every node."""
+
+    def deriv(self, z):
+        return np.full(np.shape(z), 1e200, dtype=complex)
+
+
+class DerivCounter:
+    """A map whose deriv calls are recorded, as their point counts."""
+
+    def __init__(self, f):
+        self.f, self.points = f, []
+
+    def deriv(self, z):
+        self.points.append(np.size(z))
+        return self.f.deriv(z)
+
+
 class TestGFunction:
     def test_identity(self):
         for angle in (0.0, 1.0, 2.5):
@@ -555,6 +610,54 @@ class TestGFunction:
             expected = [g_squared_reference(f, t) for t in angles]
             np.testing.assert_allclose(_g_squared(f, angles), expected,
                                        rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("columns", [1, 7, 8, 64, 257, 2048])
+    @pytest.mark.parametrize("f", [
+        _RANDOM_POLYNOMIAL, Mobius(1.0 - 2.0 ** -20), PowerKernel(0.5j, 3.0),
+        Blaschke((0.3, 0.5j, -0.7 + 0.1j)), QuadraticExtremal()],
+        ids=["polynomial", "mobius-near-boundary", "power-kernel", "blaschke-3", "quadratic"])
+    def test_blocks_equal_the_per_panel_sweep(self, f, columns):
+        # one f.deriv call per block of panels; each run of a block is
+        # reduced over the columns open at its first panel, so no bit moves
+        angles = np.arange(columns) * (TWO_PI / columns) + 0.1
+        assert np.array_equal(_g_squared(f, angles), g_squared_per_panel(f, angles))
+
+    @pytest.mark.parametrize("columns", [1, 7, 8])
+    def test_blocks_equal_the_per_panel_sweep_past_underflow(self, columns):
+        # f' of z^20000 underflows to 0 on the first panels: zero totals stay open
+        f = Polynomial((0,) * 20000 + (1,))
+        angles = np.arange(columns) * (TWO_PI / columns) + 0.3
+        assert np.array_equal(_g_squared(f, angles), g_squared_per_panel(f, angles))
+
+    @pytest.mark.parametrize("angles", [[2.0, 0.0, 1.0], np.arange(64) * (TWO_PI / 64)],
+                             ids=["3", "64"])
+    def test_divergent_partials_equal_the_per_panel_sweep(self, angles):
+        # the diverging column outlives the converging ones that close
+        # inside its blocks; its partials keep every bit
+        with pytest.raises(DivergentIntegralError) as blocked:
+            _g_squared(ReciprocalGap(), angles)
+        with pytest.raises(DivergentIntegralError) as per_panel:
+            g_squared_per_panel(ReciprocalGap(), angles)
+        assert blocked.value.partials == per_panel.value.partials
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowing_partials_equal_the_per_panel_sweep(self):
+        with pytest.raises(DivergentIntegralError) as blocked:
+            _g_squared(Huge(), [0.0, 1.0])
+        with pytest.raises(DivergentIntegralError) as per_panel:
+            g_squared_per_panel(Huge(), [0.0, 1.0])
+        assert blocked.value.partials == per_panel.value.partials
+
+    def test_one_deriv_call_per_block(self, rng):
+        f = Polynomial(tuple(rng.uniform(-1, 1, 9) + 1j * rng.uniform(-1, 1, 9)))
+        single = DerivCounter(f)
+        g_function(single, 0.3)
+        assert single.points == [48 * GL_NODES]  # all 48 panels in one call
+        swept = DerivCounter(f)
+        _g_squared(swept, np.arange(64) * (TWO_PI / 64))
+        per_block = BLOCK_POINTS // (GL_NODES * 64)
+        assert len(swept.points) <= math.ceil(48 / per_block)
+        assert max(swept.points) <= BLOCK_POINTS
 
     def test_divergence_flag(self):
         with pytest.raises(DivergentIntegralError,
@@ -592,10 +695,6 @@ class TestGFunction:
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_overflowing_contributions_raise(self):
-        class Huge:  # |f'|^2 overflows to inf on every node
-            def deriv(self, z):
-                return np.full(np.shape(z), 1e200, dtype=complex)
-
         with pytest.raises(DivergentIntegralError, match="did not stabilize") as err:
             g_function(Huge(), 0.0)
         assert math.isinf(err.value.partials[-1])
