@@ -33,7 +33,8 @@ from .descriptors import (DescriptorError, analytic_from_descriptor,
 from .extremal import (LIP_CONSTANT, lipschitz_scan, m_root,
                        sharpness_witness)
 from .metrics import rho, sigma
-from .norms import SamplingPlan, bloch_seminorm, g_function, hardy_norm
+from .norms import (DEFAULT_PLAN, SamplingPlan, bloch_seminorm, g_function,
+                    hardy_norm)
 
 
 class CatalogError(BlochDiskError, KeyError):
@@ -146,7 +147,6 @@ class RunConfig:
     plan: SamplingPlan = field(default_factory=SamplingPlan)
     out: str | None = None
     csv_path: str | None = None
-    seed: int = 0
     timing: bool = False
 
 
@@ -215,73 +215,52 @@ class _Parser(argparse.ArgumentParser):
         raise ParameterRangeError(message)
 
 
+class _Option(NamedTuple):
+    """A command's ``--flag`` or bare positional: argparse's type (None keeps
+    the text), its default (``...``: a required flag), and a range check
+    (predicate, requirement) that ``parse_config`` makes before any run."""
+
+    flag: str
+    type: Callable | None = None
+    default: object = ...
+    check: tuple = ()
+    help: str | None = None
+
+    @property
+    def name(self):
+        return self.flag.lstrip("-")
+
+
+# Plan settings by parsed name: the SamplingPlan field each sets (left at its
+# default where a command does not take the setting), flag and help.
+_PLAN_SETTINGS = {"plan_j": ("radial_j", "--plan-j", "radial ladder depth"),
+                  "tol": ("refinement_tol", "--tol", "refinement tolerance"),
+                  "angular": ("angular_resolution", "--angular",
+                              "starting angular resolution, power of two")}
+
+
 @functools.lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
-    """Built on first use and reused: parsing leaves the parser unchanged,
-    and config documents are applied to the parsed values, not to it."""
+    """One subparser per row of ``_COMMANDS``, built on first use and reused:
+    parsing leaves the parser unchanged, and config documents are applied to
+    the parsed values, not to it."""
     parser = _Parser(prog="blochdisk",
                      description="Bloch/Hardy space numerics on the unit disk")
     sub = parser.add_subparsers(dest="command", required=True)
     parser.commands = sub.choices
-
-    p = sub.add_parser("metric", help="pseudo-hyperbolic and hyperbolic distance")
-    p.add_argument("--z", required=True)
-    p.add_argument("--w", required=True)
-
-    p = sub.add_parser("hardy-norm", help="sup of circle means")
-    p.add_argument("--func", required=True)
-    p.add_argument("--p", type=float, required=True)
-
-    p = sub.add_parser("bloch-seminorm", help="disk supremum of the weighted derivative")
-    p.add_argument("--func", required=True)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--beta", type=float, default=0.0)
-    p.add_argument("--omega", default="id", help="id or pow:S")
-
-    p = sub.add_parser("gfunction", help="Littlewood-Paley square function")
-    p.add_argument("--func", required=True)
-    p.add_argument("--angle", type=float, required=True)
-
-    p = sub.add_parser("lipschitz-scan", help="empirical Lipschitz ratio scan")
-    p.add_argument("--func", required=True)
-    p.add_argument("--pairs", type=int, default=10_000)
-
-    p = sub.add_parser("sharpness-witness", help="pair achieving the sharp constant up to epsilon")
-    p.add_argument("--epsilon", type=float, required=True)
-
-    p = sub.add_parser("extremal-root", help="profile root m for psi(m) = r0")
-    p.add_argument("--r0", type=float, required=True)
-    p.add_argument("--alpha", type=float, default=1.0)
-
-    for name, text in (("compop-criterion", "Bloch-to-Hardy criterion integral"),
-                       ("compop-verdict", "Hardy-to-Bloch boundedness/compactness")):
-        p = sub.add_parser(name, help=text)
-        p.add_argument("--phi", required=True)
-        p.add_argument("--alpha", type=float, default=1.0)
-        p.add_argument("--beta", type=float, default=0.0)
-        p.add_argument("--p", type=float, default=2.0)
-        p.add_argument("--omega", default="id")
-
-    p = sub.add_parser("bounded-below-probe", help="bounded-below hypothesis probe")
-    p.add_argument("--phi", required=True)
-    p.add_argument("--r", type=float, required=True)
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--samples", type=int, default=100)
-
-    p = sub.add_parser("catalog", help="look up a built-in function descriptor")
-    p.add_argument("name")
-
-    for p in sub.choices.values():  # options every command takes
+    for command, row in _COMMANDS.items():
+        p = sub.add_parser(command, help=row.help)
+        for o in row.options:
+            required = {"required": o.default is ...} if o.flag[0] == "-" else {}
+            p.add_argument(o.flag, type=o.type, default=o.default, help=o.help, **required)
+        for setting in row.plan + _UNREAD.get(command, ()):
+            plan_field, flag, text = _PLAN_SETTINGS[setting]
+            default = getattr(DEFAULT_PLAN, plan_field)
+            p.add_argument(flag, type=type(default), default=default,
+                           help=f"{text} (default {default})")
         p.add_argument("--out", help="write the JSON report to this path")
         p.add_argument("--csv", dest="csv_path",
                        help="write evidence rows (truncation, value) as CSV")
-        p.add_argument("--plan-j", type=int, default=20,
-                       help="radial ladder depth (default 20)")
-        p.add_argument("--tol", type=float, default=1e-6,
-                       help="refinement tolerance (default 1e-6)")
-        p.add_argument("--angular", type=int, default=256,
-                       help="starting angular resolution, power of two")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--timing", action="store_true",
                        help="include wall-clock in the report (breaks byte-reproducibility)")
     return parser
@@ -328,16 +307,14 @@ def parse_config(argv, config_doc: dict | None = None) -> RunConfig:
 
     out = params.pop("out")
     csv_path = params.pop("csv_path")
-    seed = params.pop("seed")
     timing = params.pop("timing")
-    plan = SamplingPlan(angular_resolution=params.pop("angular"),
-                        radial_j=params.pop("plan_j"),
-                        refinement_tol=params.pop("tol"))
-    for name, ok, requirement in _COMMANDS[command].bounds:
-        if not ok(params[name]):
-            raise ParameterRangeError(f"--{name} {requirement.format(params[name])}")
+    plan = SamplingPlan(**{_PLAN_SETTINGS[name][0]: params.pop(name)
+                           for name in _PLAN_SETTINGS if name in params})
+    for o in _COMMANDS[command].options:
+        if o.check and not o.check[0](params[o.name]):
+            raise ParameterRangeError(f"--{o.name} {o.check[1].format(params[o.name])}")
     return RunConfig(command=command, params=params, plan=plan, out=out,
-                     csv_path=csv_path, seed=seed, timing=timing)
+                     csv_path=csv_path, timing=timing)
 
 
 # --------------------------------------------------------------------------
@@ -373,91 +350,112 @@ def _verdict_status(result) -> int:
     return 2 if result["verdict"] == "inconclusive" else 0
 
 
-def _positive(name):
-    return (name, lambda v: v > 0, "must be positive, got {}")
+_POSITIVE = (lambda v: v > 0, "must be positive, got {}")
+_AT_LEAST_ONE = (lambda v: v >= 1, "must be >= 1")
+_FUNC, _PHI = _Option("--func"), _Option("--phi")
+_ALPHA = _Option("--alpha", float, 1.0, _POSITIVE)
+_BETA = _Option("--beta", float, 0.0)
+_OMEGA = _Option("--omega", default="id", help="id or pow:S")
+_SEED = _Option("--seed", int, 0)
 
 
 class _Command(NamedTuple):
-    """One row of the command table.
+    """One row of the command table, the only place a command is declared.
 
-    shown: the parameters the report echoes, in order.
-    call(params, plan): the library call; params include ``seed``, and the
-        parameters named in complex_params arrive parsed from RE,IM text.
+    options: its own options (``_Option``), in the order the report echoes
+        their parsed values.
+    call(params, plan): the library call; the parameters named in
+        complex_params arrive parsed from RE,IM text.
+    plan: the plan settings the call reads (keys of ``_PLAN_SETTINGS``);
+        the others keep ``SamplingPlan``'s defaults.
     payload(out): the report's (result, evidence) from the call's result.
     status(result): the exit status.
-    bounds: (parameter, predicate, requirement) range checks, made by
-        ``parse_config`` before any computation starts.
 
     Calls name library functions by their module globals when they run, so a
     rebinding (a test double, a tracer's wrapper) takes effect.
     """
 
-    shown: tuple
+    help: str
+    options: tuple
     call: Callable
+    plan: tuple = ()
     payload: Callable = lambda result: (result, [])
     status: Callable = lambda result: 0
-    bounds: tuple = ()
     complex_params: tuple = ()
 
 
 _COMMANDS = {
     "metric": _Command(
-        ("z", "w"), complex_params=("z", "w"),
+        "pseudo-hyperbolic and hyperbolic distance",
+        (_Option("--z"), _Option("--w")), complex_params=("z", "w"),
         call=lambda p, plan: {"rho": rho(p["z"], p["w"]),
                               "sigma": sigma(p["z"], p["w"])}),
     "hardy-norm": _Command(
-        ("func", "p"), bounds=(_positive("p"),), payload=_norm_payload,
+        "sup of circle means", (_FUNC, _Option("--p", float, check=_POSITIVE)),
+        plan=("tol", "angular"), payload=_norm_payload,
         call=lambda p, plan: hardy_norm(resolve_function(p["func"]), p["p"], plan)),
     "bloch-seminorm": _Command(
-        ("func", "alpha", "beta", "omega"), bounds=(_positive("alpha"),),
+        "disk supremum of the weighted derivative", (_FUNC, _ALPHA, _BETA, _OMEGA),
         payload=_norm_payload,
         call=lambda p, plan: bloch_seminorm(resolve_function(p["func"]),
                                             _params_of(p))),
     "gfunction": _Command(
-        ("func", "angle"),
+        "Littlewood-Paley square function", (_FUNC, _Option("--angle", float)),
         call=lambda p, plan: {"value": g_function(resolve_function(p["func"]),
                                                   p["angle"])}),
     "lipschitz-scan": _Command(
-        ("func", "pairs", "seed"),
+        "empirical Lipschitz ratio scan",
+        (_FUNC, _Option("--pairs", int, 10_000, _AT_LEAST_ONE), _SEED), plan=("plan_j",),
         call=lambda p, plan: lipschitz_scan(resolve_function(p["func"]), p["pairs"],
                                             p["seed"], plan),
-        bounds=(("pairs", lambda v: v >= 1, "must be >= 1"),),
         payload=_fields("max_ratio", "argmax_pair", "seminorm", "cap", "cap_ok",
                         "pairs_evaluated")),
     "sharpness-witness": _Command(
-        ("epsilon",), call=lambda p, plan: sharpness_witness(p["epsilon"]),
-        bounds=(("epsilon", lambda v: 0 < v <= LIP_CONSTANT,
-                 f"must lie in (0, {LIP_CONSTANT:.9f}], got {{}}"),),
+        "pair achieving the sharp constant up to epsilon",
+        (_Option("--epsilon", float, check=(lambda v: 0 < v <= LIP_CONSTANT,
+                                            f"must lie in (0, {LIP_CONSTANT:.9f}], got {{}}")),),
+        call=lambda p, plan: sharpness_witness(p["epsilon"]),
         payload=_fields("m_star", "beta", "z1", "z2", "achieved_ratio", "floor")),
     "extremal-root": _Command(
-        ("r0", "alpha"), call=lambda p, plan: m_root(p["r0"], p["alpha"]),
-        bounds=(_positive("alpha"),
-                ("r0", lambda v: 0 < v <= 1, "must lie in (0, 1], got {}")),
+        "profile root m for psi(m) = r0",
+        (_Option("--r0", float, check=(lambda v: 0 < v <= 1, "must lie in (0, 1], got {}")),
+         _ALPHA),
+        call=lambda p, plan: m_root(p["r0"], p["alpha"]),
         payload=_fields("m", "a0", "residual")),
     "compop-criterion": _Command(
-        ("phi", "alpha", "beta", "p", "omega"),
-        bounds=(_positive("alpha"), _positive("p")),
-        payload=_criterion_payload, status=_verdict_status,
+        "Bloch-to-Hardy criterion integral",
+        (_PHI, _ALPHA, _BETA, _Option("--p", float, 2.0, _POSITIVE), _OMEGA),
+        plan=("tol", "angular"), payload=_criterion_payload, status=_verdict_status,
         call=lambda p, plan: bloch_to_hardy_criterion(
             resolve_function(p["phi"]), _params_of(p), p["p"], plan)),
     "compop-verdict": _Command(
-        ("phi", "alpha", "beta", "p", "omega"),
-        bounds=(_positive("alpha"), ("p", lambda v: v > 1, "must exceed 1, got {}")),
-        payload=_criterion_payload, status=_verdict_status,
+        "Hardy-to-Bloch boundedness/compactness",
+        (_PHI, _ALPHA, _BETA,
+         _Option("--p", float, 2.0, (lambda v: v > 1, "must exceed 1, got {}")), _OMEGA),
+        plan=("plan_j",), payload=_criterion_payload, status=_verdict_status,
         call=lambda p, plan: hardy_to_bloch_verdict(
             resolve_function(p["phi"]), _params_of(p), p["p"], plan)),
     "bounded-below-probe": _Command(
-        ("phi", "r", "epsilon", "samples", "seed"),
-        bounds=(("r", lambda v: 0 < v < PROBE_RADIUS_SUP,
-                 f"must lie in (0, {PROBE_RADIUS_SUP:.10f}), got {{}}"),
-                _positive("epsilon"), ("samples", lambda v: v >= 1, "must be >= 1")),
+        "bounded-below hypothesis probe",
+        (_PHI, _Option("--r", float, check=(
+            lambda v: 0 < v < PROBE_RADIUS_SUP,
+            f"must lie in (0, {PROBE_RADIUS_SUP:.10f}), got {{}}")),
+         _Option("--epsilon", float, check=_POSITIVE),
+         _Option("--samples", int, 100, _AT_LEAST_ONE), _SEED),
         payload=_fields("fraction", "implied_constant", "samples", "grid_points",
                         "unmatched"),
         call=lambda p, plan: bounded_below_probe(
             resolve_function(p["phi"]), p["r"], p["epsilon"], p["samples"],
             p["seed"])),
-    "catalog": _Command(("name",), call=lambda p, plan: _catalog_entry(p["name"])),
+    "catalog": _Command("look up a built-in function descriptor", (_Option("name"),),
+                        call=lambda p, plan: _catalog_entry(p["name"])),
 }
+
+# Plan settings accepted but not read by the command's call.  They stay only
+# because the verdict-mix benchmark passes them (ROADMAP item 1).
+_UNREAD = {"metric": ("plan_j",), "hardy-norm": ("plan_j",),
+           "bloch-seminorm": ("plan_j", "angular"), "gfunction": ("angular",),
+           "compop-criterion": ("plan_j",), "compop-verdict": ("angular",)}
 
 
 def run(config: RunConfig) -> Report:
@@ -466,13 +464,13 @@ def run(config: RunConfig) -> Report:
     command = _COMMANDS.get(config.command)
     if command is None:
         raise ParameterRangeError(f"unknown command {config.command!r}")
-    p = {**config.params, "seed": config.seed}
+    p = dict(config.params)
     for name in command.complex_params:
         p[name] = parse_complex(p[name])
     result, evidence = command.payload(command.call(p, config.plan))
     elapsed = time.perf_counter() - start
     return Report(command=config.command,
-                  parameters={name: p[name] for name in command.shown},
+                  parameters={o.name: p[o.name] for o in command.options},
                   result=result, evidence=evidence, plan=config.plan.describe(),
                   wall_clock=elapsed if config.timing else None,
                   exit_status=command.status(result))

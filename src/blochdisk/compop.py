@@ -58,8 +58,7 @@ class CriterionReport:
     diagnostics: dict = field(default_factory=dict)
 
     _AFFIRMATIVE = ("convergent", "compact", "vacuously-compact")
-    _ALLOWED = _AFFIRMATIVE + ("divergent", "bounded", "unbounded",
-                               "non-compact", "inconclusive")
+    _ALLOWED = _AFFIRMATIVE + ("divergent", "unbounded", "non-compact", "inconclusive")
 
     def __post_init__(self):
         if self.verdict not in self._ALLOWED:

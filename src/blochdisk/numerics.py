@@ -16,10 +16,13 @@ INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _ROUND_OFFSETS = np.arange(-7, 8) / 8.0
 # Nodes per Gauss-Legendre panel of gl_panel and gl_panel_columns.
 GL_NODES = 16
-# Most points one map evaluation holds in the blocked radial quadratures (the
+# Point budget of one map evaluation in the blocked radial quadratures (the
 # Bloch-to-Hardy criterion and the square function).  A complex temporary of
 # 2^12 points is 64 kB, below glibc malloc's 128 kB threshold; larger arrays
-# get fresh pages, and each block pays their page faults.
+# get fresh pages, and each block pays their page faults.  The criterion keeps
+# every call within it.  The square function evaluates at least one panel of
+# every open column, so past 256 open angles one call holds 16 points per
+# angle, more than the budget.
 BLOCK_POINTS = 2 ** 12
 # sup_search refines its REFINE_TOP strongest grid peaks to the width of
 # GOLDEN_ITERS golden-section steps per side, which GOLDEN_ROUNDS rounds of

@@ -13,11 +13,11 @@ from hypothesis import strategies as st
 
 import blochdisk
 from blochdisk import (BlochDiskError, DescriptorError, Mobius, ParameterRangeError,
-                       Polynomial, analytic_from_descriptor, descriptor_of,
+                       Polynomial, SamplingPlan, analytic_from_descriptor, descriptor_of,
                        descriptor_of_harmonic, harmonic_from_descriptor)
-from blochdisk.cli import (CatalogError, _build_parser, _round15, catalog,
-                           catalog_note, main, parse_complex, parse_config,
-                           resolve_function, run)
+from blochdisk.cli import (_COMMANDS, _PLAN_SETTINGS, _UNREAD, CatalogError,
+                           _build_parser, _round15, catalog, catalog_note, main,
+                           parse_complex, parse_config, resolve_function, run)
 
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
@@ -135,20 +135,21 @@ class TestParsing:
             parse_config(["metric", "--z", "0,0", "--w", "0.1,0", "--bogus", "1"])
 
     def test_config_document_merge(self):
-        config = parse_config(["metric", "--z", "0.5,0", "--w", "0,0"],
-                              {"seed": 9})
-        assert config.seed == 9  # seed not given on the command line
+        config = parse_config(["lipschitz-scan", "--func", "eta"], {"seed": 9})
+        assert config.params["seed"] == 9  # seed not given on the command line
 
     def test_config_document_flag_precedence(self):
-        config = parse_config(["metric", "--z", "0.5,0", "--w", "0.1,0",
-                               "--seed", "4"], {"seed": 9, "w": "0.25,0"})
-        assert config.seed == 4
-        assert config.params["w"] == "0.1,0"
+        config = parse_config(["lipschitz-scan", "--func", "eta", "--seed", "4"],
+                              {"seed": 9, "func": "identity", "pairs": 300})
+        assert config.params == {"func": "eta", "pairs": 300, "seed": 4}
 
     def test_config_document_unknown_key(self):
         with pytest.raises(ParameterRangeError):
             parse_config(["metric", "--z", "0,0", "--w", "0.1,0"],
                          {"frequency": 3})
+        # so is a setting that only other commands take
+        with pytest.raises(ParameterRangeError, match="^unknown config keys: seed$"):
+            parse_config(["metric", "--z", "0,0", "--w", "0.1,0"], {"seed": 9})
 
     def test_config_document_keeps_renamed_flag(self):
         config = parse_config(["catalog", "eta", "--csv", "a.csv"], {"csv_path": "b.csv"})
@@ -186,10 +187,10 @@ class TestParsing:
 _EMPTY_BLASCHKE = '{"kind": "blaschke", "factors": []}'
 
 # All eleven subcommands, most of them twice: first with a config document
-# that sets seed, plan, output or command keys, then without one, so a value
-# leaking from one call into the next shows in the second.
+# that sets seed, plan, output, timing or command keys, then without one, so a
+# value leaking from one call into the next shows in the second.
 _MIXED = [
-    (["metric", "--z", "0.5,0", "--w", "0,0"], {"seed": 9, "w": "0.25,0"}),
+    (["metric", "--z", "0.5,0", "--w", "0,0"], {"timing": True, "w": "0.25,0"}),
     (["metric", "--z", "0.5,0", "--w", "0,0"], None),
     (["hardy-norm", "--func", "monomial:3", "--p", "2"], {"plan_j": 8, "tol": 1e-8}),
     (["bloch-seminorm", "--func", "eta", "--alpha=1.5"], {"alpha": 2.0, "omega": "pow:0.5"}),
@@ -209,7 +210,7 @@ _MIXED = [
     (["bounded-below-probe", "--phi", "mobius:0.2", "--r", "0.2", "--epsilon", "0.5"],
      {"samples": 30, "csv_path": "rows.csv"}),
     (["bounded-below-probe", "--phi", "mobius:0.2", "--r", "0.2", "--epsilon", "0.5"], None),
-    (["catalog", "eta", "--seed", "4"], {"seed": 7}),
+    (["catalog", "eta", "--out", "a.json"], {"csv_path": "rows.csv"}),
     (["catalog", "eta"], None),
 ]
 
@@ -225,11 +226,12 @@ class TestParserReuse:
             fresh.append(parse_config(list(argv), doc and dict(doc)))
         assert reused == fresh
         # nothing a config document set survives into the next call
-        assert [c.seed for c in reused[:2]] == [9, 0]
+        assert [c.timing for c in reused[:2]] == [True, False]
         assert reused[1].params["w"] == "0,0"
         assert reused[4].plan.radial_j == 20
         assert reused[5].params["alpha"] == 1.0
         assert not reused[8].timing and reused[10].out is None
+        assert reused[20].out is None and reused[20].csv_path is None
 
     def test_parser_is_built_once(self):
         _build_parser.cache_clear()
@@ -260,6 +262,64 @@ class TestParserReuse:
         with pytest.raises(ParameterRangeError) as err:
             parse_config(argv)
         assert str(err.value) == message
+
+
+class _RecordingPlan(SamplingPlan):
+    """A plan that records which of its fields are read between the end of
+    its construction and ``describe``, which ``run`` calls after the library
+    call.  The ``ladder`` property reads ``radial_j``."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        object.__setattr__(self, "read", set())
+
+    def __getattribute__(self, name):
+        read = object.__getattribute__(self, "__dict__").get("read")
+        if isinstance(read, set) and name in SamplingPlan.__dataclass_fields__:
+            read.add(name)
+        return object.__getattribute__(self, name)
+
+    def describe(self):
+        object.__setattr__(self, "read", frozenset(self.read))
+        return super().describe()
+
+
+# One representative invocation per command, at its default plan.
+_PLAN_AUDIT = {
+    "metric": ["metric", "--z", "0.5,0", "--w", "0,0"],
+    "hardy-norm": ["hardy-norm", "--func", "kernel:0.6:2", "--p", "2"],
+    "bloch-seminorm": ["bloch-seminorm", "--func", "eta"],
+    "gfunction": ["gfunction", "--func", "identity", "--angle", "0.5"],
+    "lipschitz-scan": ["lipschitz-scan", "--func", "eta", "--pairs", "300"],
+    "sharpness-witness": ["sharpness-witness", "--epsilon", "0.1"],
+    "extremal-root": ["extremal-root", "--r0", "0.5"],
+    "compop-criterion": ["compop-criterion", "--phi", "mobius:0.5", "--alpha", "0.95"],
+    "compop-verdict": ["compop-verdict", "--phi", "identity", "--alpha", "1.55"],
+    "bounded-below-probe": ["bounded-below-probe", "--phi", "mobius:0.2", "--r", "0.2",
+                            "--epsilon", "0.5", "--samples", "20"],
+    "catalog": ["catalog", "eta"],
+}
+
+
+class TestPlanSettings:
+    @pytest.mark.parametrize("command", list(_COMMANDS))
+    def test_each_setting_a_command_takes_is_read_unless_listed_unread(
+            self, monkeypatch, command):
+        monkeypatch.setattr("blochdisk.cli.SamplingPlan", _RecordingPlan)
+        config = parse_config(_PLAN_AUDIT[command])
+        run(config)
+        setting_of = {plan_field: name for name, (plan_field, _, _) in _PLAN_SETTINGS.items()}
+        read = {setting_of[plan_field] for plan_field in config.plan.read}
+        takes = set(_build_parser().commands[command].actions) & set(_PLAN_SETTINGS)
+        unread = set(_UNREAD.get(command, ()))
+        assert unread <= takes
+        assert takes - unread <= read
+        assert not read & unread
+
+    def test_seed_only_where_a_call_draws(self):
+        commands = _build_parser().commands
+        assert {c for c in commands if "seed" in commands[c].actions} == \
+            {"lipschitz-scan", "bounded-below-probe"}
 
 
 class TestRun:
@@ -414,6 +474,14 @@ class TestMain:
         # omega(t)/t = t^(-2^-52) has no finite limit at 0
         (["compop-verdict", "--phi", "half-identity", "--omega", "pow:0.9999999999999998"],
          "majorant must have a finite limit of omega(t)/t at 0"),
+        # a setting the command does not take
+        (["metric", "--z", "0.5,0", "--w", "0,0", "--seed", "1"],
+         "unrecognized arguments: --seed 1"),
+        (["catalog", "eta", "--tol", "1e-3"], "unrecognized arguments: --tol 1e-3"),
+        (["gfunction", "--func", "identity", "--angle", "0.5", "--plan-j", "3"],
+         "unrecognized arguments: --plan-j 3"),
+        (["bounded-below-probe", "--phi", "identity", "--r", "0.2", "--epsilon", "0.5",
+          "--angular", "64"], "unrecognized arguments: --angular 64"),
     ])
     def test_bad_points_and_names_are_typed(self, capsys, argv, message):
         with pytest.raises(ParameterRangeError) as err:

@@ -568,6 +568,8 @@ class TestCriterionReport:
             CriterionReport("vacuously-compact", math.inf, ())
         with pytest.raises(ValueError):
             CriterionReport("nonsense", 1.0, ())
+        with pytest.raises(ValueError):  # boundedness is a diagnostic, not a verdict
+            CriterionReport("bounded", 1.0, ())
 
 
 class TestTestFunction:
