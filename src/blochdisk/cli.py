@@ -1,4 +1,4 @@
-"""Command-line front end: function catalog, config parsing, report persistence.
+"""Command-line front end: function catalog, argument parsing, report persistence.
 
 Subcommands cover the metric pair, Hardy and Bloch norms, the square
 function, the Lipschitz scanner and witness, the profile root, and the three
@@ -15,7 +15,6 @@ import csv
 import functools
 import json
 import math
-import numbers
 import os
 import re
 import sys
@@ -37,7 +36,7 @@ from .norms import (DEFAULT_PLAN, SamplingPlan, bloch_seminorm, g_function,
                     hardy_norm)
 
 
-class CatalogError(BlochDiskError, KeyError):
+class CatalogError(BlochDiskError, LookupError):
     """Unknown catalog name; the message lists the available entries."""
 
 
@@ -201,15 +200,9 @@ def _round15(obj):
 
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
-        self.actions = {}  # by destination, the Action add_argument returned
         super().__init__(*args, **kwargs)
         # let values like -0.5,0 pass as arguments rather than flags
         self._negative_number_matcher = re.compile(r"^-\d|^-\.\d")
-
-    def add_argument(self, *args, **kwargs):
-        action = super().add_argument(*args, **kwargs)
-        self.actions[action.dest] = action
-        return action
 
     def error(self, message):  # exit 1 on usage errors, not argparse's 2
         raise ParameterRangeError(message)
@@ -242,12 +235,10 @@ _PLAN_SETTINGS = {"plan_j": ("radial_j", "--plan-j", "radial ladder depth"),
 @functools.lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
     """One subparser per row of ``_COMMANDS``, built on first use and reused:
-    parsing leaves the parser unchanged, and config documents are applied to
-    the parsed values, not to it."""
+    parsing leaves the parser unchanged."""
     parser = _Parser(prog="blochdisk",
                      description="Bloch/Hardy space numerics on the unit disk")
     sub = parser.add_subparsers(dest="command", required=True)
-    parser.commands = sub.choices
     for command, row in _COMMANDS.items():
         p = sub.add_parser(command, help=row.help)
         for o in row.options:
@@ -266,45 +257,10 @@ def _build_parser() -> _Parser:
     return parser
 
 
-# What a config-document value must be, by its flag's argparse type; only a
-# switch (an action of no arguments) takes a bool.
-_DOCUMENT_TYPES = {int: (numbers.Integral, "an integer"), None: (str, "a string"),
-                   float: (numbers.Real, "a real number"), "switch": (bool, "a bool")}
-
-
-def parse_config(argv, config_doc: dict | None = None) -> RunConfig:
-    """Parse argv (plus an optional config document) into a validated RunConfig.
-
-    Document keys are parsed names (``csv_path`` for ``--csv``), values must
-    have their flag's type, and unknown keys are rejected; what argv gives (a
-    positional, or an option by any prefix argparse takes) wins.
-    """
-    argv = sys.argv[1:] if argv is None else list(argv)
-    parser = _build_parser()
-    params = vars(parser.parse_args(argv))
+def parse_config(argv=None) -> RunConfig:
+    """Parse argv (default ``sys.argv[1:]``) into a range-checked RunConfig."""
+    params = vars(_build_parser().parse_args(argv))
     command = params.pop("command")
-
-    if config_doc:
-        unknown = set(config_doc) - set(params)
-        if unknown:
-            raise ParameterRangeError(
-                f"unknown config keys: {', '.join(sorted(unknown))}")
-        actions = parser.commands[command].actions
-        owner = {s: a.dest for a in actions.values() for s in a.option_strings}
-        given = set()
-        for flag in (arg.partition("=")[0] for arg in argv if arg.startswith("--")):
-            # an option string itself, or the one option it abbreviates
-            names = [flag] if flag in owner else [s for s in owner if s.startswith(flag)]
-            if len(names) == 1:
-                given.add(owner[names[0]])
-        for key, value in config_doc.items():
-            action = actions[key]
-            kind, what = _DOCUMENT_TYPES["switch" if action.nargs == 0 else action.type]
-            if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
-                raise ParameterRangeError(f"config key {key!r} must be {what}, got {value!r}")
-            if action.option_strings and key not in given:
-                params[key] = value if action.type is None else action.type(value)
-
     out = params.pop("out")
     csv_path = params.pop("csv_path")
     timing = params.pop("timing")
@@ -478,7 +434,7 @@ def run(config: RunConfig) -> Report:
 
 def main(argv=None) -> int:
     try:
-        config = parse_config(argv if argv is not None else sys.argv[1:])
+        config = parse_config(argv)
         report = run(config)
         text = report.to_json()
         if config.out:

@@ -94,10 +94,13 @@ class TestCatalog:
         mono = analytic_from_descriptor(catalog("monomial:3"))
         assert mono.eval(0.5) == pytest.approx(0.125)
 
-    def test_unknown_name_lists_entries(self):
+    def test_unknown_name_lists_entries(self, capsys):
         with pytest.raises(CatalogError) as err:
             catalog("does-not-exist")
         assert "eta" in str(err.value)
+        assert str(err.value).startswith("unknown catalog name 'does-not-exist'; available: ")
+        assert main(["catalog", "does-not-exist"]) == 1
+        assert capsys.readouterr().err == f"error: {err.value}\n"
 
     def test_round_trip_catalog_entries(self):
         for name in ("eta", "identity", "half-identity", "f-beta:0.3",
@@ -134,110 +137,69 @@ class TestParsing:
         with pytest.raises(ParameterRangeError):
             parse_config(["metric", "--z", "0,0", "--w", "0.1,0", "--bogus", "1"])
 
-    def test_config_document_merge(self):
-        config = parse_config(["lipschitz-scan", "--func", "eta"], {"seed": 9})
-        assert config.params["seed"] == 9  # seed not given on the command line
-
-    def test_config_document_flag_precedence(self):
-        config = parse_config(["lipschitz-scan", "--func", "eta", "--seed", "4"],
-                              {"seed": 9, "func": "identity", "pairs": 300})
-        assert config.params == {"func": "eta", "pairs": 300, "seed": 4}
-
-    def test_config_document_unknown_key(self):
-        with pytest.raises(ParameterRangeError):
-            parse_config(["metric", "--z", "0,0", "--w", "0.1,0"],
-                         {"frequency": 3})
-        # so is a setting that only other commands take
-        with pytest.raises(ParameterRangeError, match="^unknown config keys: seed$"):
-            parse_config(["metric", "--z", "0,0", "--w", "0.1,0"], {"seed": 9})
-
-    def test_config_document_keeps_renamed_flag(self):
-        config = parse_config(["catalog", "eta", "--csv", "a.csv"], {"csv_path": "b.csv"})
-        assert config.csv_path == "a.csv"
-        assert parse_config(["catalog", "eta"], {"csv_path": "b.csv"}).csv_path == "b.csv"
-
-    def test_config_document_keeps_positional(self):
-        assert parse_config(["catalog", "eta"], {"name": "identity"}).params["name"] == "eta"
-
-    def test_config_document_keeps_abbreviated_flag(self):
-        argv = ["bounded-below-probe", "--phi", "identity", "--r", "0.2",
-                "--epsilon", "0.5", "--sam=40"]
-        assert parse_config(argv, {"samples": 30}).params["samples"] == 40
-
-    def test_config_document_values_take_the_flag_type(self):
-        config = parse_config(["compop-criterion", "--phi", "half-identity"],
-                              {"p": 3, "plan_j": 8, "timing": False, "out": "r.json"})
-        assert config.params["p"] == 3.0 and isinstance(config.params["p"], float)
-        assert config.plan.radial_j == 8 and not config.timing and config.out == "r.json"
-
-    @pytest.mark.parametrize("argv,doc,key", [
-        (["compop-criterion", "--phi", "half-identity"], {"p": "3"}, "p"),
-        (["lipschitz-scan", "--func", "eta"], {"pairs": 2.5}, "pairs"),
-        (["lipschitz-scan", "--func", "eta"], {"seed": 1.5}, "seed"),
-        (["metric", "--z", "0,0", "--w", "0.1,0"], {"timing": "no"}, "timing"),
-        (["lipschitz-scan", "--func", "eta"], {"pairs": True}, "pairs"),
-        (["catalog", "eta"], {"out": 3}, "out"),
-    ], ids=["str-for-float", "float-for-int", "float-seed", "str-for-switch",
-            "bool-for-int", "int-for-text"])
-    def test_config_document_wrong_type(self, argv, doc, key):
-        with pytest.raises(ParameterRangeError, match=f"config key '{key}'"):
-            parse_config(argv, doc)
-
 
 _EMPTY_BLASCHKE = '{"kind": "blaschke", "factors": []}'
 
-# All eleven subcommands, most of them twice: first with a config document
-# that sets seed, plan, output, timing or command keys, then without one, so a
-# value leaking from one call into the next shows in the second.
+# All eleven subcommands, twice each: first with flags that set the seed, the
+# plan, the outputs, timing or the command's own options (one as --flag=value,
+# one abbreviated), then without them, so a value leaking from one call into
+# the next shows in the second.
 _MIXED = [
-    (["metric", "--z", "0.5,0", "--w", "0,0"], {"timing": True, "w": "0.25,0"}),
-    (["metric", "--z", "0.5,0", "--w", "0,0"], None),
-    (["hardy-norm", "--func", "monomial:3", "--p", "2"], {"plan_j": 8, "tol": 1e-8}),
-    (["bloch-seminorm", "--func", "eta", "--alpha=1.5"], {"alpha": 2.0, "omega": "pow:0.5"}),
-    (["hardy-norm", "--func", "monomial:3", "--p", "2"], None),
-    (["bloch-seminorm", "--func", "eta"], None),
-    (["gfunction", "--func", "identity", "--angle", "0.5", "--angular", "64"], None),
-    (["lipschitz-scan", "--func", "eta", "--pairs", "300"], {"seed": 12, "timing": True}),
-    (["lipschitz-scan", "--func", "eta", "--pairs", "300"], None),
-    (["sharpness-witness", "--epsilon", "0.1"], {"epsilon": 0.05, "out": "report.json"}),
-    (["sharpness-witness", "--epsilon", "0.1"], None),
-    (["extremal-root", "--r0", "0.5"], {"alpha": 3.0}),
-    (["extremal-root", "--r0", "0.5"], None),
-    (["compop-criterion", "--phi", "half-identity"], {"p": 3.0, "beta": 0.5}),
-    (["compop-verdict", "--phi", "identity", "--plan-j", "4"], {"angular": 32}),
-    (["compop-criterion", "--phi", "half-identity"], None),
-    (["compop-verdict", "--phi", "identity"], None),
-    (["bounded-below-probe", "--phi", "mobius:0.2", "--r", "0.2", "--epsilon", "0.5"],
-     {"samples": 30, "csv_path": "rows.csv"}),
-    (["bounded-below-probe", "--phi", "mobius:0.2", "--r", "0.2", "--epsilon", "0.5"], None),
-    (["catalog", "eta", "--out", "a.json"], {"csv_path": "rows.csv"}),
-    (["catalog", "eta"], None),
+    ["metric", "--z", "0.5,0", "--w", "0,0", "--timing"],
+    ["metric", "--z", "0.5,0", "--w", "0,0"],
+    ["hardy-norm", "--func", "monomial:3", "--p", "2", "--plan-j", "8", "--tol", "1e-8"],
+    ["bloch-seminorm", "--func", "eta", "--alpha=2", "--omega", "pow:0.5"],
+    ["hardy-norm", "--func", "monomial:3", "--p", "2"],
+    ["bloch-seminorm", "--func", "eta"],
+    ["gfunction", "--func", "identity", "--angle", "0.5", "--angular", "64", "--timing"],
+    ["gfunction", "--func", "identity", "--angle", "0.5"],
+    ["lipschitz-scan", "--func", "eta", "--pairs", "300", "--seed", "12", "--timing"],
+    ["lipschitz-scan", "--func", "eta", "--pairs", "300"],
+    ["sharpness-witness", "--epsilon", "0.1", "--out", "report.json"],
+    ["sharpness-witness", "--epsilon", "0.1"],
+    ["extremal-root", "--r0", "0.5", "--alpha", "3"],
+    ["extremal-root", "--r0", "0.5"],
+    ["compop-criterion", "--phi", "half-identity", "--p", "3", "--beta", "0.5"],
+    ["compop-verdict", "--phi", "identity", "--plan-j", "4", "--angular", "32"],
+    ["compop-criterion", "--phi", "half-identity"],
+    ["compop-verdict", "--phi", "identity"],
+    ["bounded-below-probe", "--phi", "mobius:0.2", "--r", "0.2", "--epsilon", "0.5",
+     "--sam", "30", "--csv", "rows.csv"],
+    ["bounded-below-probe", "--phi", "mobius:0.2", "--r", "0.2", "--epsilon", "0.5"],
+    ["catalog", "eta", "--out", "a.json", "--csv", "rows.csv"],
+    ["catalog", "eta"],
 ]
 
 
 class TestParserReuse:
     def test_mixed_sequence_matches_fresh_parsers(self):
-        assert len({argv[0] for argv, _ in _MIXED}) == 11
+        assert len({argv[0] for argv in _MIXED}) == 11
         _build_parser.cache_clear()
-        reused = [parse_config(list(argv), doc and dict(doc)) for argv, doc in _MIXED]
+        reused = [parse_config(list(argv)) for argv in _MIXED]
         fresh = []
-        for argv, doc in _MIXED:
+        for argv in _MIXED:
             _build_parser.cache_clear()
-            fresh.append(parse_config(list(argv), doc and dict(doc)))
+            fresh.append(parse_config(list(argv)))
         assert reused == fresh
-        # nothing a config document set survives into the next call
+        # nothing a flag set survives into the next call
         assert [c.timing for c in reused[:2]] == [True, False]
-        assert reused[1].params["w"] == "0,0"
-        assert reused[4].plan.radial_j == 20
-        assert reused[5].params["alpha"] == 1.0
-        assert not reused[8].timing and reused[10].out is None
-        assert reused[20].out is None and reused[20].csv_path is None
+        assert reused[2].plan.radial_j == 8 and reused[4].plan == SamplingPlan()
+        assert reused[3].params == {"func": "eta", "alpha": 2.0, "beta": 0.0, "omega": "pow:0.5"}
+        assert reused[5].params == {"func": "eta", "alpha": 1.0, "beta": 0.0, "omega": "id"}
+        assert not reused[7].timing and reused[7].plan == SamplingPlan()
+        assert reused[9].params["seed"] == 0 and not reused[9].timing
+        assert reused[10].out == "report.json" and reused[11].out is None
+        assert reused[13].params["alpha"] == 1.0
+        assert reused[16].params["p"] == 2.0 and reused[16].params["beta"] == 0.0
+        assert reused[17].plan == SamplingPlan()
+        assert reused[18].params["samples"] == 30 and reused[18].csv_path == "rows.csv"
+        assert reused[19].params["samples"] == 100 and reused[19].csv_path is None
+        assert reused[21].out is None and reused[21].csv_path is None
 
     def test_parser_is_built_once(self):
         _build_parser.cache_clear()
         for i in range(50):
-            argv, doc = _MIXED[i % len(_MIXED)]
-            parse_config(list(argv), doc and dict(doc))
+            parse_config(list(_MIXED[i % len(_MIXED)]))
         info = _build_parser.cache_info()
         assert (info.misses, info.hits) == (1, 49)
 
@@ -310,15 +272,17 @@ class TestPlanSettings:
         run(config)
         setting_of = {plan_field: name for name, (plan_field, _, _) in _PLAN_SETTINGS.items()}
         read = {setting_of[plan_field] for plan_field in config.plan.read}
-        takes = set(_build_parser().commands[command].actions) & set(_PLAN_SETTINGS)
+        takes = set(vars(_build_parser().parse_args(_PLAN_AUDIT[command])))
+        takes &= set(_PLAN_SETTINGS)
         unread = set(_UNREAD.get(command, ()))
         assert unread <= takes
         assert takes - unread <= read
         assert not read & unread
 
     def test_seed_only_where_a_call_draws(self):
-        commands = _build_parser().commands
-        assert {c for c in commands if "seed" in commands[c].actions} == \
+        assert set(_PLAN_AUDIT) == set(_COMMANDS)
+        assert {c for c, argv in _PLAN_AUDIT.items()
+                if "seed" in vars(_build_parser().parse_args(argv))} == \
             {"lipschitz-scan", "bounded-below-probe"}
 
 
@@ -502,7 +466,7 @@ class TestMain:
             run(parse_config(["catalog", name]))
         assert main(["catalog", name]) == 1
         assert capsys.readouterr().err == \
-            f'error: "bad catalog arguments in {name!r}: {message}"\n'
+            f"error: bad catalog arguments in {name!r}: {message}\n"
         # a --func of the same name fails as before, with the kind's own error
         assert main(["hardy-norm", "--func", name, "--p", "2"]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
