@@ -213,9 +213,11 @@ def hardy_norm(f, p, plan: SamplingPlan | None = None) -> NormEstimate:
 # --------------------------------------------------------------------------
 
 def weight_from_gap(alpha, beta, gap):
-    """chi expressed through the gap u = 1 - t^2: u^alpha * (1 - log u)^beta."""
+    """chi expressed through the gap u = 1 - t^2: u^alpha * (1 - log u)^beta.
+    At beta = 0 the log factor is 1 for every u, NaN included, so it is skipped."""
     u = np.asarray(gap, dtype=float)
-    return u ** alpha * (1.0 - np.log(u)) ** beta
+    chi = u ** alpha
+    return chi if beta == 0 else chi * (1.0 - np.log(u)) ** beta
 
 
 def bloch_weight(params: BlochParams, t):

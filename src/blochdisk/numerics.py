@@ -80,38 +80,33 @@ def gl_panel_columns(fn2, a, b):
     return half[:, None] * (w @ vals)
 
 
-@lru_cache(maxsize=None)
-def _round_lattice(d):
-    """The 15^d offsets of a golden_max round, read-only."""
-    lattice = np.stack(np.meshgrid(*[_ROUND_OFFSETS] * d, indexing="ij"), -1).reshape(-1, d)
-    lattice.flags.writeable = False
-    return lattice
-
-
 def golden_max(fn, a, b):
     """Maxima of a unimodal function on a batch of d-dimensional boxes [a, b].
 
     Simultaneous-evaluation search (Avriel & Wilde, 1966), run on every side
     at once as a pattern search: each of ``GOLDEN_ROUNDS`` rounds makes one
-    call of ``fn`` on the 15^d lattice of every box's interior nodes (15
+    call of ``fn`` on the tensor lattice of every box's interior nodes (15
     evenly spaced ones per side, the centre included) and keeps the cells
     beside each box's best node, so every side shrinks by 2/16 per round, to
     at most the width of ``GOLDEN_ITERS`` golden-section steps.
 
-    ``a`` and ``b`` are corners of a common shape S + (d,); ``fn`` maps an
-    array of points of shape S + (15^d, d) to values of shape S + (15^d,).
-    Returns ``(x, fn(x), width)`` of shapes S + (d,), S and S + (d,): x is the
-    best node, which is the centre of the final box, and width is that box's
-    sides, but never less than the float spacing at x, below which nodes
-    coincide.
+    ``a`` and ``b`` are corners of a common shape S + (d,); ``fn`` maps the
+    nodes of each side, shape S + (d, 15), to the values on their tensor
+    lattice, shape S + (15,) * d, whose axis k runs over side k's nodes.
+    Returns ``(x, value, width)`` of shapes S + (d,), S and S + (d,): x is the
+    best node, the centre of the final box, value is fn's there, and width is
+    that box's sides, but never less than the float spacing at x, below which
+    nodes coincide.
     """
     a = np.asarray(a, dtype=float)
     centre = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    lattice = _round_lattice(a.shape[-1])
+    lattice_shape = (_ROUND_OFFSETS.size,) * a.shape[-1]
     for _ in range(GOLDEN_ROUNDS):
-        vals = np.asarray(fn(centre[..., None, :] + half[..., None, :] * lattice), dtype=float)
-        centre = centre + half * lattice[vals.argmax(axis=-1)]
+        vals = np.asarray(fn(centre[..., None] + half[..., None] * _ROUND_OFFSETS), dtype=float)
+        vals = vals.reshape(a.shape[:-1] + (-1,))
+        best = np.unravel_index(vals.argmax(axis=-1), lattice_shape)
+        centre = centre + half * _ROUND_OFFSETS[np.stack(best, axis=-1)]
         half = half / 8.0
     return centre, vals.max(axis=-1), np.maximum(2.0 * half, np.spacing(np.abs(centre)))
 
@@ -141,7 +136,7 @@ def area_uniform_points(rng, n):
 
 
 def circle_max(sample):
-    """Maximum of a 2pi-periodic ``sample`` of an array of angles.
+    """Maximum of a 2pi-periodic ``sample`` of an array of angles of any shape.
 
     ``sample`` is evaluated at ``_CIRCLE_NODES`` equally spaced angles, and
     its ``REFINE_TOP`` strongest node-local maxima (ties count) are refined
@@ -157,20 +152,21 @@ def circle_max(sample):
     if not peaks.size:  # no node compares with both neighbours, as with NaN
         return float(np.max(vals)), step
     top = theta[peaks[np.argsort(vals[peaks])[::-1][:REFINE_TOP]], None]
-    _, refined, width = golden_max(lambda t: sample(t[..., 0]), top - step, top + step)
+    _, refined, width = golden_max(lambda t: sample(t[..., 0, :]), top - step, top + step)
     k = int(np.argmax(refined))
     return max(float(refined[k]), float(np.max(vals))), float(width[k, 0])
 
 
 def _grid_local_maxima(vals):
-    """Indices of grid cells that beat their 4-neighbors (angle wraps).  Row 0
-    is the single point r = 0, so it gives at most one peak, at angle 0."""
-    up = np.roll(vals, 1, axis=1)
-    down = np.roll(vals, -1, axis=1)
-    inner = np.pad(vals, ((1, 1), (0, 0)), constant_values=-np.inf)
-    above = inner[2:, :]
-    below = inner[:-2, :]
-    mask = (vals >= up) & (vals >= down) & (vals >= above) & (vals >= below)
+    """Indices, in row-major order, of grid cells that beat their 4-neighbors
+    (angle wraps; NaN beats nothing, and nothing beats NaN).  Row 0 is the
+    single point r = 0, so it gives at most one peak, at angle 0."""
+    mask = np.ones(vals.shape, dtype=bool)
+    mask[:, 1:] &= vals[:, 1:] >= vals[:, :-1]
+    mask[:, :-1] &= vals[:, :-1] >= vals[:, 1:]
+    mask[:, [0, -1]] &= vals[:, [0, -1]] >= vals[:, [-1, 0]]  # the angle wraps
+    mask[1:] &= vals[1:] >= vals[:-1]
+    mask[:-1] &= vals[:-1] >= vals[1:]
     mask[0, 1:] = False
     return np.argwhere(mask)
 
@@ -184,11 +180,13 @@ def sup_search(objective, grid, values=None):
     differently off-grid.  Each peak's (radius, angle) box spans its
     neighbouring radii and two angular steps either way, since on a tilted
     ridge the grid peak can sit almost two steps from the true one; the r = 0
-    peak's box spans the first ring and every angle.  ``objective`` must act
-    elementwise on complex ndarrays of any shape; ``values``, when given, are
-    its values on the points.  Returns ``(value, argmax_z, (radius_width,
-    angle_width))``, the widths being the final box of the strongest refined
-    peak (the grid steps when the grid has no peak, as when it is all NaN).
+    peak's box spans the first ring and every angle.  A round evaluates
+    ``objective`` on each box's 15 radii times its 15 angles, taking one
+    exponential per angle.  ``objective`` must act elementwise on complex
+    ndarrays of any shape; ``values``, when given, are its values on the
+    points.  Returns ``(value, argmax_z, (radius_width, angle_width))``, the
+    widths being the final box of the strongest refined peak (the grid steps
+    when the grid has no peak, as when it is all NaN).
     """
     r, th, zgrid = grid
     vals = np.asarray(objective(zgrid) if values is None else values, dtype=float)
@@ -203,7 +201,7 @@ def sup_search(objective, grid, values=None):
     lo = np.stack([r[np.maximum(i - 1, 0)], th[j] - half_angle], axis=-1)
     hi = np.stack([r[np.minimum(i + 1, len(r) - 1)], th[j] + half_angle], axis=-1)
     x, refined, width = golden_max(
-        lambda rt: objective(rt[..., 0] * np.exp(1j * rt[..., 1])), lo, hi)
+        lambda ax: objective(ax[..., 0, :, None] * np.exp(1j * ax[..., 1, None, :])), lo, hi)
     k = int(np.argmax(refined))
     if refined[k] > best_val:
         best_val = float(refined[k])

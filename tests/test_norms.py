@@ -20,7 +20,7 @@ from blochdisk import (Blaschke, BlochParams, HarmonicMap, Mobius,
 from blochdisk.core import DivergentIntegralError
 from blochdisk.extremal import AntiderivativeExtremal
 from blochdisk.norms import (DEFAULT_PLAN, MAX_CIRCLE_NODES, SamplingPlan, _g_squared,
-                             sup_grid)
+                             sup_grid, weight_from_gap)
 from blochdisk.numerics import BLOCK_POINTS, GL_NODES, TWO_PI, gl_panel
 
 from conftest import (ReciprocalGap, disk_samples, g_sq_oracle,
@@ -380,6 +380,32 @@ class TestBlochWeight:
             vals = bloch_weight(params, t)
             assert np.all(np.diff(vals) < 0)
             assert vals[-1] < 1e-2
+
+    @staticmethod
+    def _log_product(alpha, beta, gap):
+        # weight_from_gap's general form, which it once took at every beta
+        u = np.asarray(gap, dtype=float)
+        return u ** alpha * (1.0 - np.log(u)) ** beta
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0, 3.7])
+    def test_beta_zero_equals_the_log_product_bit_for_bit(self, alpha):
+        # (1 - log u) ** 0.0 is 1 for every u in (0, 1], NaN included
+        rng = np.random.default_rng(int(alpha * 10))
+        u = np.concatenate([1.0 - rng.random(2000), 1.0 - rng.random(200) * 1e-12,
+                            [1.0, 0.5, 1e-300, 5e-324, np.nan]])
+        assert (weight_from_gap(alpha, 0.0, u).tobytes()
+                == self._log_product(alpha, 0.0, u).tobytes())
+        for x in u[-60:]:
+            assert (weight_from_gap(alpha, 0.0, float(x)).tobytes()
+                    == self._log_product(alpha, 0.0, float(x)).tobytes())
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    def test_zero_gap_at_beta_zero_is_zero_without_warning(self, alpha):
+        # RuntimeWarnings are errors in this suite; the log product warns
+        assert weight_from_gap(alpha, 0.0, 0.0) == 0.0
+        assert np.array_equal(weight_from_gap(alpha, 0.0, np.array([0.0, 1.0])), [0.0, 1.0])
+        with pytest.warns(RuntimeWarning, match="divide by zero"):
+            assert self._log_product(alpha, 0.0, 0.0) == 0.0
 
 
 class TestBlochFunctional:
