@@ -23,14 +23,14 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 from . import __version__
-from .core import (BlochDiskError, BlochParams, ParameterRangeError,
-                   validate_majorant)
+from .core import (BlochDiskError, BlochParams, Mobius, ParameterRangeError,
+                   Polynomial, PowerKernel, ScaledIdentity, validate_majorant)
 from .compop import (PROBE_RADIUS_SUP, bloch_to_hardy_criterion,
                      bounded_below_probe, hardy_to_bloch_verdict)
-from .descriptors import (DescriptorError, analytic_from_descriptor,
+from .descriptors import (DescriptorError, analytic_from_descriptor, document,
                           harmonic_from_descriptor)
-from .extremal import (LIP_CONSTANT, lipschitz_scan, m_root,
-                       sharpness_witness)
+from .extremal import (LIP_CONSTANT, AntiderivativeExtremal, QuadraticExtremal,
+                       lipschitz_scan, m_root, sharpness_witness)
 from .metrics import rho, sigma
 from .norms import (DEFAULT_PLAN, SamplingPlan, bloch_seminorm, g_function,
                     hardy_norm)
@@ -40,47 +40,51 @@ class CatalogError(BlochDiskError, LookupError):
     """Unknown catalog name; the message lists the available entries."""
 
 
-_CATALOG_NOTES = {
-    "eta": "quadratic map whose classical Bloch functional peaks at |z| = 1/sqrt(3) with value 1",
-    "f-beta:B": "extremal antiderivative with initial slope B in (0, 1]; unit Bloch seminorm",
-    "identity": "identity of the disk; divergence/unboundedness calibration symbol",
-    "half-identity": "contraction z/2; strict self-map calibration symbol",
-    "mobius:A": "disk automorphism exchanging 0 and A",
-    "kernel:B:P": "Hardy-normalized power kernel centered at B with exponent 1/P",
-    "monomial:N": "z^N",
+def _monomial(n: int) -> tuple:
+    if n < 0:
+        raise ValueError("monomial degree must be >= 0")
+    return (0j,) * n + (1 + 0j,)
+
+
+# Name pattern (a head and one letter per ':'-separated argument) -> note, and
+# the builder of the descriptor from the arguments' text.  ``_PATTERNS`` finds
+# a name's pattern by its head and number of arguments.
+_CATALOG = {
+    "eta": ("quadratic map whose classical Bloch functional peaks at |z| = 1/sqrt(3) with value 1",
+            lambda: document(QuadraticExtremal)),
+    "f-beta:B": ("extremal antiderivative with initial slope B in (0, 1]; unit Bloch seminorm",
+                 lambda b: document(AntiderivativeExtremal, float(b))),
+    "identity": ("identity of the disk; divergence/unboundedness calibration symbol",
+                 lambda: document(Polynomial, (0j, 1 + 0j))),
+    "half-identity": ("contraction z/2; strict self-map calibration symbol",
+                      lambda: document(ScaledIdentity, 0.5 + 0j)),
+    "mobius:A": ("disk automorphism exchanging 0 and A",
+                 lambda a: document(Mobius, parse_complex(a))),
+    "kernel:B:P": ("Hardy-normalized power kernel centered at B with exponent 1/P",
+                   lambda b, p: document(PowerKernel, parse_complex(b), float(p))),
+    "monomial:N": ("z^N", lambda n: document(Polynomial, _monomial(int(n)))),
 }
+_PATTERNS = {(pattern.split(":")[0], pattern.count(":")): pattern for pattern in _CATALOG}
+
+
+def _catalog_row(name: str):
+    """(note, build, arguments) of the pattern with the head and arity of ``name``, or None."""
+    head, *args = name.split(":")
+    pattern = _PATTERNS.get((head, len(args)))
+    return None if pattern is None else (*_CATALOG[pattern], args)
 
 
 def catalog(name: str) -> dict:
     """Resolve a built-in function name to its descriptor document."""
-    parts = name.split(":")
-    head = parts[0]
+    row = _catalog_row(name)
+    if row is None:
+        raise CatalogError(
+            f"unknown catalog name {name!r}; available: {', '.join(sorted(_CATALOG))}")
+    _, build, args = row
     try:
-        if head == "eta" and len(parts) == 1:
-            return {"kind": "quadratic-extremal"}
-        if head == "identity" and len(parts) == 1:
-            return {"kind": "polynomial", "coefficients": [[0.0, 0.0], [1.0, 0.0]]}
-        if head == "half-identity" and len(parts) == 1:
-            return {"kind": "scaled-identity", "c": [0.5, 0.0]}
-        if head == "f-beta" and len(parts) == 2:
-            return {"kind": "antiderivative-extremal", "beta": float(parts[1])}
-        if head == "mobius" and len(parts) == 2:
-            a = parse_complex(parts[1])
-            return {"kind": "mobius", "a": [a.real, a.imag]}
-        if head == "kernel" and len(parts) == 3:
-            b = parse_complex(parts[1])
-            return {"kind": "power-kernel", "b": [b.real, b.imag],
-                    "p": float(parts[2])}
-        if head == "monomial" and len(parts) == 2:
-            n = int(parts[1])
-            if n < 0:
-                raise ValueError("monomial degree must be >= 0")
-            coeffs = [[0.0, 0.0]] * n + [[1.0, 0.0]]
-            return {"kind": "polynomial", "coefficients": coeffs}
-    except (ValueError, IndexError) as exc:
+        return build(*args)
+    except ValueError as exc:
         raise CatalogError(f"bad catalog arguments in {name!r}: {exc}") from exc
-    raise CatalogError(
-        f"unknown catalog name {name!r}; available: {', '.join(sorted(_CATALOG_NOTES))}")
 
 
 def _catalog_entry(name: str) -> dict:
@@ -95,11 +99,8 @@ def _catalog_entry(name: str) -> dict:
 
 
 def catalog_note(name: str) -> str:
-    head = name.split(":")[0]
-    for pattern, note in _CATALOG_NOTES.items():
-        if pattern.split(":")[0] == head:
-            return note
-    return ""
+    row = _catalog_row(name)
+    return row[0] if row else ""
 
 
 def parse_complex(text: str) -> complex:

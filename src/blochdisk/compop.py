@@ -249,19 +249,22 @@ def bloch_to_hardy_criterion(phi: AnalyticMap, params: BlochParams, p: float,
         panels = np.empty((_TRUNCATION_HI, thetas.size))
         block_angles = min(thetas.size, BLOCK_POINTS // GL_NODES)
         block_panels = BLOCK_POINTS // (GL_NODES * block_angles)
-        for j in range(0, thetas.size, block_angles):
-            ring = phases[j:j + block_angles]
+        # an extreme weight makes the integrand divide by 0 or overflow, and
+        # the rungs read inf
+        with np.errstate(divide="ignore", over="ignore"):
+            for j in range(0, thetas.size, block_angles):
+                ring = phases[j:j + block_angles]
 
-            def integrand(r):
-                r = r[:, :, None]
-                w, dw = phi.jet(r * ring)
-                gap_weight = omega(bloch_weight(params, np.abs(w)))
-                return np.abs(dw) ** 2 * (1.0 - r) / gap_weight ** 2
+                def integrand(r):
+                    r = r[:, :, None]
+                    w, dw = phi.jet(r * ring)
+                    gap_weight = omega(bloch_weight(params, np.abs(w)))
+                    return np.abs(dw) ** 2 * (1.0 - r) / gap_weight ** 2
 
-            for k in range(0, _TRUNCATION_HI, block_panels):
-                stop = min(k + block_panels, _TRUNCATION_HI)
-                panels[k:stop, j:j + block_angles] = gl_panel_columns(
-                    integrand, edges[k:stop], edges[k + 1:stop + 1])
+                for k in range(0, _TRUNCATION_HI, block_panels):
+                    stop = min(k + block_panels, _TRUNCATION_HI)
+                    panels[k:stop, j:j + block_angles] = gl_panel_columns(
+                        integrand, edges[k:stop], edges[k + 1:stop + 1])
         inner = np.cumsum(panels, axis=0)[_TRUNCATION_LO - 1:]
         return inner ** (p / 2.0)
 

@@ -14,7 +14,7 @@ from .core import (AnalyticMap, Blaschke, BlochDiskError, HarmonicMap, Mobius,
                    Polynomial, PowerKernel, ScaledIdentity, disk_point)
 from .extremal import AntiderivativeExtremal, QuadraticExtremal
 
-__all__ = ["DescriptorError", "analytic_from_descriptor", "descriptor_of",
+__all__ = ["DescriptorError", "analytic_from_descriptor", "descriptor_of", "document",
            "harmonic_from_descriptor", "descriptor_of_harmonic"]
 
 
@@ -39,11 +39,6 @@ def _point(value) -> complex:
     return disk_point(_pair(value))
 
 
-def _unpair(z: complex):
-    z = complex(z)
-    return [z.real, z.imag]
-
-
 def _field(doc, name, convert, default=None):
     """``convert(doc[name])``, or ``default`` when the field is absent; a
     missing field without a default or a value ``convert`` rejects raises
@@ -60,24 +55,26 @@ def _field(doc, name, convert, default=None):
             f"bad field {name!r} in {doc['kind']!r} descriptor: {exc}") from exc
 
 
+# The descriptor format, written only here and read by parsing, ``document``
+# and ``descriptor_of``: each kind's fields as (name, convert, default) in
+# constructor order, named as the map's attributes; the kind name is the
+# class's ``kind``.
+_KINDS = {
+    Polynomial: (("coefficients", lambda v: tuple(map(_pair, v))),),
+    Mobius: (("a", _point),),
+    Blaschke: (("factors", lambda v: tuple(map(_point, v))), ("rotation", _pair, 1.0 + 0j)),
+    ScaledIdentity: (("c", _pair),),
+    PowerKernel: (("b", _point), ("p", _real)),
+    AntiderivativeExtremal: (("beta", _real),),
+    QuadraticExtremal: (),
+}
+
+
 def _build(doc):
-    kind = doc["kind"]
-    if kind == "polynomial":
-        return Polynomial(_field(doc, "coefficients", lambda v: tuple(map(_pair, v))))
-    if kind == "mobius":
-        return Mobius(_field(doc, "a", _point))
-    if kind == "blaschke":
-        return Blaschke(_field(doc, "factors", lambda v: tuple(map(_point, v))),
-                        _field(doc, "rotation", _pair, 1.0 + 0j))
-    if kind == "scaled-identity":
-        return ScaledIdentity(_field(doc, "c", _pair))
-    if kind == "power-kernel":
-        return PowerKernel(_field(doc, "b", _point), _field(doc, "p", _real))
-    if kind == "antiderivative-extremal":
-        return AntiderivativeExtremal(_field(doc, "beta", _real))
-    if kind == "quadratic-extremal":
-        return QuadraticExtremal()
-    raise DescriptorError(f"unknown function kind {kind!r}")
+    for cls, fields in _KINDS.items():
+        if cls.kind == doc["kind"]:  # by equality: a JSON kind may be unhashable
+            return cls(*[_field(doc, *spec) for spec in fields])
+    raise DescriptorError(f"unknown function kind {doc['kind']!r}")
 
 
 def analytic_from_descriptor(doc: dict) -> AnalyticMap:
@@ -96,26 +93,26 @@ def analytic_from_descriptor(doc: dict) -> AnalyticMap:
         raise DescriptorError(f"bad {doc['kind']!r} descriptor: {exc}") from exc
 
 
+def _json(value):
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    return list(map(_json, value)) if isinstance(value, tuple) else value
+
+
+def document(cls, *values) -> dict:
+    """The descriptor of ``cls(*values)``, written without building the map:
+    a complex value becomes an [re, im] pair and a tuple a list."""
+    doc = {"kind": cls.kind}
+    for spec, value in zip(_KINDS[cls], values, strict=True):
+        doc[spec[0]] = _json(value)
+    return doc
+
+
 def descriptor_of(f: AnalyticMap) -> dict:
     """Serialize an analytic map back to its descriptor document."""
-    if isinstance(f, Polynomial):
-        return {"kind": "polynomial",
-                "coefficients": [_unpair(c) for c in f.coefficients]}
-    if isinstance(f, Mobius):
-        return {"kind": "mobius", "a": _unpair(f.a)}
-    if isinstance(f, Blaschke):
-        return {"kind": "blaschke",
-                "factors": [_unpair(a) for a in f.factors],
-                "rotation": _unpair(f.rotation)}
-    if isinstance(f, ScaledIdentity):
-        return {"kind": "scaled-identity", "c": _unpair(f.c)}
-    if isinstance(f, PowerKernel):
-        return {"kind": "power-kernel", "b": _unpair(f.b), "p": f.p}
-    if isinstance(f, AntiderivativeExtremal):
-        return {"kind": "antiderivative-extremal", "beta": f.beta}
-    if isinstance(f, QuadraticExtremal):
-        return {"kind": "quadratic-extremal"}
-    raise ValueError(f"{type(f).__name__} has no descriptor form")
+    if type(f) not in _KINDS:
+        raise DescriptorError(f"{type(f).__name__} has no descriptor form")
+    return document(type(f), *(getattr(f, spec[0]) for spec in _KINDS[type(f)]))
 
 
 def harmonic_from_descriptor(doc: dict) -> HarmonicMap:

@@ -214,10 +214,14 @@ def hardy_norm(f, p, plan: SamplingPlan | None = None) -> NormEstimate:
 
 def weight_from_gap(alpha, beta, gap):
     """chi expressed through the gap u = 1 - t^2: u^alpha * (1 - log u)^beta.
-    At beta = 0 the log factor is 1 for every u, NaN included, so it is skipped."""
+    At beta = 0 the log factor is 1 for every u, NaN included, so it is skipped.
+    A large beta may overflow the log factor to inf, without a warning."""
     u = np.asarray(gap, dtype=float)
     chi = u ** alpha
-    return chi if beta == 0 else chi * (1.0 - np.log(u)) ** beta
+    if beta == 0:
+        return chi
+    with np.errstate(over="ignore"):  # an infinite weight is the caller's to judge
+        return chi * (1.0 - np.log(u)) ** beta
 
 
 def bloch_weight(params: BlochParams, t):

@@ -1,8 +1,10 @@
 """Descriptors, catalog, CLI parsing/dispatch, and report determinism."""
 
+import importlib
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -12,12 +14,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import blochdisk
-from blochdisk import (BlochDiskError, DescriptorError, Mobius, ParameterRangeError,
-                       Polynomial, SamplingPlan, analytic_from_descriptor, descriptor_of,
+import blochdisk.descriptors
+from blochdisk import (AnalyticMap, AntiderivativeExtremal, Blaschke, BlochDiskError,
+                       DescriptorError, Mobius, ParameterRangeError, Polynomial,
+                       PowerKernel, QuadraticExtremal, SamplingPlan, ScaledIdentity,
+                       analytic_from_descriptor, compose, descriptor_of,
                        descriptor_of_harmonic, harmonic_from_descriptor)
 from blochdisk.cli import (_COMMANDS, _PLAN_SETTINGS, _UNREAD, CatalogError,
                            _build_parser, _round15, catalog, catalog_note, main,
                            parse_complex, parse_config, resolve_function, run)
+from blochdisk.core import Composed
 
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
@@ -61,6 +67,30 @@ class TestDescriptors:
                "g": {"kind": "polynomial", "coefficients": [[0.5, 0.0]]}}
         with pytest.raises(ValueError):
             harmonic_from_descriptor(doc)
+
+    def test_every_kind_has_a_row_and_round_trips(self):
+        modules = [importlib.import_module(f"blochdisk.{m.name}")
+                   for m in pkgutil.iter_modules(blochdisk.__path__)]
+        kinds = {cls for module in modules for cls in vars(module).values()
+                 if isinstance(cls, type) and issubclass(cls, AnalyticMap)
+                 and cls.__module__ == module.__name__} - {AnalyticMap, Composed}
+        maps = [Polynomial((1, 2j, -0.5)), Mobius(0.3 - 0.2j), Blaschke((0.3, 0.5j), 1j),
+                ScaledIdentity(0.5j), PowerKernel(-0.4j, 3.0), AntiderivativeExtremal(0.3),
+                QuadraticExtremal()]
+        assert kinds == set(blochdisk.descriptors._KINDS) == {type(f) for f in maps}
+        for f in maps:
+            assert analytic_from_descriptor(descriptor_of(f)) == f
+
+    def test_composed_map_has_no_descriptor_form(self):
+        f = harmonic_from_descriptor(
+            {"h": {"kind": "polynomial", "coefficients": [[0.0, 0.0], [1.0, 0.0]]},
+             "g": {"kind": "polynomial", "coefficients": [[0.0, 0.0], [0.5, 0.0]]}})
+        pair = compose(f, Mobius(0.3))
+        for part in (pair.h, pair.g):
+            with pytest.raises(DescriptorError, match="Composed has no descriptor form"):
+                descriptor_of(part)
+        with pytest.raises(DescriptorError, match="Composed has no descriptor form"):
+            descriptor_of_harmonic(pair)
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -622,6 +652,14 @@ class TestMain:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: circle mean did not stabilize within 512 nodes\n"
+
+    def test_overflowing_weight_exits_one(self, capsys):
+        # the log factor of the weight overflows at beta = 1000; as above, no
+        # RuntimeWarning escapes and one error line is printed
+        assert main(["bloch-seminorm", "--func", "eta", "--beta", "1000"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: Bloch-type functional is not finite on the grid: inf\n"
 
     def test_out_and_csv_files(self, tmp_path, capsys):
         out = tmp_path / "report.json"

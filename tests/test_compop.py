@@ -270,6 +270,18 @@ class TestBlochToHardyCriterion:
         # inner integral grows like (1/4) log(1/(1-R))
         assert _log_slope(rep.evidence) == pytest.approx(0.25, rel=0.1)
 
+    def test_overflowing_integrand_gives_infinite_rungs_without_warning(self):
+        # (1 - r) / chi^2 divides by zero and overflows at alpha = 200
+        rep = bloch_to_hardy_criterion(IDENTITY, BlochParams(200.0), 2.0)
+        assert rep.verdict == "divergent"
+        assert all(value == math.inf for _, value in rep.evidence)
+
+    def test_overflowing_weight_leaves_a_finite_estimate_without_warning(self):
+        # chi^2 overflows near the circle at beta = 1000; the integrand there rounds to 0
+        rep = bloch_to_hardy_criterion(IDENTITY, BlochParams(1.0, 1000.0), 2.0)
+        assert rep.verdict == "convergent"
+        assert math.isfinite(rep.estimate) and rep.estimate > 0.0
+
     def test_automorphism_diverges_like_identity(self):
         rep = bloch_to_hardy_criterion(Mobius(0.3), CLASSICAL, 2.0)
         assert rep.verdict == "divergent"
@@ -471,6 +483,12 @@ class TestHardyToBlochQ:
 
 
 class TestHardyToBlochVerdict:
+    def test_overflowing_weight_is_inconclusive_without_warning(self):
+        # the weight's log factor overflows at beta = 1000 on the last rungs
+        rep = hardy_to_bloch_verdict(HALF, BlochParams(2.0, 1000.0), 2.0)
+        assert rep.verdict == "inconclusive"
+        assert rep.evidence[-1][1] == math.inf
+
     def test_identity_unbounded(self):
         rep = hardy_to_bloch_verdict(IDENTITY, CLASSICAL, 2.0)
         assert rep.verdict == "unbounded"

@@ -407,6 +407,11 @@ class TestBlochWeight:
         with pytest.warns(RuntimeWarning, match="divide by zero"):
             assert self._log_product(alpha, 0.0, 0.0) == 0.0
 
+    def test_overflowing_log_factor_is_inf_without_warning(self):
+        # (1 - log 1e-300)^1000 overflows; RuntimeWarnings are errors here
+        assert weight_from_gap(1.0, 1000.0, 1e-300) == math.inf
+        assert weight_from_gap(1.0, 1000.0, np.array([1e-300, 1.0])).tolist() == [math.inf, 1.0]
+
 
 class TestBlochFunctional:
     def test_quadratic_extremal_peak(self):
@@ -434,6 +439,10 @@ class TestBlochFunctional:
 
 
 class TestBlochSeminorm:
+    def test_overflowing_weight_raises_typed_error_without_warning(self):
+        with pytest.raises(QuadratureError, match="not finite on the grid: inf"):
+            bloch_seminorm(QuadraticExtremal(), BlochParams(1.0, 1000.0))
+
     def test_quadratic_extremal(self):
         est = bloch_seminorm(as_harmonic(QuadraticExtremal()))
         assert math.isfinite(est.value)
