@@ -20,6 +20,7 @@ import re
 import sys
 import time
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import Callable, NamedTuple
 
 from . import __version__
@@ -161,38 +162,81 @@ class Report:
     wall_clock: float | None = None
     exit_status: int = 0
 
-    def to_document(self) -> dict:
-        doc = {
-            "command": self.command,
-            "parameters": _round15(self.parameters),
-            "result": _round15(self.result),
-            "evidence": _round15(self.evidence),
-            "plan": _round15(self.plan),
-            "version": self.version,
-        }
+    def to_json(self) -> str:
+        doc = {"command": self.command, "parameters": self.parameters,
+               "result": self.result, "evidence": self.evidence, "plan": self.plan,
+               "version": self.version}
         if self.wall_clock is not None:
             doc["wall_clock_seconds"] = round(self.wall_clock, 3)
-        return doc
+        out = []
+        _write_json(doc, "\n", out)
+        return "".join(out)
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_document(), indent=2)
 
+def _write_json(obj, newline: str, out: list) -> None:
+    """Append the report text of ``obj`` to ``out`` in one walk.
 
-def _round15(obj):
-    """Round every float to 15 significant digits, recursively."""
+    The text is ``json.dumps(doc, indent=2)`` of the document with every float
+    rounded to 15 significant digits, each complex value written as the list
+    [re, im] and non-finite floats as the strings "nan", "infinite" and
+    "-infinite".  ``newline`` is the line break and indent of the current
+    level.  A value json cannot encode raises TypeError, as json does.
+    """
     if isinstance(obj, float):
-        if math.isnan(obj):
-            return "nan"
-        if math.isinf(obj):
-            return "infinite" if obj > 0 else "-infinite"
-        return float(f"{obj:.15g}")
-    if isinstance(obj, complex):
-        return [_round15(obj.real), _round15(obj.imag)]
-    if isinstance(obj, dict):
-        return {k: _round15(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round15(v) for v in obj]
-    return obj
+        if math.isfinite(obj):
+            rounded = float(f"{obj:.15g}")
+            # a value that rounds past the largest float is inf, json's Infinity
+            out.append(repr(rounded) if math.isfinite(rounded) else json.dumps(rounded))
+        elif math.isnan(obj):
+            out.append('"nan"')
+        else:
+            out.append('"infinite"' if obj > 0 else '"-infinite"')
+    elif isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, complex):
+        _write_json([obj.real, obj.imag], newline, out)
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                key = _key_text(key)
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _write_json(value, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for value in obj:
+            out.append(sep)
+            _write_json(value, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _key_text(key) -> str:
+    """A dict key that is not a string, as json writes it: floats unrounded,
+    non-finite ones as NaN, Infinity and -Infinity."""
+    if key is not None and not isinstance(key, (int, float)):
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+    return json.dumps(key)
 
 
 # --------------------------------------------------------------------------
@@ -236,12 +280,15 @@ _PLAN_SETTINGS = {"plan_j": ("radial_j", "--plan-j", "radial ladder depth"),
 @functools.lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
     """One subparser per row of ``_COMMANDS``, built on first use and reused:
-    parsing leaves the parser unchanged."""
+    parsing leaves the parser unchanged.  ``parser.commands`` maps each
+    command to its subparser."""
     parser = _Parser(prog="blochdisk",
                      description="Bloch/Hardy space numerics on the unit disk")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
     for command, row in _COMMANDS.items():
         p = sub.add_parser(command, help=row.help)
+        p.set_defaults(command=command)
         for o in row.options:
             required = {"required": o.default is ...} if o.flag[0] == "-" else {}
             p.add_argument(o.flag, type=o.type, default=o.default, help=o.help, **required)
@@ -259,8 +306,16 @@ def _build_parser() -> _Parser:
 
 
 def parse_config(argv=None) -> RunConfig:
-    """Parse argv (default ``sys.argv[1:]``) into a range-checked RunConfig."""
-    params = vars(_build_parser().parse_args(argv))
+    """Parse argv (default ``sys.argv[1:]``) into a range-checked RunConfig.
+
+    An argv whose first word names a command goes straight to that command's
+    subparser, which is where the top-level parser would hand it; any other
+    argv (help, a missing or unknown command, an option before the command)
+    goes to the top-level parser, which ends it with help or an error."""
+    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    sub = parser.commands.get(argv[0]) if argv else None
+    params = vars(sub.parse_args(argv[1:]) if sub else parser.parse_args(argv))
     command = params.pop("command")
     out = params.pop("out")
     csv_path = params.pop("csv_path")

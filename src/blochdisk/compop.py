@@ -224,8 +224,9 @@ def bloch_to_hardy_criterion(phi: AnalyticMap, params: BlochParams, p: float,
     a > 1.  ``convergent``: no contact, or a < 1, or a = 1 at an isolated
     contact, or a = 1 < 2b on the whole circle.  ``divergent``: any other
     whole-circle case, or an isolated contact with 2p(a - 1) > 1, whatever
-    m.  ``inconclusive``: isolated contacts with 1 < a <= 1 + 1/(2p), and
-    undecided contacts with a >= 1.
+    m.  ``inconclusive``: isolated contacts with 1 < a <= 1 + 1/(2p),
+    undecided contacts with a >= 1, and a convergent case whose top rung is
+    not finite in floating point (an extreme weight: 1/omega^2 overflows).
 
     Each round evaluates its new angles on all 24 panels, in blocks of at
     most ``BLOCK_POINTS`` (2^12) points summed by ``gl_panel_columns``, taking
@@ -288,7 +289,10 @@ def bloch_to_hardy_criterion(phi: AnalyticMap, params: BlochParams, p: float,
     }
     if contact == "none" or a < 1.0 or (a == 1.0 and (
             contact == "isolated" or (contact == "whole" and b > 0.5))):
-        return CriterionReport("convergent", evidence[-1][1], tuple(evidence), diagnostics)
+        estimate = evidence[-1][1]
+        if not math.isfinite(estimate):
+            return CriterionReport("inconclusive", None, tuple(evidence), diagnostics)
+        return CriterionReport("convergent", estimate, tuple(evidence), diagnostics)
     if contact == "whole" or (contact == "isolated" and 2.0 * p * (a - 1.0) > 1.0):
         return CriterionReport("divergent", None, tuple(evidence), diagnostics)
     return CriterionReport("inconclusive", None, tuple(evidence), diagnostics)

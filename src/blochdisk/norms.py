@@ -4,7 +4,7 @@ Littlewood-Paley square function."""
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cache, partial
 
 import numpy as np
@@ -71,8 +71,9 @@ class SamplingPlan:
         return [dyadic_radius(j) for j in range(1, self.radial_j + 1)]
 
     def describe(self):
-        return {**asdict(self), "sup_radii": SUP_RADII, "sup_angles": SUP_ANGLES,
-                "golden_iters": GOLDEN_ITERS}
+        return {"angular_resolution": self.angular_resolution, "radial_j": self.radial_j,
+                "refinement_tol": self.refinement_tol, "sup_radii": SUP_RADII,
+                "sup_angles": SUP_ANGLES, "golden_iters": GOLDEN_ITERS}
 
 
 DEFAULT_PLAN = SamplingPlan()

@@ -7,6 +7,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -20,8 +21,8 @@ from blochdisk import (AnalyticMap, AntiderivativeExtremal, Blaschke, BlochDiskE
                        PowerKernel, QuadraticExtremal, SamplingPlan, ScaledIdentity,
                        analytic_from_descriptor, compose, descriptor_of,
                        descriptor_of_harmonic, harmonic_from_descriptor)
-from blochdisk.cli import (_COMMANDS, _PLAN_SETTINGS, _UNREAD, CatalogError,
-                           _build_parser, _round15, catalog, catalog_note, main,
+from blochdisk.cli import (_COMMANDS, _PLAN_SETTINGS, _UNREAD, CatalogError, RunConfig,
+                           _build_parser, _write_json, catalog, catalog_note, main,
                            parse_complex, parse_config, resolve_function, run)
 from blochdisk.core import Composed
 
@@ -256,6 +257,60 @@ class TestParserReuse:
         assert str(err.value) == message
 
 
+
+def _top_level_config(argv) -> RunConfig:
+    """The config the top-level parser gives ``argv``: the route every argv
+    took before a command's argv went straight to its own subparser."""
+    params = vars(_build_parser().parse_args(argv))
+    command, out, csv_path, timing = (params.pop(k) for k in
+                                      ("command", "out", "csv_path", "timing"))
+    plan = SamplingPlan(**{_PLAN_SETTINGS[name][0]: params.pop(name)
+                           for name in _PLAN_SETTINGS if name in params})
+    return RunConfig(command, params, plan, out, csv_path, timing)
+
+
+class TestParseDispatch:
+    @pytest.mark.parametrize("argv", _MIXED, ids=lambda argv: " ".join(argv))
+    def test_same_config_as_the_top_level_parser(self, argv):
+        given_argv = list(argv)
+        assert parse_config(given_argv) == _top_level_config(list(argv))
+        assert given_argv == argv
+
+    @pytest.mark.parametrize("argv,message", [
+        ([], "the following arguments are required: command"),
+        (["bogus"], "argument command: invalid choice: 'bogus'"),
+        (["metric", "--z", "0.5,0", "--w", "0,0", "extra"], "unrecognized arguments: extra"),
+        (["metric", "--z", "0.5,0"], "the following arguments are required: --w"),
+        (["bloch-seminorm", "--func", "eta", "--alpha", "abc"],
+         "argument --alpha: invalid float value: 'abc'"),
+        (["hardy-norm", "--func", "eta", "--p", "2", "--sam", "30"],
+         "unrecognized arguments: --sam 30"),
+        (["bounded-below-probe", "--phi", "identity", "--r", "0.1", "--epsilon", "1",
+          "--s", "30"], "ambiguous option: --s could match --samples, --seed"),
+        (["--timing", "metric", "--z", "0,0", "--w", "0,0"],
+         "unrecognized arguments: --timing"),
+    ], ids=["no-command", "unknown-command", "extra-argument", "missing-flag", "bad-type",
+            "abbreviated-unknown-flag", "ambiguous-abbreviation", "option-before-command"])
+    def test_same_error_as_the_top_level_parser(self, argv, message):
+        with pytest.raises(ParameterRangeError) as top:
+            _build_parser().parse_args(list(argv))
+        with pytest.raises(ParameterRangeError) as ours:
+            parse_config(list(argv))
+        assert str(ours.value) == str(top.value)
+        assert str(ours.value).startswith(message)
+
+    @pytest.mark.parametrize("argv", [["-h"], ["--help"]] + [[c, "-h"] for c in _COMMANDS],
+                             ids=" ".join)
+    def test_same_help_as_the_top_level_parser(self, capsys, argv):
+        with pytest.raises(SystemExit) as top:
+            _build_parser().parse_args(list(argv))
+        expected = capsys.readouterr()
+        with pytest.raises(SystemExit) as ours:
+            parse_config(list(argv))
+        assert top.value.code == ours.value.code == 0
+        assert capsys.readouterr() == expected
+        assert expected.out.startswith(f"usage: {' '.join(['blochdisk', *argv[:-1]])} [-h]")
+
 class _RecordingPlan(SamplingPlan):
     """A plan that records which of its fields are read between the end of
     its construction and ``describe``, which ``run`` calls after the library
@@ -397,11 +452,84 @@ class TestDeterminism:
 
     def test_timing_is_opt_in(self):
         report = run(parse_config(["metric", "--z", "0,0", "--w", "0.1,0"]))
-        assert "wall_clock_seconds" not in report.to_document()
+        assert "wall_clock_seconds" not in json.loads(report.to_json())
         report = run(parse_config(["metric", "--z", "0,0", "--w", "0.1,0",
                                    "--timing"]))
-        assert "wall_clock_seconds" in report.to_document()
+        assert "wall_clock_seconds" in json.loads(report.to_json())
 
+
+
+def _report_text(obj) -> str:
+    out = []
+    _write_json(obj, "\n", out)
+    return "".join(out)
+
+
+def _round15(obj):
+    """The report writer's reference: round every float to 15 significant
+    digits, recursively, for ``json.dumps(..., indent=2)`` to write."""
+    if isinstance(obj, float):
+        if math.isnan(obj):
+            return "nan"
+        if math.isinf(obj):
+            return "infinite" if obj > 0 else "-infinite"
+        return float(f"{obj:.15g}")
+    if isinstance(obj, complex):
+        return [_round15(obj.real), _round15(obj.imag)]
+    if isinstance(obj, dict):
+        return {k: _round15(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_round15(v) for v in obj]
+    return obj
+
+
+_SPECIAL_FLOATS = st.sampled_from([
+    math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 2.5e-310, 2.2250738585072014e-308,
+    1e16, 1e15, 1e-5, 1e-4, 0.1, 1 / 3, 123456789012345678.0, 1.7976931348623157e308])
+_FLOATS = st.floats() | _SPECIAL_FLOATS
+_TEXT = st.text(st.sampled_from('"\\/\x00\x07\x1f\x7f\b\f\n\r\t aZé€\u2028😀')
+                | st.characters(), max_size=8)
+_REPORT_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | _FLOATS | _TEXT
+    | st.builds(complex, _FLOATS, _FLOATS),
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=24)
+
+
+class TestReportWriter:
+    """The one-pass writer against the rounding walk plus json.dumps(indent=2)."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(_REPORT_VALUES)
+    def test_same_text_as_round_then_dumps(self, doc):
+        assert _report_text(doc) == json.dumps(_round15(doc), indent=2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.dictionaries(st.none() | st.booleans() | st.integers() | _FLOATS,
+                           _REPORT_VALUES, max_size=4))
+    def test_keys_that_are_not_strings(self, doc):
+        # json writes them unrounded: NaN, Infinity, 1.0, true, null
+        assert _report_text(doc) == json.dumps(_round15(doc), indent=2)
+
+    @pytest.mark.parametrize("doc", [
+        {"x": np.int64(3)}, [1, {"y": {2, 3}}], object(), {(1, 2): 0}, {"z": [np.arange(2)]}])
+    def test_type_error_as_json(self, doc):
+        with pytest.raises(TypeError) as expected:
+            json.dumps(_round15(doc), indent=2)
+        with pytest.raises(TypeError) as got:
+            _report_text(doc)
+        assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize("argv", _MIXED, ids=lambda argv: " ".join(argv))
+    def test_reports_of_every_command(self, argv):
+        report = run(parse_config(list(argv)))
+        doc = {"command": report.command, "parameters": _round15(report.parameters),
+               "result": _round15(report.result), "evidence": _round15(report.evidence),
+               "plan": _round15(report.plan), "version": report.version}
+        if report.wall_clock is not None:
+            doc["wall_clock_seconds"] = round(report.wall_clock, 3)
+        assert report.to_json() == json.dumps(doc, indent=2)
 
 class TestMain:
     def test_exit_zero_and_stdout(self, capsys):
@@ -558,6 +686,18 @@ class TestMain:
         assert code == 2
         doc = json.loads(capsys.readouterr().out)
         assert doc["result"]["verdict"] == "inconclusive"
+
+    def test_overflowing_convergent_criterion_exits_two(self, capsys):
+        # the contact rule says convergent, but 1/chi^2 overflows at alpha = 2000
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["compop-criterion", "--phi", "half-identity", "--alpha", "2000"])
+        out, err = capsys.readouterr()
+        assert code == 2 and err == ""
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        result = json.loads(out)["result"]
+        assert result["verdict"] == "inconclusive" and result["estimate"] is None
+        assert json.loads(out)["evidence"][-1] == [24, "infinite"]
 
     # Verdicts read from the contact and the exponents, each one that the
     # truncation-ladder heuristics got wrong or left inconclusive: argv,
@@ -804,8 +944,8 @@ class TestMain:
     @pytest.mark.parametrize("value,token", [
         (math.nan, "nan"), (math.inf, "infinite"), (-math.inf, "-infinite")])
     def test_non_finite_tokens(self, value, token):
-        assert _round15(value) == token
-        assert _round15({"x": [complex(value, 0.5)]}) == {"x": [[token, 0.5]]}
+        assert json.loads(_report_text(value)) == token
+        assert json.loads(_report_text({"x": [complex(value, 0.5)]})) == {"x": [[token, 0.5]]}
 
     def test_fifteen_digit_output(self, capsys):
         main(["metric", "--z", "0.1,0.2", "--w", "-0.3,0.05"])

@@ -282,6 +282,13 @@ class TestBlochToHardyCriterion:
         assert rep.verdict == "convergent"
         assert math.isfinite(rep.estimate) and rep.estimate > 0.0
 
+    def test_overflowing_convergent_integral_is_inconclusive_without_warning(self):
+        # |phi| <= 1/2 keeps the integral finite, but 1/chi^2 overflows at alpha = 2000
+        rep = bloch_to_hardy_criterion(HALF, BlochParams(2000.0), 2.0)
+        assert rep.verdict == "inconclusive" and rep.estimate is None
+        assert rep.diagnostics["contact"] == "none"
+        assert rep.evidence[-1][1] == math.inf
+
     def test_automorphism_diverges_like_identity(self):
         rep = bloch_to_hardy_criterion(Mobius(0.3), CLASSICAL, 2.0)
         assert rep.verdict == "divergent"
