@@ -257,7 +257,6 @@ class TestParserReuse:
         assert str(err.value) == message
 
 
-
 def _top_level_config(argv) -> RunConfig:
     """The config the top-level parser gives ``argv``: the route every argv
     took before a command's argv went straight to its own subparser."""
@@ -310,6 +309,7 @@ class TestParseDispatch:
         assert top.value.code == ours.value.code == 0
         assert capsys.readouterr() == expected
         assert expected.out.startswith(f"usage: {' '.join(['blochdisk', *argv[:-1]])} [-h]")
+
 
 class _RecordingPlan(SamplingPlan):
     """A plan that records which of its fields are read between the end of
@@ -458,7 +458,6 @@ class TestDeterminism:
         assert "wall_clock_seconds" in json.loads(report.to_json())
 
 
-
 def _report_text(obj) -> str:
     out = []
     _write_json(obj, "\n", out)
@@ -530,6 +529,7 @@ class TestReportWriter:
         if report.wall_clock is not None:
             doc["wall_clock_seconds"] = round(report.wall_clock, 3)
         assert report.to_json() == json.dumps(doc, indent=2)
+
 
 class TestMain:
     def test_exit_zero_and_stdout(self, capsys):
