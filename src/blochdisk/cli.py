@@ -177,7 +177,8 @@ def _write_json(obj, newline: str, out: list) -> None:
     """Append the report text of ``obj`` to ``out`` in one walk.
 
     The text is ``json.dumps(doc, indent=2)`` of the document with every float
-    rounded to 15 significant digits, each complex value written as the list
+    rounded to 15 significant digits (unless the rounding overflows, as past
+    1.797693134862315e308), each complex value written as the list
     [re, im] and non-finite floats as the strings "nan", "infinite" and
     "-infinite".  ``newline`` is the line break and indent of the current
     level.  A value json cannot encode raises TypeError, as json does.
@@ -185,8 +186,8 @@ def _write_json(obj, newline: str, out: list) -> None:
     if isinstance(obj, float):
         if math.isfinite(obj):
             rounded = float(f"{obj:.15g}")
-            # a value that rounds past the largest float is inf, json's Infinity
-            out.append(repr(rounded) if math.isfinite(rounded) else json.dumps(rounded))
+            # a value that rounds past the largest float is written unrounded
+            out.append(float.__repr__(rounded if math.isfinite(rounded) else obj))
         elif math.isnan(obj):
             out.append('"nan"')
         else:

@@ -18,8 +18,8 @@ from .extremal import LIP_CONSTANT
 from .metrics import rho_array
 from .norms import (DEFAULT_PLAN, SamplingPlan, bloch_weight, hardy_norm,
                     sup_grid, weight_from_gap)
-from .numerics import (BLOCK_POINTS, GL_NODES, TWO_PI, QuadratureError,
-                       area_uniform_points, dyadic_radius, extrapolate_to_zero,
+from .numerics import (BLOCK_POINTS, GL_NODES, QuadratureError, area_uniform_points,
+                       circle_means, dyadic_radius, extrapolate_to_zero,
                        gl_panel_columns, sup_search)
 
 __all__ = [
@@ -169,32 +169,6 @@ def schwarz_pick_ratio(phi: AnalyticMap, z):
 # Bloch -> Hardy criterion integral
 # --------------------------------------------------------------------------
 
-def _angular_means(sample, n, cap, tol):
-    """Circle means of every row of ``sample(theta)``, an array of shape
-    rows + theta.shape for a 1-D array of angles: the periodic trapezoid rule
-    over n equally spaced angles, doubling the count (with reuse) until every
-    row's mean has changed by at most ``tol * max(1, |mean|)`` at two
-    consecutive doublings, or until the count reaches cap.  One agreement is
-    not enough: the errors at n and 2n nodes can agree by coincidence, as
-    for 1 + cos(32 theta) at 16 and 32 nodes.  Returns ``(means, nodes,
-    settled, change)``, change being the largest relative change over the
-    rows at the last doubling; a mean that stays infinite has not changed.
-    """
-    total = np.sum(sample(np.arange(n) * (TWO_PI / n)), axis=-1)
-    means = total / n
-    agreements, change = 0, math.nan
-    while n < cap and agreements < 2:
-        total = total + np.sum(sample((np.arange(n) + 0.5) * (TWO_PI / n)), axis=-1)
-        n *= 2
-        new_means = total / n
-        with np.errstate(invalid="ignore"):  # inf - inf, inf / inf
-            moved = np.where(new_means == means, 0.0, np.abs(new_means - means))
-            change = float(np.max(moved / np.maximum(1.0, np.abs(new_means))))
-        agreements = agreements + 1 if change <= tol else 0
-        means = new_means
-    return means, n, agreements == 2, change
-
-
 def bloch_to_hardy_criterion(phi: AnalyticMap, params: BlochParams, p: float,
                              plan: SamplingPlan | None = None) -> CriterionReport:
     """Truncation ladder for the criterion integral
@@ -205,9 +179,9 @@ def bloch_to_hardy_criterion(phi: AnalyticMap, params: BlochParams, p: float,
     evidence is the angular mean at R_k = 1 - 2^-k for k = 4..24, and its top
     rung is the estimate of a convergent integral.
 
-    The angular mean is the periodic trapezoid rule of ``_angular_means``:
-    it starts at min(``plan.angular_resolution``, 16) angles and doubles,
-    reusing the earlier angles, until every rung has changed by at most
+    The angular mean is ``numerics.circle_means`` of the rungs: it starts at
+    min(``plan.angular_resolution``, 16) angles and doubles, reusing the
+    earlier angles, until every rung has changed by at most
     ``plan.refinement_tol * max(1, |mean|)`` at two consecutive doublings,
     or until 4096 angles.  The diagnostics report the final count
     (``angular_nodes``), whether the rungs settled (``angular_settled``) and
@@ -269,10 +243,10 @@ def bloch_to_hardy_criterion(phi: AnalyticMap, params: BlochParams, p: float,
         inner = np.cumsum(panels, axis=0)[_TRUNCATION_LO - 1:]
         return inner ** (p / 2.0)
 
-    means, n_angles, settled, change = _angular_means(
+    means, n_angles, settled, change, _ = circle_means(
         rungs, min(plan.angular_resolution, _ANGLES_START), _ANGLES_CAP,
         plan.refinement_tol)
-    evidence = list(zip(range(_TRUNCATION_LO, _TRUNCATION_HI + 1), means.tolist()))
+    evidence = list(zip(range(_TRUNCATION_LO, _TRUNCATION_HI + 1), means))
 
     s = omega.order_at_zero()
     a, b = params.alpha * s, params.beta * s
@@ -366,11 +340,13 @@ def hardy_to_bloch_verdict(phi: AnalyticMap, params: BlochParams, p: float,
     contact, sup_phi = _symbol(phi)
     plan = plan or DEFAULT_PLAN
 
+    def q(z):
+        return _q(phi, params, p, z, phi.eval(z))
+
     grid = sup_grid()
-    _, angles, zgrid = grid
     ladder = plan.ladder
-    rings = np.array([0.0] + ladder)[:, None] * np.exp(1j * angles)[None, :]
-    ring_max = np.max(_q(phi, params, p, rings, phi.eval(rings)), axis=1).tolist()
+    rings = np.array([0.0] + ladder)[:, None] * np.exp(1j * grid[1])[None, :]
+    ring_max = np.max(q(rings), axis=1).tolist()
     # Python's max, as a per-ring loop takes it: a later NaN ring is skipped
     running = list(itertools.accumulate(ring_max, max))[1:]
     evidence = tuple(zip(ladder, running))
@@ -387,8 +363,7 @@ def hardy_to_bloch_verdict(phi: AnalyticMap, params: BlochParams, p: float,
     else:
         verdict = "non-compact" if e == 0.0 and beta == 0.0 else "compact"
 
-    sup_q, _, res = sup_search(lambda z: _q(phi, params, p, z, phi.eval(z)), grid,
-                               values=_q(phi, params, p, zgrid, phi.eval(zgrid)))
+    sup_q, _, res = sup_search(q, grid)
     if not math.isfinite(sup_q):
         return CriterionReport("inconclusive", None, evidence, diagnostics)
     diagnostics["bounded"] = True

@@ -13,7 +13,7 @@ from .core import (BlochParams, Composed, DivergentIntegralError, HarmonicMap,
                    ParameterRangeError, Polynomial, classical_params, disk_point,
                    lambda_f)
 from .numerics import (BLOCK_POINTS, GL_NODES, GOLDEN_ITERS, TWO_PI, QuadratureError,
-                       circle_max, dyadic_radius, gl_nodes, sup_search)
+                       circle_max, circle_means, dyadic_radius, gl_nodes, sup_search)
 
 __all__ = [
     "SamplingPlan", "DEFAULT_PLAN", "NormEstimate", "sup_grid",
@@ -29,7 +29,7 @@ G_PANELS = 48
 # Size of the supremum grid (see sup_grid).
 SUP_RADII = 64
 SUP_ANGLES = 256
-# hardy_mean's node cap, and so the largest angular_resolution of a plan.
+# The largest angular_resolution of a plan, and hardy_mean's node cap for smaller ones.
 MAX_CIRCLE_NODES = 2 ** 20
 
 
@@ -129,43 +129,33 @@ def hardy_mean(f, p, r, plan: SamplingPlan | None = None) -> float:
     """Integral mean M_p(r, f) = ((1/2pi) int |f(r e^{i theta})|^p dtheta)^(1/p)
     for r in [0, 1]; at r = 1, f must be defined on the unit circle.
 
-    ``_circle_mean`` of |f| on the circle of radius r, from the plan's
-    angular resolution up to MAX_CIRCLE_NODES nodes.
+    ``_power_mean`` of |f| on the circle of radius r, from half the plan's
+    angular resolution up to MAX_CIRCLE_NODES nodes, or twice the resolution.
     """
     plan = plan or DEFAULT_PLAN
     if not 0.0 < (p := float(p)) < math.inf:
         raise ParameterRangeError(f"hardy_mean requires finite p > 0, got {p}")
     if not 0.0 <= (r := float(r)) <= 1.0:
         raise ParameterRangeError(f"radius must lie in [0, 1], got {r}")
-    return _circle_mean(lambda theta: np.abs(f.eval(r * np.exp(1j * theta))), p,
-                        plan.angular_resolution, MAX_CIRCLE_NODES, plan.refinement_tol)
+    n = plan.angular_resolution
+    return _power_mean(lambda theta: np.abs(f.eval(r * np.exp(1j * theta))), p,
+                       n // 2, max(MAX_CIRCLE_NODES, 2 * n), plan.refinement_tol)
 
 
-def _circle_mean(sample, p, n, cap, tol) -> float:
+def _power_mean(sample, p, n, cap, tol) -> float:
     """((1/2pi) int sample(theta)^p dtheta)^(1/p) for a nonnegative periodic
-    ``sample`` of an array of angles: the periodic trapezoid rule over n
-    equally spaced angles, doubling the count (with reuse) until successive
-    means agree to ``tol`` relatively.  Raises QuadratureError carrying the
-    last two means when the count reaches cap, or at once when a mean is
-    not finite (sample^p overflows, or sample holds NaN).
-    """
-    def power_sum(thetas):
+    ``sample`` of 1-D angle arrays, by ``numerics.circle_means`` from n angles.
+    QuadratureError, carrying the last two means, when that has not settled
+    by cap nodes or is not finite (sample^p overflows, or sample holds NaN)."""
+    def powers(theta):
         with np.errstate(over="ignore"):  # an overflow is a mean of inf
-            return float(np.sum(sample(thetas) ** p))
+            return (sample(theta) ** p)[None]
 
-    total = power_sum(np.arange(n) * (TWO_PI / n))
-    mean = (total / n) ** (1.0 / p)
-    while True:
-        total += power_sum((np.arange(n) + 0.5) * (TWO_PI / n))
-        n *= 2
-        new_mean = (total / n) ** (1.0 / p)
-        if abs(new_mean - mean) <= tol * max(1.0, abs(new_mean)):
-            return new_mean
-        if n >= cap or not math.isfinite(new_mean):
-            raise QuadratureError(
-                f"circle mean did not stabilize within {n} nodes",
-                last_values=(mean, new_mean))
-        mean = new_mean
+    (mean,), nodes, settled, _, (before,) = circle_means(powers, n, cap, tol, p)
+    if not (settled and math.isfinite(mean)):
+        raise QuadratureError(f"circle mean did not stabilize within {nodes} nodes",
+                              last_values=(before, mean))
+    return mean
 
 
 def _vanishes(g) -> bool:
@@ -362,16 +352,16 @@ def g_norm_check(f, p, plan: SamplingPlan | None = None) -> dict:
 
     Returns {"hardy": ||f||_p^p, "g_integral": |f(0)|^p + mean of G(f)^p};
     the Hardy side is ``hardy_norm``'s boundary mean M_p(1, f)^p.  The mean
-    of G(f)^p is ``_circle_mean`` of G(f) from min(angular_resolution, 256)
-    angles, each round one ``_g_squared`` sweep; one not settled at 4096
+    of G(f)^p is ``_power_mean`` of G(f) from min(angular_resolution, 256) / 2
+    angles, each call one ``_g_squared`` sweep; one not settled at 4096
     angles raises QuadratureError.  No constant is asserted; callers compare
     the ratio of the two sides across a family.
     """
     plan = plan or DEFAULT_PLAN
     if not 0.0 < (p := float(p)) < math.inf:
         raise ParameterRangeError(f"g_norm_check requires finite p > 0, got {p}")
-    g_mean = _circle_mean(lambda theta: np.sqrt(_g_squared(f, theta)), p,
-                          min(plan.angular_resolution, 256), 2 ** 12, plan.refinement_tol)
+    g_mean = _power_mean(lambda theta: np.sqrt(_g_squared(f, theta)), p,
+                         min(plan.angular_resolution, 256) // 2, 2 ** 12, plan.refinement_tol)
     hardy = hardy_norm(f, p, plan).value ** p
     return {"hardy": hardy, "g_integral": abs(complex(f.eval(0j))) ** p + g_mean ** p}
 

@@ -472,7 +472,9 @@ def _round15(obj):
             return "nan"
         if math.isinf(obj):
             return "infinite" if obj > 0 else "-infinite"
-        return float(f"{obj:.15g}")
+        rounded = float(f"{obj:.15g}")
+        # past 1.797693134862315e308 the rounding overflows: written unrounded
+        return rounded if math.isfinite(rounded) else obj
     if isinstance(obj, complex):
         return [_round15(obj.real), _round15(obj.imag)]
     if isinstance(obj, dict):
@@ -792,6 +794,23 @@ class TestMain:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: circle mean did not stabilize within 512 nodes\n"
+
+    def test_largest_angular_start_takes_its_doubling(self, capsys):
+        # the first mean is at 2^19 angles, the two agreements at 2^20 and
+        # 2^21: the node cap must leave room for the last; 3 sqrt(3)/4
+        assert main(["hardy-norm", "--func", "eta", "--p", "2", "--angular", "1048576"]) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["value"] == 1.29903810567666
+
+    def test_value_that_rounds_past_the_largest_float_is_strict_json(self, capsys):
+        # 1.7976931348623157e308 rounds to 15 digits past the largest float;
+        # it is written unrounded, not as json's bare Infinity
+        def refuse(token):
+            raise ValueError(f"not strict JSON: {token}")
+
+        func = '{"kind":"polynomial","coefficients":[[0,0],[1.7976931348623157e308,0]]}'
+        assert main(["bloch-seminorm", "--func", func]) == 0
+        report = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        assert report["result"]["value"] == 1.7976931348623157e308
 
     def test_overflowing_weight_exits_one(self, capsys):
         # the log factor of the weight overflows at beta = 1000; as above, no

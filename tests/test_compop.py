@@ -22,10 +22,11 @@ from blochdisk import (Blaschke, BlochParams, CriterionReport, HarmonicMap,
                        hardy_to_bloch_verdict, is_admissible_symbol,
                        lambda_f, mobius, schwarz_pick_ratio)
 from blochdisk import test_function as kernel_test_function
-from blochdisk.compop import PROBE_RADIUS_SUP, ProbeReport, _angular_means, _symbol
+from blochdisk.compop import PROBE_RADIUS_SUP, ProbeReport, _symbol
 from blochdisk.core import Composed
 from blochdisk.norms import SamplingPlan, sup_grid
-from blochdisk.numerics import area_uniform_points, dyadic_radius, gl_panel_columns
+from blochdisk.numerics import (TWO_PI, area_uniform_points, circle_means, dyadic_radius,
+                                gl_panel_columns)
 
 from conftest import disk_samples, random_polynomial_pair
 
@@ -394,16 +395,116 @@ def _fixed_angle_rungs(phi, n=4096):
     return rungs
 
 
+def _angular_means(sample, n, cap, tol):
+    """Reference loop for ``numerics.circle_means``, one ``sample`` call per
+    count and the comparisons in numpy: circle means of every row of
+    ``sample(theta)``, doubling the count (with reuse) until every row's mean
+    has changed by at most ``tol * max(1, |mean|)`` at two consecutive
+    doublings, or until the count reaches cap.  Returns ``(means, nodes,
+    settled, change)``; a mean that stays infinite has not changed, and a NaN
+    change resets the agreements.
+    """
+    total = np.sum(sample(np.arange(n) * (TWO_PI / n)), axis=-1)
+    means = total / n
+    agreements, change = 0, math.nan
+    while n < cap and agreements < 2:
+        total = total + np.sum(sample((np.arange(n) + 0.5) * (TWO_PI / n)), axis=-1)
+        n *= 2
+        new_means = total / n
+        with np.errstate(invalid="ignore"):  # inf - inf, inf / inf
+            moved = np.where(new_means == means, 0.0, np.abs(new_means - means))
+            change = float(np.max(moved / np.maximum(1.0, np.abs(new_means))))
+        agreements = agreements + 1 if change <= tol else 0
+        means = new_means
+    return means, n, agreements == 2, change
+
+
+def _random_rows(rng, rows):
+    """A sample of ``rows`` random periodic rows, elementwise in theta, so
+    its values at an angle do not depend on the other angles of the call:
+    trigonometric polynomials with frequencies up to 300, which settle only
+    past their top frequency, and Poisson kernels 1 / (1 - a cos(theta - t)),
+    which settle geometrically."""
+    freqs = rng.integers(1, 300, size=(rows, 3))
+    amps = rng.uniform(-1.0, 1.0, size=(rows, 3)) * 10.0 ** rng.integers(-12, 1, size=(rows, 3))
+    shifts = rng.uniform(0.0, TWO_PI, size=(rows, 3))
+    a = rng.uniform(0.0, 0.95, size=rows)
+    t = rng.uniform(0.0, TWO_PI, size=rows)
+    poisson = rng.random(rows) < 0.5
+
+    def sample(theta):
+        trig = 3.0 + np.sum(amps[..., None] * np.cos(freqs[..., None] * theta + shifts[..., None]),
+                            axis=1)
+        kernel = 1.0 / (1.0 - a[:, None] * np.cos(theta - t[:, None]))
+        return np.where(poisson[:, None], kernel, trig)
+    return sample
+
+
+class TestCircleMeans:
+    """``numerics.circle_means`` against the reference loop ``_angular_means``."""
+
+    @pytest.mark.parametrize("special", ["finite", "inf"])
+    def test_same_bits_as_the_reference_loop(self, rng, special):
+        # rows that stay infinite have not changed, in both loops
+        for _ in range(40):
+            finite = _random_rows(rng, int(rng.integers(1, 6)))
+
+            def sample(theta, finite=finite):
+                rows = finite(theta)
+                if special == "inf":
+                    rows = np.concatenate((rows, np.full((1, theta.size), np.inf)))
+                return rows
+            n = int(2 ** rng.integers(2, 6))
+            cap = int(2 ** rng.integers(np.log2(n) + 1, 13))
+            tol = float(10.0 ** rng.integers(-12, -3))
+            means, nodes, settled, change, _ = circle_means(sample, n, cap, tol)
+            ref_means, ref_nodes, ref_settled, ref_change = _angular_means(sample, n, cap, tol)
+            assert np.array(means).tobytes() == ref_means.tobytes()
+            assert (nodes, settled, change) == (ref_nodes, ref_settled, ref_change)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("special", ["nan", "finite-then-inf"])
+    def test_nan_change_ends_the_doubling_at_once(self, rng, special):
+        # the reference loop resets its agreements and doubles on to the cap;
+        # the means it reached at the first doubling are the same bits
+        for _ in range(10):
+            finite = _random_rows(rng, int(rng.integers(1, 6)))
+            n = int(2 ** rng.integers(2, 6))
+
+            def sample(theta, finite=finite, n=n):
+                # a NaN row, or a row that is inf at the first doubling's angles
+                row = np.full(theta.size, np.nan) if special == "nan" else \
+                    np.where(np.isin(theta, (np.arange(n) + 0.5) * (TWO_PI / n)), np.inf, 1.0)
+                return np.concatenate((finite(theta), row[None]))
+            means, nodes, settled, change, before = circle_means(sample, n, 2 ** 12, 1e-6)
+            ref_means, ref_nodes, ref_settled, ref_change = _angular_means(sample, n, 2 * n, 1e-6)
+            assert np.array(means).tobytes() == ref_means.tobytes()
+            assert (nodes, settled) == (ref_nodes, ref_settled) == (2 * n, False)
+            assert math.isnan(change) and math.isnan(ref_change)
+            assert np.array(before).tobytes() == (
+                np.sum(sample(np.arange(n) * (TWO_PI / n)), axis=-1) / n).tobytes()
+
+    def test_first_call_takes_both_halves_of_the_first_doubling(self):
+        sizes = []
+
+        def sample(theta):
+            sizes.append(theta.size)
+            return 1.0 + 0.5 * np.cos(32.0 * theta[None])
+        _, nodes, settled, _, _ = circle_means(sample, 16, 2 ** 12, 1e-6)
+        # 16 + 16 angles, then the 32, 64 and 128 that each doubling adds
+        assert settled and sizes == [32, 32, 64, 128] and sum(sizes) == nodes
+
+
 class TestCriterionAngles:
     def test_one_agreement_does_not_stop_the_mean(self):
         # every 16th and 32nd root of unity is a peak of cos(32 theta), so the
         # 16- and 32-node means agree at 1.5; the mean is 1
         def sample(theta):
-            return 1.0 + 0.5 * np.cos(32.0 * theta)
+            return 1.0 + 0.5 * np.cos(32.0 * theta[None])
         for n in (16, 32):
             assert np.mean(sample(np.arange(n) * (2.0 * math.pi / n))) == pytest.approx(1.5)
-        means, nodes, settled, change = _angular_means(sample, 16, 2 ** 12, 1e-6)
-        assert abs(means - 1.0) <= 1e-15
+        (mean,), nodes, settled, change, _ = circle_means(sample, 16, 2 ** 12, 1e-6)
+        assert abs(mean - 1.0) <= 1e-15
         assert nodes >= 128 and settled and change <= 1e-6
 
     @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")

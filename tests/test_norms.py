@@ -183,12 +183,11 @@ class TestHardyNorm:
             hardy_norm(PowerKernel(0.95, 0.5), 200)
         assert err.value.last_values == (math.inf, math.inf)
 
-    @pytest.mark.xfail(strict=True, reason="the means at 32 and 64 nodes agree by a phase "
-                       "coincidence, and _circle_mean stops at the first agreement")
     def test_kernel_norm_from_32_angles(self):
         b, p = 0.1323365237519197 + 0.8921433917288156j, 3.2874337533045015
         est = hardy_norm(PowerKernel(b, p), p, SamplingPlan(angular_resolution=32))
-        assert est.value == pytest.approx(1.0, abs=1e-5)  # reads 0.9991791033489373
+        # the means at 32 and 64 angles agree by a phase coincidence
+        assert est.value == pytest.approx(1.0, abs=1e-5)
 
     def test_sup_norm(self):
         est = hardy_norm(Polynomial((0, 1)), math.inf)
