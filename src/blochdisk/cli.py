@@ -272,8 +272,7 @@ class _Option(NamedTuple):
 
 # Plan settings by parsed name: the SamplingPlan field each sets (left at its
 # default where a command does not take the setting), flag and help.
-_PLAN_SETTINGS = {"plan_j": ("radial_j", "--plan-j", "radial ladder depth"),
-                  "tol": ("refinement_tol", "--tol", "refinement tolerance"),
+_PLAN_SETTINGS = {"tol": ("refinement_tol", "--tol", "refinement tolerance"),
                   "angular": ("angular_resolution", "--angular",
                               "starting angular resolution, power of two")}
 
@@ -293,11 +292,14 @@ def _build_parser() -> _Parser:
         for o in row.options:
             required = {"required": o.default is ...} if o.flag[0] == "-" else {}
             p.add_argument(o.flag, type=o.type, default=o.default, help=o.help, **required)
-        for setting in row.plan + _UNREAD.get(command, ()):
+        for setting in row.plan:
             plan_field, flag, text = _PLAN_SETTINGS[setting]
             default = getattr(DEFAULT_PLAN, plan_field)
             p.add_argument(flag, type=type(default), default=default,
                            help=f"{text} (default {default})")
+        for flag in _UNREAD.get(command, ()):
+            p.add_argument(flag, type=int, dest="unread", metavar="INT",
+                           help="accepted and not read")
         p.add_argument("--out", help="write the JSON report to this path")
         p.add_argument("--csv", dest="csv_path",
                        help="write evidence rows (truncation, value) as CSV")
@@ -321,6 +323,7 @@ def parse_config(argv=None) -> RunConfig:
     out = params.pop("out")
     csv_path = params.pop("csv_path")
     timing = params.pop("timing")
+    params.pop("unread", None)
     plan = SamplingPlan(**{_PLAN_SETTINGS[name][0]: params.pop(name)
                            for name in _PLAN_SETTINGS if name in params})
     for o in _COMMANDS[command].options:
@@ -418,9 +421,9 @@ _COMMANDS = {
                                                   p["angle"])}),
     "lipschitz-scan": _Command(
         "empirical Lipschitz ratio scan",
-        (_FUNC, _Option("--pairs", int, 10_000, _AT_LEAST_ONE), _SEED), plan=("plan_j",),
+        (_FUNC, _Option("--pairs", int, 10_000, _AT_LEAST_ONE), _SEED),
         call=lambda p, plan: lipschitz_scan(resolve_function(p["func"]), p["pairs"],
-                                            p["seed"], plan),
+                                            p["seed"]),
         payload=_fields("max_ratio", "argmax_pair", "seminorm", "cap", "cap_ok",
                         "pairs_evaluated")),
     "sharpness-witness": _Command(
@@ -445,9 +448,9 @@ _COMMANDS = {
         "Hardy-to-Bloch boundedness/compactness",
         (_PHI, _ALPHA, _BETA,
          _Option("--p", float, 2.0, (lambda v: v > 1, "must exceed 1, got {}")), _OMEGA),
-        plan=("plan_j",), payload=_criterion_payload, status=_verdict_status,
+        payload=_criterion_payload, status=_verdict_status,
         call=lambda p, plan: hardy_to_bloch_verdict(
-            resolve_function(p["phi"]), _params_of(p), p["p"], plan)),
+            resolve_function(p["phi"]), _params_of(p), p["p"])),
     "bounded-below-probe": _Command(
         "bounded-below hypothesis probe",
         (_PHI, _Option("--r", float, check=(
@@ -464,11 +467,12 @@ _COMMANDS = {
                         call=lambda p, plan: _catalog_entry(p["name"])),
 }
 
-# Plan settings accepted but not read by the command's call.  They stay only
-# because the verdict-mix benchmark passes them (ROADMAP item 1).
-_UNREAD = {"metric": ("plan_j",), "hardy-norm": ("plan_j",),
-           "bloch-seminorm": ("plan_j", "angular"), "gfunction": ("angular",),
-           "compop-criterion": ("plan_j",), "compop-verdict": ("angular",)}
+# Flags a command accepts and does not read: each takes an integer, which
+# parse_config drops before the plan is built, so no report echoes it.  They
+# stay only because the verdict-mix benchmark deck passes them (ROADMAP item 1).
+_UNREAD = {"metric": ("--plan-j",), "hardy-norm": ("--plan-j",),
+           "bloch-seminorm": ("--plan-j", "--angular"), "gfunction": ("--angular",),
+           "compop-criterion": ("--plan-j",), "compop-verdict": ("--plan-j", "--angular")}
 
 
 def run(config: RunConfig) -> Report:

@@ -16,7 +16,7 @@ from .core import (AnalyticMap, Blaschke, BlochParams, Composed, HarmonicMap,
                    lambda_f)
 from .extremal import LIP_CONSTANT
 from .metrics import rho_array
-from .norms import (DEFAULT_PLAN, SamplingPlan, bloch_weight, hardy_norm,
+from .norms import (DEFAULT_PLAN, LADDER, SamplingPlan, bloch_weight, hardy_norm,
                     sup_grid, weight_from_gap)
 from .numerics import (BLOCK_POINTS, GL_NODES, QuadratureError, area_uniform_points,
                        circle_means, dyadic_radius, extrapolate_to_zero,
@@ -233,8 +233,11 @@ def bloch_to_hardy_criterion(phi: AnalyticMap, params: BlochParams, p: float,
                 def integrand(r):
                     r = r[:, :, None]
                     w, dw = phi.jet(r * ring)
-                    gap_weight = omega(bloch_weight(params, np.abs(w)))
-                    return np.abs(dw) ** 2 * (1.0 - r) / gap_weight ** 2
+                    slope = np.abs(dw) ** 2
+                    weight_sq = omega(bloch_weight(params, np.abs(w))) ** 2
+                    if not weight_sq.all():  # 0 where phi' = 0, not 0/0
+                        weight_sq[slope == 0.0] = 1.0
+                    return slope * (1.0 - r) / weight_sq
 
                 for k in range(0, _TRUNCATION_HI, block_panels):
                     stop = min(k + block_panels, _TRUNCATION_HI)
@@ -317,8 +320,7 @@ def _q_exponent(alpha, p):
     return 0.0 if alpha * p == p + 1.0 else alpha - 1.0 - 1.0 / p
 
 
-def hardy_to_bloch_verdict(phi: AnalyticMap, params: BlochParams, p: float,
-                           plan: SamplingPlan | None = None) -> CriterionReport:
+def hardy_to_bloch_verdict(phi: AnalyticMap, params: BlochParams, p: float) -> CriterionReport:
     """Boundedness and compactness verdicts from the functional Q.
 
     The verdict is read from the contact (``_symbol``) and the exponent
@@ -332,24 +334,23 @@ def hardy_to_bloch_verdict(phi: AnalyticMap, params: BlochParams, p: float,
     e = 0 > beta; an undecided contact is ``inconclusive``.  The other three
     verdicts carry sup Q, searched on ``sup_grid`` (phi evaluated once on
     it); a sup Q that is not finite makes them ``inconclusive``.  The evidence
-    is the running supremum of Q on the rings r = 0 and r_j up the plan's
-    radial ladder at the angles of ``sup_grid``, phi evaluated once on them.
+    is the running supremum of Q up the grid's rows r = 0 and r_j of
+    ``LADDER``, evaluated on those 21 rows alone, so an ``unbounded`` verdict
+    never evaluates the whole grid.
     """
     p = float(p)
     _check_hardy_to_bloch_params(params, p)
     contact, sup_phi = _symbol(phi)
-    plan = plan or DEFAULT_PLAN
 
     def q(z):
         return _q(phi, params, p, z, phi.eval(z))
 
     grid = sup_grid()
-    ladder = plan.ladder
-    rings = np.array([0.0] + ladder)[:, None] * np.exp(1j * grid[1])[None, :]
-    ring_max = np.max(q(rings), axis=1).tolist()
-    # Python's max, as a per-ring loop takes it: a later NaN ring is skipped
-    running = list(itertools.accumulate(ring_max, max))[1:]
-    evidence = tuple(zip(ladder, running))
+    radii, _, points = grid
+    row_max = np.max(q(points[np.searchsorted(radii, (0.0,) + LADDER)]), axis=1).tolist()
+    # Python's max, as a per-row loop takes it: a later NaN row is skipped
+    running = list(itertools.accumulate(row_max, max))[1:]
+    evidence = tuple(zip(LADDER, running))
 
     e, beta = _q_exponent(params.alpha, p), params.beta
     diagnostics = {"contact": contact, "sup_phi": sup_phi, "exponent": e, "bounded": None}

@@ -13,8 +13,7 @@ from .core import (AnalyticMap, DegeneratePairError, HarmonicMap,
                    ParameterRangeError, Polynomial, ZeroSeminormError,
                    as_harmonic, classical_params, disk_point)
 from .metrics import rho, rho_array
-from .norms import (DEFAULT_PLAN, SamplingPlan, bloch_functional,
-                    bloch_seminorm, bloch_values)
+from .norms import LADDER, bloch_functional, bloch_seminorm, bloch_values
 from .numerics import TWO_PI, area_uniform_points
 
 __all__ = [
@@ -211,46 +210,51 @@ class ScanReport:
     pairs_evaluated: int
 
 
-def _structured_pairs(plan: SamplingPlan):
-    """Radial and near-boundary pairs where the difference quotient peaks."""
-    ladder = plan.ladder
+def _structured_pairs():
+    """Radial and near-boundary pairs where the difference quotient peaks: on
+    each of four rays, (0, r_j) and (r_j, r_j+1) up ``LADDER``, and a short
+    arc at its top; 160 pairs, read-only."""
     firsts, seconds = [], []
     for phase in np.exp(1j * np.arange(4) * (TWO_PI / 4)):
-        for j, r in enumerate(ladder):
+        for j, r in enumerate(LADDER):
             firsts.append(0j)
             seconds.append(r * phase)
-            if j + 1 < len(ladder):
+            if j + 1 < len(LADDER):
                 firsts.append(r * phase)
-                seconds.append(ladder[j + 1] * phase)
-        top = ladder[-1]
+                seconds.append(LADDER[j + 1] * phase)
+        top = LADDER[-1]
         firsts.append(top * phase)
         seconds.append(top * phase * np.exp(0.01j))
-    return np.array(firsts), np.array(seconds)
+    pairs = np.array(firsts), np.array(seconds)
+    for array in pairs:
+        array.flags.writeable = False
+    return pairs
 
 
-def lipschitz_scan(f: HarmonicMap | AnalyticMap, pairs: int, seed: int,
-                   plan: SamplingPlan | None = None) -> ScanReport:
+_STRUCTURED_PAIRS = _structured_pairs()
+
+
+def lipschitz_scan(f: HarmonicMap | AnalyticMap, pairs: int, seed: int) -> ScanReport:
     """Max of the classical functional's difference quotient over sampled
     point pairs.
 
     ``f`` may be a bare AnalyticMap, whose ``lambda_f`` is |f'|.  ``pairs``
     (at least 1) are area-uniform (uniform in radius squared and angle),
-    augmented with structured radial and near-boundary pairs along the
-    plan's ladder, the one thing the plan sets here.  The empirical
+    augmented with the 160 structured radial and near-boundary pairs of
+    ``_structured_pairs``, so ``pairs + 160`` are evaluated.  The empirical
     maximum is verified against the cap (3 sqrt(3)/2) * seminorm with
     relative tolerance 1e-4, which absorbs the supremum-estimation resolution.
     """
     if pairs < 1:
         raise ParameterRangeError("pairs must be >= 1")
     params = classical_params()
-    plan = plan or DEFAULT_PLAN
     seminorm = bloch_seminorm(f, params).value
     if seminorm <= 1e-12:
         raise ZeroSeminormError("lipschitz scan needs a nonzero seminorm")
 
     z = area_uniform_points(np.random.default_rng(seed), 2 * pairs)
     z1, z2 = z[:pairs], z[pairs:]
-    s1, s2 = _structured_pairs(plan)
+    s1, s2 = _STRUCTURED_PAIRS
     z1 = np.concatenate([z1, s1])
     z2 = np.concatenate([z2, s2])
 

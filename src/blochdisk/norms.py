@@ -12,7 +12,7 @@ import numpy as np
 from .core import (BlochParams, Composed, DivergentIntegralError, HarmonicMap,
                    ParameterRangeError, Polynomial, classical_params, disk_point,
                    lambda_f)
-from .numerics import (BLOCK_POINTS, GL_NODES, GOLDEN_ITERS, TWO_PI, QuadratureError,
+from .numerics import (BLOCK_POINTS, GL_NODES, TWO_PI, QuadratureError,
                        circle_max, circle_means, dyadic_radius, gl_nodes, sup_search)
 
 __all__ = [
@@ -26,6 +26,9 @@ _GFUNC_TOL = 1e-12
 # Panel 47 of the square function is the last with 16 distinct nodes below 1.
 G_PANELS = 48
 
+# The radial ladder r_j = 1 - 2^-j, j = 1..20: rows of the supremum grid, the
+# seminorm's ridge, the verdict's evidence rows and the scan's structured pairs.
+LADDER = tuple(dyadic_radius(j) for j in range(1, 21))
 # Size of the supremum grid (see sup_grid).
 SUP_RADII = 64
 SUP_ANGLES = 256
@@ -35,20 +38,17 @@ MAX_CIRCLE_NODES = 2 ** 20
 
 @dataclass(frozen=True)
 class SamplingPlan:
-    """Resolution knobs for circle averages and radial ladders.
+    """Resolution knobs for circle averages.
 
     angular_resolution: starting count of roots of unity (power of two, >= 8);
-    radial_j: ladder depth, radii r_j = 1 - 2^-j for j = 1..radial_j;
     refinement_tol: relative stabilization target for self-refining averages,
     finite and positive.
     Suprema do not depend on the plan: those of |f| lie on the unit circle
     (``numerics.circle_max``), the others are searched on the one
-    ``sup_grid``, refined to ``GOLDEN_ITERS`` golden-section steps a side;
-    ``describe`` reports the grid's fixed sizes after these three.
+    ``sup_grid``.  ``describe`` reports the two fields.
     """
 
     angular_resolution: int = 256
-    radial_j: int = 20
     refinement_tol: float = 1e-6
 
     def __post_init__(self):
@@ -61,19 +61,10 @@ class SamplingPlan:
         if not 0.0 < float(self.refinement_tol) < math.inf:
             raise ParameterRangeError(
                 f"refinement_tol must be positive and finite, got {self.refinement_tol}")
-        if int(self.radial_j) < 1:
-            raise ParameterRangeError("radial_j must be >= 1")
-        if int(self.radial_j) > 53:  # 1 - 2^-54 rounds to 1.0
-            raise ParameterRangeError(f"radial_j must be <= 53, got {self.radial_j}")
-
-    @property
-    def ladder(self):
-        return [dyadic_radius(j) for j in range(1, self.radial_j + 1)]
 
     def describe(self):
-        return {"angular_resolution": self.angular_resolution, "radial_j": self.radial_j,
-                "refinement_tol": self.refinement_tol, "sup_radii": SUP_RADII,
-                "sup_angles": SUP_ANGLES, "golden_iters": GOLDEN_ITERS}
+        return {"angular_resolution": self.angular_resolution,
+                "refinement_tol": self.refinement_tol}
 
 
 DEFAULT_PLAN = SamplingPlan()
@@ -83,14 +74,13 @@ DEFAULT_PLAN = SamplingPlan()
 def sup_grid():
     """``(radii, angles, points)`` of the suprema searched inside the disk
     (the Bloch-type functional and Q) and of the probe's candidates:
-    SUP_RADII tanh-spaced radii up to 1 - 2^-20 joined with the default
-    ladder's 20 dyadic radii, SUP_ANGLES equally spaced angles, and their
-    outer product, the points.  Suprema of |f| lie on the unit circle and
-    are ``numerics.circle_max``'s instead.  Built on first use and shared,
-    so the arrays are read-only."""
-    ladder = DEFAULT_PLAN.ladder
-    tanh = np.tanh(np.linspace(0.0, math.atanh(ladder[-1]), SUP_RADII))
-    radii = np.union1d(tanh, ladder)
+    SUP_RADII tanh-spaced radii up to 1 - 2^-20 joined with the 20 dyadic
+    radii of ``LADDER``, SUP_ANGLES equally spaced angles, and their outer
+    product, the points.  Suprema of |f| lie on the unit circle and are
+    ``numerics.circle_max``'s instead.  Built on first use and shared, so
+    the arrays are read-only."""
+    tanh = np.tanh(np.linspace(0.0, math.atanh(LADDER[-1]), SUP_RADII))
+    radii = np.union1d(tanh, LADDER)
     angles = np.arange(SUP_ANGLES) * (TWO_PI / SUP_ANGLES)
     grid = radii, angles, radii[:, None] * np.exp(1j * angles)[None, :]
     for array in grid:
@@ -248,8 +238,7 @@ def bloch_seminorm(f, params: BlochParams | None = None) -> NormEstimate:
     grid = sup_grid()
     radii, _, points = grid
     values = bloch_values(f, params, points)
-    ladder = DEFAULT_PLAN.ladder
-    ridge = np.max(values[np.searchsorted(radii, ladder)], axis=1).tolist()
+    ridge = np.max(values[np.searchsorted(radii, LADDER)], axis=1).tolist()
     peak = int(np.argmax(values))  # argmax stops at the first NaN
     if not math.isfinite(top := values.flat[peak]):
         raise QuadratureError(f"Bloch-type functional is not finite on the grid: {top}")
@@ -259,7 +248,7 @@ def bloch_seminorm(f, params: BlochParams | None = None) -> NormEstimate:
             f"{float(radii[-1])!r}: its supremum lies beyond the grid",
             last_values=tuple(ridge[-2:]))
     value, _, res = sup_search(partial(bloch_values, f, params), grid, values=values)
-    return NormEstimate(float(value), tuple(zip(ladder, ridge)), resolution=float(res[0]))
+    return NormEstimate(float(value), tuple(zip(LADDER, ridge)), resolution=float(res[0]))
 
 
 def bloch_norm(f, params: BlochParams | None = None) -> NormEstimate:

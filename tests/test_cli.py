@@ -214,7 +214,8 @@ class TestParserReuse:
         assert reused == fresh
         # nothing a flag set survives into the next call
         assert [c.timing for c in reused[:2]] == [True, False]
-        assert reused[2].plan.radial_j == 8 and reused[4].plan == SamplingPlan()
+        assert reused[2].plan == SamplingPlan(refinement_tol=1e-8)
+        assert reused[4].plan == SamplingPlan() and "unread" not in reused[2].params
         assert reused[3].params == {"func": "eta", "alpha": 2.0, "beta": 0.0, "omega": "pow:0.5"}
         assert reused[5].params == {"func": "eta", "alpha": 1.0, "beta": 0.0, "omega": "id"}
         assert not reused[7].timing and reused[7].plan == SamplingPlan()
@@ -263,6 +264,7 @@ def _top_level_config(argv) -> RunConfig:
     params = vars(_build_parser().parse_args(argv))
     command, out, csv_path, timing = (params.pop(k) for k in
                                       ("command", "out", "csv_path", "timing"))
+    params.pop("unread", None)
     plan = SamplingPlan(**{_PLAN_SETTINGS[name][0]: params.pop(name)
                            for name in _PLAN_SETTINGS if name in params})
     return RunConfig(command, params, plan, out, csv_path, timing)
@@ -314,7 +316,7 @@ class TestParseDispatch:
 class _RecordingPlan(SamplingPlan):
     """A plan that records which of its fields are read between the end of
     its construction and ``describe``, which ``run`` calls after the library
-    call.  The ``ladder`` property reads ``radial_j``."""
+    call."""
 
     def __post_init__(self):
         super().__post_init__()
@@ -359,10 +361,14 @@ class TestPlanSettings:
         read = {setting_of[plan_field] for plan_field in config.plan.read}
         takes = set(vars(_build_parser().parse_args(_PLAN_AUDIT[command])))
         takes &= set(_PLAN_SETTINGS)
-        unread = set(_UNREAD.get(command, ()))
-        assert unread <= takes
-        assert takes - unread <= read
-        assert not read & unread
+        assert takes == set(_COMMANDS[command].plan) <= read
+        # an unread flag is no plan setting of its command, and never reaches
+        # the plan or the parameters
+        unread = _UNREAD.get(command, ())
+        assert not set(unread) & {_PLAN_SETTINGS[name][1] for name in takes}
+        flagged = parse_config(_PLAN_AUDIT[command] + [x for f in unread for x in (f, "16")])
+        assert flagged.plan.describe() == blochdisk.DEFAULT_PLAN.describe()
+        assert flagged.params == config.params
 
     def test_seed_only_where_a_call_draws(self):
         assert set(_PLAN_AUDIT) == set(_COMMANDS)
@@ -606,6 +612,8 @@ class TestMain:
          "unrecognized arguments: --plan-j 3"),
         (["bounded-below-probe", "--phi", "identity", "--r", "0.2", "--epsilon", "0.5",
           "--angular", "64"], "unrecognized arguments: --angular 64"),
+        (["lipschitz-scan", "--func", "eta", "--plan-j", "3"],
+         "unrecognized arguments: --plan-j 3"),
     ])
     def test_bad_points_and_names_are_typed(self, capsys, argv, message):
         with pytest.raises(ParameterRangeError) as err:
@@ -632,22 +640,43 @@ class TestMain:
         assert capsys.readouterr().err == f"error: {message}\n"
 
     @staticmethod
-    def _report_at_every_plan_j(capsys, argv):
-        """The report of argv, which must be the same at --plan-j 1..24 apart
-        from plan.radial_j; returned without that key."""
-        reports = []
-        for j in range(1, 25):
-            assert main([*argv, "--plan-j", str(j)]) == 0
-            doc = json.loads(capsys.readouterr().out)
-            assert doc["plan"].pop("radial_j") == j
-            reports.append(doc)
-        assert all(doc == reports[0] for doc in reports)
-        return reports[0]
+    def _report_with_unread(capsys, argv, flag, values):
+        """The report of argv, which must have the same bytes with ``flag``
+        at each of ``values``; returned parsed."""
+        assert main(argv) == 0
+        text = capsys.readouterr().out
+        for value in values:
+            assert main([*argv, flag, str(value)]) == 0
+            assert capsys.readouterr().out == text, value
+        return json.loads(text)
+
+    # Every unread (command, flag) pair, each sent by the verdict-mix
+    # benchmark deck, with the deck's values (--plan-j 1..24 but 20, --angular
+    # 8..1024) and values past the bounds the flags once had.
+    _UNREAD_CASES = [
+        (["metric", "--z", "0.5,0", "--w", "0,0.3"], "--plan-j"),
+        (["hardy-norm", "--func", "kernel:0.6:2", "--p", "2"], "--plan-j"),
+        (["bloch-seminorm", "--func", "eta"], "--plan-j"),
+        (["compop-criterion", "--phi", "identity"], "--plan-j"),
+        (["compop-verdict", "--phi", "mobius:0.5", "--alpha", "1.5"], "--plan-j"),
+        (["bloch-seminorm", "--func", "f-beta:0.5"], "--angular"),
+        (["gfunction", "--func", "monomial:3", "--angle", "0.5"], "--angular"),
+        (["compop-verdict", "--phi", "half-identity"], "--angular"),
+    ]
+
+    @pytest.mark.parametrize("argv,flag", _UNREAD_CASES,
+                             ids=[f"{argv[0]}{flag[1:]}" for argv, flag in _UNREAD_CASES])
+    def test_unread_flag_leaves_the_report_unchanged(self, capsys, argv, flag):
+        assert {(a[0], f) for a, f in self._UNREAD_CASES} == \
+            {(command, f) for command, flags in _UNREAD.items() for f in flags}
+        values = (1, 3, 19, 21, 24, 54) if flag == "--plan-j" else (8, 1024, 100, 2 ** 21)
+        self._report_with_unread(capsys, argv, flag, values)
 
     @pytest.mark.parametrize("func,p", [("monomial:5", "3"), ("kernel:0.3,0.6:1.5", "1.5"),
                                         ("eta", "0.5"), ("monomial:5", "inf")])
     def test_hardy_norm_does_not_depend_on_plan_j(self, capsys, func, p):
-        doc = self._report_at_every_plan_j(capsys, ["hardy-norm", "--func", func, "--p", p])
+        doc = self._report_with_unread(capsys, ["hardy-norm", "--func", func, "--p", p],
+                                       "--plan-j", (1, 24))
         # --p inf is the maximum of |z^5| on the unit circle
         value = doc["result"]["value"]
         if p == "inf":
@@ -660,7 +689,8 @@ class TestMain:
         (["mobius:0.3,0.4"], 1.0), (["monomial:7"], 7 * 0.75 ** 3 * 0.25)],
         ids=["eta", "f-beta-alpha2-beta1", "mobius", "monomial7"])
     def test_bloch_seminorm_does_not_depend_on_plan_j(self, capsys, func, seminorm):
-        doc = self._report_at_every_plan_j(capsys, ["bloch-seminorm", "--func", *func])
+        doc = self._report_with_unread(capsys, ["bloch-seminorm", "--func", *func],
+                                       "--plan-j", (1, 24))
         # the ridge rows are the 20 dyadic radii, written to 15 digits
         assert [r for r, _ in doc["evidence"]] == \
             [float(f"{1.0 - 2.0 ** -j:.15g}") for j in range(1, 21)]
@@ -700,6 +730,18 @@ class TestMain:
         result = json.loads(out)["result"]
         assert result["verdict"] == "inconclusive" and result["estimate"] is None
         assert json.loads(out)["evidence"][-1] == [24, "infinite"]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_constant_symbol_with_underflowing_weight_is_convergent(self, capsys):
+        # phi' = 0 and omega(chi(0.9))^2 = 0.19^4000 underflows to 0: the
+        # integrand is 0 there, not 0/0
+        assert main(["compop-criterion", "--phi",
+                     '{"kind":"polynomial","coefficients":[[0.9,0]]}', "--alpha", "2000"]) == 0
+        out, err = capsys.readouterr()
+        doc = json.loads(out)
+        assert err == "" and doc["result"]["verdict"] == "convergent"
+        assert doc["result"]["estimate"] == 0.0
+        assert [value for _, value in doc["evidence"]] == [0.0] * 21
 
     # Verdicts read from the contact and the exponents, each one that the
     # truncation-ladder heuristics got wrong or left inconclusive: argv,
@@ -841,7 +883,6 @@ class TestMain:
         assert captured.err.startswith("error: ") and str(path) in captured.err
 
     @pytest.mark.parametrize("argv,setting", [
-        (["--plan-j", "54"], "radial_j"), (["--plan-j", "60"], "radial_j"),
         (["--angular", str(2 ** 21)], "angular_resolution"),
         (["--angular", str(2 ** 30)], "angular_resolution")])
     def test_exit_one_on_plan_past_its_bounds(self, capsys, monkeypatch, argv, setting):

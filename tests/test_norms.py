@@ -14,12 +14,11 @@ from blochdisk import (Blaschke, BlochParams, HarmonicMap, Mobius,
                        QuadratureError, QuadraticExtremal, ScaledIdentity,
                        as_harmonic, bloch_functional, bloch_norm, bloch_seminorm,
                        bloch_weight, classical_params, compose, g_function,
-                       g_norm_check, hardy_mean, hardy_norm,
-                       hardy_to_bloch_verdict, lambda_f, mobius,
+                       g_norm_check, hardy_mean, hardy_norm, lambda_f, mobius,
                        power_mean_inequality_check)
 from blochdisk.core import DivergentIntegralError
 from blochdisk.extremal import AntiderivativeExtremal
-from blochdisk.norms import (DEFAULT_PLAN, MAX_CIRCLE_NODES, SamplingPlan, _g_squared,
+from blochdisk.norms import (DEFAULT_PLAN, LADDER, MAX_CIRCLE_NODES, SamplingPlan, _g_squared,
                              sup_grid, weight_from_gap)
 from blochdisk.numerics import BLOCK_POINTS, GL_NODES, TWO_PI, gl_panel
 
@@ -31,9 +30,8 @@ SQ3 = math.sqrt(3.0)
 
 class TestSamplingPlan:
     def test_defaults(self):
-        plan = SamplingPlan()
-        assert plan.ladder[0] == 0.5
-        assert plan.ladder[-1] == 1 - 2.0 ** -20
+        assert SamplingPlan() == SamplingPlan(256, 1e-6) == DEFAULT_PLAN
+        assert LADDER == tuple(1 - 2.0 ** -j for j in range(1, 21))
 
     def test_rejects_bad_resolution(self):
         with pytest.raises(ParameterRangeError):
@@ -50,52 +48,37 @@ class TestSamplingPlan:
             SamplingPlan(refinement_tol=tol)
 
     def test_rejects_plans_past_float_and_node_limits(self):
-        # r_54 = 1 - 2^-54 rounds to 1.0; hardy_mean caps its nodes at 2^20
-        assert SamplingPlan(radial_j=53).ladder[-1] < 1.0
+        # hardy_mean caps its nodes at 2^20
         assert SamplingPlan(angular_resolution=MAX_CIRCLE_NODES)
-        with pytest.raises(ParameterRangeError, match="radial_j"):
-            SamplingPlan(radial_j=54)
         with pytest.raises(ParameterRangeError, match="angular_resolution"):
             SamplingPlan(angular_resolution=2 * MAX_CIRCLE_NODES)
         with pytest.raises(ParameterRangeError, match="angular_resolution"):
             SamplingPlan(angular_resolution=2 ** 30)
 
     def test_plans_of_one_depth_share_a_read_only_grid(self):
-        # every plan, of any depth, searches the one grid, built once
+        # every plan searches the one grid, built once
         first = sup_grid()
         assert all(a is b for a, b in zip(first, sup_grid()))
         for array in first:
             with pytest.raises(ValueError):
                 array[0] = 0.5
 
-    def test_default_grid_survives_three_other_depths(self):
-        # a verdict at another depth searches the same default grid
-        default = sup_grid()
-        for radial_j in (3, 4, 5):
-            hardy_to_bloch_verdict(ScaledIdentity(0.5), classical_params(), 2.0,
-                                   SamplingPlan(radial_j=radial_j))
-        assert sup_grid()[2] is default[2]
-
-    def test_three_settable_fields(self):
+    def test_two_settable_fields(self):
         assert [f.name for f in dataclasses.fields(SamplingPlan)] == \
-            ["angular_resolution", "radial_j", "refinement_tol"]
+            ["angular_resolution", "refinement_tol"]
 
-    def test_describe_reports_the_fixed_grid(self):
-        plan = SamplingPlan(angular_resolution=64, radial_j=7, refinement_tol=1e-8)
+    def test_describe_reports_the_two_fields(self):
+        plan = SamplingPlan(angular_resolution=64, refinement_tol=1e-8)
         assert list(plan.describe().items()) == [
-            ("angular_resolution", 64), ("radial_j", 7), ("refinement_tol", 1e-8),
-            ("sup_radii", 64), ("sup_angles", 256), ("golden_iters", 40)]
+            ("angular_resolution", 64), ("refinement_tol", 1e-8)]
 
-
-    @pytest.mark.parametrize("radial_j", [1, 7, 20])
-    def test_grid_points_are_the_outer_product(self, radial_j):
-        # 64 tanh radii joined with the 20 dyadic radii (the last tanh radius
-        # is the last dyadic one), times 256 angles; every ladder of depth at
-        # most 20 lies on it
+    def test_grid_points_are_the_outer_product(self):
+        # 64 tanh radii joined with the 20 dyadic radii of LADDER (the last
+        # tanh radius is the last dyadic one), times 256 angles
         radii, angles, points = sup_grid()
         assert angles.size == 256
         assert points.shape == (83, 256)
-        assert set(SamplingPlan(radial_j=radial_j).ladder) <= set(radii.tolist())
+        assert set(LADDER) <= set(radii.tolist())
         assert radii[0] == 0.0 and radii[-1] == 1.0 - 2.0 ** -20
         outer = radii[:, None] * np.exp(1j * angles)[None, :]
         assert points.tobytes() == outer.tobytes()
@@ -125,8 +108,7 @@ class TestHardyMean:
 
     def test_monotone_in_radius(self):
         f = Polynomial((0.5, -1j, 0.25, 0.1))
-        plan = SamplingPlan()
-        values = [hardy_mean(f, 1.3, r, plan) for r in plan.ladder]
+        values = [hardy_mean(f, 1.3, r) for r in LADDER]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
     def test_rejects_bad_args(self):
@@ -355,8 +337,8 @@ class TestSupNormOracle:
 
     def test_does_not_depend_on_the_plan(self):
         f = _SUP_NORM_MAPS["polynomial-29-0"]
-        values = {hardy_norm(f, math.inf, SamplingPlan(angular_resolution=n, radial_j=j)).value
-                  for n, j in ((8, 1), (256, 20), (4096, 53))}
+        values = {hardy_norm(f, math.inf, SamplingPlan(angular_resolution=n)).value
+                  for n in (8, 256, 4096)}
         assert len(values) == 1
 
 
@@ -477,10 +459,8 @@ class TestBlochSeminorm:
         with pytest.raises(QuadratureError, match="not finite on the grid"):
             bloch_seminorm(f)
 
-    @pytest.mark.parametrize("plan", [SamplingPlan(), SamplingPlan(radial_j=7)])
-    def test_ridge_rows_match_per_rung_evaluation(self, plan, rng):
-        # the grid rows at the 20 dyadic radii give the ridge bit for bit,
-        # on every rung of a plan's ladder
+    def test_ridge_rows_match_per_rung_evaluation(self, rng):
+        # the grid rows at the 20 dyadic radii give the ridge bit for bit
         params = BlochParams(1.5, -0.5, PowerMajorant(0.5))
         maps = [random_polynomial_pair(rng, 9) for _ in range(4)]
         maps += [as_harmonic(QuadraticExtremal()), as_harmonic(Mobius(0.6 - 0.3j)),
@@ -490,10 +470,8 @@ class TestBlochSeminorm:
             for prm in (classical_params(), params):
                 ridge = [float(np.max(lambda_f(f, r * phases)
                                       * prm.omega(bloch_weight(prm, np.abs(r * phases)))))
-                         for r in plan.ladder]
-                est = bloch_seminorm(f, prm)
-                assert [r for r, _ in est.evidence] == DEFAULT_PLAN.ladder
-                assert est.evidence[:plan.radial_j] == tuple(zip(plan.ladder, ridge))
+                         for r in LADDER]
+                assert bloch_seminorm(f, prm).evidence == tuple(zip(LADDER, ridge))
 
     @pytest.mark.parametrize("k", [17, 18, 19])
     def test_near_boundary_automorphism_is_one(self, k):
