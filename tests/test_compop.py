@@ -84,9 +84,10 @@ def _log_slope(evidence):
     return float(np.polyfit(ks * math.log(2.0), vals, 1)[0])
 
 
-def _per_ring_evidence(phi, params, p):
+def _per_ring_evidence(phi, params, p, depth):
     """The verdict's running supremum as Q evaluated ring by ring: Q at 0,
-    then each ladder radius at the grid's angles, folded with Python's max."""
+    then each dyadic radius 1 - 2^-j, j = 1..depth, at the grid's angles,
+    folded with Python's max."""
     phases = np.exp(1j * sup_grid()[1])
 
     def q(z):
@@ -96,10 +97,11 @@ def _per_ring_evidence(phi, params, p):
 
     running = []
     sup_so_far = float(np.max(q(np.zeros(1, dtype=complex))))
-    for r in LADDER:
+    radii = tuple(dyadic_radius(j) for j in range(1, depth + 1))
+    for r in radii:
         sup_so_far = max(sup_so_far, float(np.max(q(r * phases))))
         running.append(sup_so_far)
-    return tuple(zip(LADDER, running))
+    return tuple(zip(radii, running))
 
 
 class TestAdmissibility:
@@ -639,15 +641,21 @@ class TestHardyToBlochVerdict:
         assert rep.diagnostics["sup_phi"] == pytest.approx(1.0, rel=1e-15)
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("depth", [3, 4, 20, 24])
     @pytest.mark.parametrize("phi", [
         IDENTITY, HALF, CONSTANT, Mobius(0.4 + 0.1j),
         Blaschke((0.2 + 0.1j, -0.3 + 0.4j, 0.5 - 0.2j)), _Spiky()],
         ids=["identity", "half", "constant", "mobius", "blaschke3", "inf-nan"])
-    def test_evidence_matches_per_ring_reference(self, phi):
+    def test_evidence_matches_per_ring_reference(self, phi, depth):
+        # a reference ladder of any depth agrees bit for bit with the
+        # evidence on their common rungs, and the evidence stops at LADDER's 20
+        common = min(depth, len(LADDER))
         for params, p in ((CLASSICAL, 2.0), (BlochParams(2.0, 1.0), 3.0)):
-            rep = hardy_to_bloch_verdict(phi, params, p)
-            reference = _per_ring_evidence(phi, params, p)
-            assert np.asarray(rep.evidence).tobytes() == np.asarray(reference).tobytes()
+            evidence = hardy_to_bloch_verdict(phi, params, p).evidence
+            reference = _per_ring_evidence(phi, params, p, depth)
+            assert len(evidence) == len(LADDER)
+            assert np.asarray(evidence[:common]).tobytes() == \
+                np.asarray(reference[:common]).tobytes()
 
     @pytest.mark.parametrize("phi,verdict,grid_calls", [
         (HALF, "vacuously-compact", 1), (Polynomial((0, 1)), "unbounded", 0)])

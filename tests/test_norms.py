@@ -72,13 +72,16 @@ class TestSamplingPlan:
         assert list(plan.describe().items()) == [
             ("angular_resolution", 64), ("refinement_tol", 1e-8)]
 
-    def test_grid_points_are_the_outer_product(self):
+    @pytest.mark.parametrize("depth", [1, 7, 20])
+    def test_grid_points_are_the_outer_product(self, depth):
         # 64 tanh radii joined with the 20 dyadic radii of LADDER (the last
-        # tanh radius is the last dyadic one), times 256 angles
+        # tanh radius is the last dyadic one), times 256 angles; every
+        # dyadic radius up to depth 20 is a rung of LADDER and a grid radius
         radii, angles, points = sup_grid()
         assert angles.size == 256
         assert points.shape == (83, 256)
-        assert set(LADDER) <= set(radii.tolist())
+        assert LADDER[depth - 1] == 1.0 - 2.0 ** -depth
+        assert set(LADDER[:depth]) <= set(radii.tolist())
         assert radii[0] == 0.0 and radii[-1] == 1.0 - 2.0 ** -20
         outer = radii[:, None] * np.exp(1j * angles)[None, :]
         assert points.tobytes() == outer.tobytes()
@@ -459,8 +462,10 @@ class TestBlochSeminorm:
         with pytest.raises(QuadratureError, match="not finite on the grid"):
             bloch_seminorm(f)
 
-    def test_ridge_rows_match_per_rung_evaluation(self, rng):
-        # the grid rows at the 20 dyadic radii give the ridge bit for bit
+    @pytest.mark.parametrize("plan", [LADDER, LADDER[:7]])
+    def test_ridge_rows_match_per_rung_evaluation(self, plan, rng):
+        # the grid rows at the 20 dyadic radii give the ridge bit for bit,
+        # on every rung of a plan of rungs evaluated one at a time
         params = BlochParams(1.5, -0.5, PowerMajorant(0.5))
         maps = [random_polynomial_pair(rng, 9) for _ in range(4)]
         maps += [as_harmonic(QuadraticExtremal()), as_harmonic(Mobius(0.6 - 0.3j)),
@@ -470,8 +475,10 @@ class TestBlochSeminorm:
             for prm in (classical_params(), params):
                 ridge = [float(np.max(lambda_f(f, r * phases)
                                       * prm.omega(bloch_weight(prm, np.abs(r * phases)))))
-                         for r in LADDER]
-                assert bloch_seminorm(f, prm).evidence == tuple(zip(LADDER, ridge))
+                         for r in plan]
+                est = bloch_seminorm(f, prm)
+                assert [r for r, _ in est.evidence] == list(LADDER)
+                assert est.evidence[:len(plan)] == tuple(zip(plan, ridge))
 
     @pytest.mark.parametrize("k", [17, 18, 19])
     def test_near_boundary_automorphism_is_one(self, k):
