@@ -7,6 +7,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -202,10 +203,10 @@ def bloch_to_hardy_criterion(phi: AnalyticMap, params: BlochParams, p: float,
     undecided contacts with a >= 1, and a convergent case whose top rung is
     not finite in floating point (an extreme weight: 1/omega^2 overflows).
 
-    Each round evaluates its new angles on all 24 panels, in blocks of at
-    most ``BLOCK_POINTS`` (2^12) points summed by ``gl_panel_columns``, taking
-    phi and phi' from one ``phi.jet`` call per block, so phi must be an
-    ``AnalyticMap``; any other symbol raises TypeError.
+    Each round sweeps its new angles over all 24 panels by
+    ``gl_panel_columns`` in rings of at most 256 angles, so each block takes
+    phi and phi' from one ``phi.jet`` call of at most ``BLOCK_POINTS`` (2^12)
+    points; phi must be an ``AnalyticMap``, and any other raises TypeError.
     """
     contact, sup_phi = _symbol(phi)
     if not isinstance(phi, AnalyticMap):
@@ -218,33 +219,26 @@ def bloch_to_hardy_criterion(phi: AnalyticMap, params: BlochParams, p: float,
     edges = dyadic_radius(np.arange(_TRUNCATION_HI + 1))
     omega = params.omega
 
+    def integrand(ring, r, cols):
+        w, dw = phi.jet(r * ring[cols])
+        slope = np.abs(dw) ** 2
+        weight_sq = omega(bloch_weight(params, np.abs(w))) ** 2
+        if not weight_sq.all():  # 0 where phi' = 0, not 0/0
+            weight_sq[slope == 0.0] = 1.0
+        return slope * (1.0 - r) / weight_sq
+
     def rungs(thetas):
         """inner^(p/2) at rungs 4..24 (rows) and the angles ``thetas``."""
         phases = np.exp(1j * thetas)
-        panels = np.empty((_TRUNCATION_HI, thetas.size))
-        block_angles = min(thetas.size, BLOCK_POINTS // GL_NODES)
-        block_panels = BLOCK_POINTS // (GL_NODES * block_angles)
-        # an extreme weight makes the integrand divide by 0 or overflow, and
-        # the rungs read inf
+        # rings of 256 angles keep each jet call within BLOCK_POINTS; an extreme
+        # weight makes the integrand divide by 0 or overflow: the rungs read inf
+        step = BLOCK_POINTS // GL_NODES
         with np.errstate(divide="ignore", over="ignore"):
-            for j in range(0, thetas.size, block_angles):
-                ring = phases[j:j + block_angles]
-
-                def integrand(r):
-                    r = r[:, :, None]
-                    w, dw = phi.jet(r * ring)
-                    slope = np.abs(dw) ** 2
-                    weight_sq = omega(bloch_weight(params, np.abs(w))) ** 2
-                    if not weight_sq.all():  # 0 where phi' = 0, not 0/0
-                        weight_sq[slope == 0.0] = 1.0
-                    return slope * (1.0 - r) / weight_sq
-
-                for k in range(0, _TRUNCATION_HI, block_panels):
-                    stop = min(k + block_panels, _TRUNCATION_HI)
-                    panels[k:stop, j:j + block_angles] = gl_panel_columns(
-                        integrand, edges[k:stop], edges[k + 1:stop + 1])
-        inner = np.cumsum(panels, axis=0)[_TRUNCATION_LO - 1:]
-        return inner ** (p / 2.0)
+            inner = np.hstack([
+                gl_panel_columns(partial(integrand, phases[j:j + step]), edges,
+                                 min(step, thetas.size - j))[0]
+                for j in range(0, thetas.size, step)])
+            return inner[_TRUNCATION_LO - 1:] ** (p / 2.0)
 
     means, n_angles, settled, change, _ = circle_means(
         rungs, min(plan.angular_resolution, _ANGLES_START), _ANGLES_CAP,

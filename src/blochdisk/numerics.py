@@ -16,13 +16,12 @@ INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _ROUND_OFFSETS = np.arange(-7, 8) / 8.0
 # Nodes per Gauss-Legendre panel of gl_panel and gl_panel_columns.
 GL_NODES = 16
-# Point budget of one map evaluation in the blocked radial quadratures (the
-# Bloch-to-Hardy criterion and the square function).  A complex temporary of
-# 2^12 points is 64 kB, below glibc malloc's 128 kB threshold; larger arrays
-# get fresh pages, and each block pays their page faults.  The criterion keeps
-# every call within it.  The square function evaluates at least one panel of
-# every open column, so past 256 open angles one call holds 16 points per
-# angle, more than the budget.
+# Point budget of one map evaluation in gl_panel_columns.  A complex temporary
+# of 2^12 points is 64 kB, below glibc malloc's 128 kB threshold; larger
+# arrays get fresh pages, and each block pays their page faults.  Past
+# BLOCK_POINTS // GL_NODES open columns one panel exceeds it: the criterion
+# sweeps rings of at most that many angles, and the square function, whose
+# bits depend on how its columns are grouped, takes the excess.
 BLOCK_POINTS = 2 ** 12
 # sup_search refines its REFINE_TOP strongest grid peaks to the width of
 # GOLDEN_ITERS golden-section steps per side, which GOLDEN_ROUNDS rounds of
@@ -58,26 +57,61 @@ def gl_panel(fn, a, b):
     return half * float(np.dot(w, np.asarray(fn(mid + half * x), dtype=float)))
 
 
-def gl_nodes(a, b):
-    """``(nodes, weights, half)`` of ``GL_NODES``-point Gauss-Legendre panels
-    on [a, b], elementwise over arrays a and b: nodes has shape
-    a.shape + (GL_NODES,), weights are the rule's on [-1, 1], and the
-    integral of fn over [a, b] is ``half * (weights @ fn(nodes))``."""
+def gl_panel_columns(fn, edges, m, tol=None):
+    """Running integrals of m columns over ``GL_NODES``-point Gauss-Legendre
+    panels [edges[k], edges[k + 1]]: the one blocked radial sweep.
+
+    ``fn(r, cols)`` maps the nodes of a block of panels, shape
+    (K, GL_NODES, 1), and the open columns' indices to values of shape
+    (K, GL_NODES, cols.size).  A block is as many panels as fit
+    ``BLOCK_POINTS`` points over the open columns, and at least one.  Returns
+    ``(partials, cols)``: row k of the (panels, m) partials is each column's
+    integral up to edges[k + 1], summed panel by panel, and cols the columns
+    never closed.  With ``tol`` set, a column closes at the first panel
+    k >= 4 where its total is positive and finite and the panel added at
+    most tol of it; its later panels are evaluated and dropped, and its
+    later rows are 0 but the last, which holds its total.  BLAS rounds each
+    column of ``w @ vals`` by its place among the columns it is given, so a
+    block is summed in runs, each over the columns open at its first panel
+    and up to the first panel that closes one: every row is bit for bit that
+    of a sweep one panel at a time.
+    """
     x, w = _leggauss()
-    a = np.asarray(a, dtype=float)
-    half = 0.5 * (b - a)
-    return (0.5 * (a + b))[..., None] + half[..., None] * x, w, half
-
-
-def gl_panel_columns(fn2, a, b):
-    """Column-wise ``gl_panel`` over a block of K panels [a[k], b[k]] in one
-    call of ``fn2``: it takes the nodes of every panel, shape (K, GL_NODES),
-    and returns values of shape (K, GL_NODES, m).  Row k of the (K, m) result
-    is the integral over panel k of each of the m columns, bit for bit the
-    single panel's."""
-    r, w, half = gl_nodes(a, b)
-    vals = np.asarray(fn2(r), dtype=float)
-    return half[:, None] * (w @ vals)
+    half = 0.5 * (edges[1:] - edges[:-1])
+    radii = (0.5 * (edges[:-1] + edges[1:]))[:, None] + half[:, None] * x
+    panels = half.size
+    partials = np.zeros((panels, m))
+    cols = np.arange(m)  # the open columns, those of vals and acc
+    acc = np.zeros(m)
+    k = end = 0  # vals holds panels k..end-1
+    while cols.size and k < panels:
+        if k == end:
+            end = min(panels, k + max(1, BLOCK_POINTS // (GL_NODES * cols.size)))
+            vals = np.asarray(fn(radii[k:end, :, None], cols), dtype=float)
+        c = half[k:end, None] * (w @ vals)
+        if tol is None:  # every column stays open: sum down the rows at the end
+            partials[k:end] = c
+            k = end
+            continue
+        # the running totals after each panel; cumsum down the rows costs
+        # per column, so one row is a plain sum
+        running = (acc + c if end - k == 1 else
+                   np.cumsum(np.concatenate((acc[None], c)), axis=0)[1:])
+        done = (running > 0.0) & np.isfinite(running) & (c <= tol * running)
+        done[:max(4 - k, 0)] = False  # no column closes before panel 4
+        closing = np.flatnonzero(done)
+        n = closing[0] // cols.size + 1 if closing.size else end - k
+        partials[k:k + n, cols] = running[:n]
+        acc = running[n - 1]
+        k += n
+        if closing.size:
+            partials[-1, cols] = acc  # the open columns overwrite theirs
+            still = ~done[n - 1]
+            cols, acc = cols[still], acc[still]
+            vals = np.compress(still, vals[n:], axis=2)
+    if tol is None:
+        np.cumsum(partials, axis=0, out=partials)
+    return partials, cols
 
 
 def golden_max(fn, a, b):

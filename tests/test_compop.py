@@ -25,8 +25,8 @@ from blochdisk import test_function as kernel_test_function
 from blochdisk.compop import PROBE_RADIUS_SUP, ProbeReport, _symbol
 from blochdisk.core import Composed
 from blochdisk.norms import LADDER, SamplingPlan, sup_grid
-from blochdisk.numerics import (TWO_PI, area_uniform_points, circle_means, dyadic_radius,
-                                gl_panel_columns)
+from blochdisk.numerics import (BLOCK_POINTS, TWO_PI, area_uniform_points, circle_means,
+                                dyadic_radius)
 
 from conftest import disk_samples, random_polynomial_pair
 
@@ -292,6 +292,14 @@ class TestBlochToHardyCriterion:
         assert rep.diagnostics["contact"] == "none"
         assert rep.evidence[-1][1] == math.inf
 
+    def test_overflowing_rung_power_is_inconclusive_without_warning(self):
+        # the inner integrals are finite at alpha = 2000, but their p/2 = 3/2
+        # power overflows on the top rungs
+        rep = bloch_to_hardy_criterion(Polynomial((0.1, 0.5, 0.3j)), BlochParams(2000.0), 3.0)
+        assert rep.verdict == "inconclusive" and rep.estimate is None
+        assert rep.diagnostics["contact"] == "none"
+        assert rep.evidence[-1][1] == math.inf
+
     def test_automorphism_diverges_like_identity(self):
         rep = bloch_to_hardy_criterion(Mobius(0.3), CLASSICAL, 2.0)
         assert rep.verdict == "divergent"
@@ -338,7 +346,7 @@ class TestBlochToHardyCriterion:
         ids=["blaschke3", "half-plus-half-z"])
     def test_each_point_once_in_bounded_jet_calls(self, phi, nodes, monkeypatch):
         # every round evaluates only its new angles, on 24 panels of 16 radii,
-        # and takes phi and phi' from jet calls of at most 2^14 points
+        # and takes phi and phi' from jet calls of at most BLOCK_POINTS points
         points = []
 
         def counted(self, z, _jet=type(phi).jet):
@@ -347,7 +355,7 @@ class TestBlochToHardyCriterion:
         monkeypatch.setattr(type(phi), "jet", counted)
         rep = bloch_to_hardy_criterion(phi, CLASSICAL, 2.0)
         assert rep.diagnostics["angular_nodes"] == nodes
-        assert max(z.size for z in points) <= 2 ** 14
+        assert max(z.size for z in points) <= BLOCK_POINTS
         evaluated = np.sort(np.concatenate(points))
         assert evaluated.size == 24 * 16 * nodes
         assert np.all(evaluated[1:] != evaluated[:-1])
@@ -370,27 +378,24 @@ _ORACLE_PS = (1.5, 2.0, 3.0)
 def _fixed_angle_rungs(phi, n=4096):
     """The criterion's rungs for every oracle (alpha, beta, p), with the
     angular mean on a fixed grid of n angles: each dyadic panel's inner
-    integral as ``gl_panel_columns`` of one phi.jet on the panel's nodes
-    times all angles, and each rung the plain mean of inner^(p/2)."""
+    integral by a 16-node Gauss-Legendre rule on one phi.jet of the panel's
+    nodes times all angles, and each rung the plain mean of inner^(p/2)."""
+    x, w = np.polynomial.legendre.leggauss(16)
     phases = np.exp(1j * np.arange(n) * (2.0 * math.pi / n))
     inner = {(a, b): np.zeros(n) for a in _ORACLE_ALPHAS for b in _ORACLE_BETAS}
-    edges = dyadic_radius(np.arange(25))
     rungs = {}
     for k in range(24):
-        jets = {}
-
-        def columns(r, a, b):
-            if not jets:  # one jet per panel, shared by every (alpha, beta)
-                w, dw = phi.jet(r[..., None] * phases)
-                u = 1.0 - np.abs(w) ** 2
-                jets.update(u=u, log=1.0 - np.log(u),
-                            scale=np.abs(dw) ** 2 * (1.0 - r)[..., None])
-            # omega(chi)^2 = u^(2a) (1 - log u)^(2b) for the identity majorant
-            return jets["scale"] / (jets["u"] ** (2.0 * a) * jets["log"] ** (2.0 * b))
-
+        lo, hi = dyadic_radius(k), dyadic_radius(k + 1)
+        half = 0.5 * (hi - lo)
+        r = (0.5 * (lo + hi) + half * x)[:, None]
+        # one jet per panel, shared by every (alpha, beta)
+        z, dz = phi.jet(r * phases)
+        u = 1.0 - np.abs(z) ** 2
+        log = 1.0 - np.log(u)
+        scale = np.abs(dz) ** 2 * (1.0 - r)
         for (a, b), total in inner.items():
-            total += gl_panel_columns(lambda r: columns(r, a, b),
-                                      edges[k:k + 1], edges[k + 1:k + 2])[0]
+            # omega(chi)^2 = u^(2a) (1 - log u)^(2b) for the identity majorant
+            total += half * (w @ (scale / (u ** (2.0 * a) * log ** (2.0 * b))))
             if k + 1 >= 4:
                 for p in _ORACLE_PS:
                     rungs.setdefault((a, b, p), []).append(float(np.mean(total ** (p / 2.0))))
@@ -464,7 +469,6 @@ class TestCircleMeans:
             assert np.array(means).tobytes() == ref_means.tobytes()
             assert (nodes, settled, change) == (ref_nodes, ref_settled, ref_change)
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("special", ["nan", "finite-then-inf"])
     def test_nan_change_ends_the_doubling_at_once(self, rng, special):
         # the reference loop resets its agreements and doubles on to the cap;
@@ -509,8 +513,6 @@ class TestCriterionAngles:
         assert abs(mean - 1.0) <= 1e-15
         assert nodes >= 128 and settled and change <= 1e-6
 
-    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_rungs_that_stay_infinite_have_settled(self):
         # at alpha 40 omega(chi)^2 underflows to 0 near the circle, so the top
         # rungs are inf at every count: unchanged, not unsettled
@@ -640,7 +642,6 @@ class TestHardyToBlochVerdict:
         assert rep.diagnostics["contact"] == "undecided"
         assert rep.diagnostics["sup_phi"] == pytest.approx(1.0, rel=1e-15)
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("depth", [3, 4, 20, 24])
     @pytest.mark.parametrize("phi", [
         IDENTITY, HALF, CONSTANT, Mobius(0.4 + 0.1j),

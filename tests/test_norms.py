@@ -20,7 +20,8 @@ from blochdisk.core import DivergentIntegralError
 from blochdisk.extremal import AntiderivativeExtremal
 from blochdisk.norms import (DEFAULT_PLAN, LADDER, MAX_CIRCLE_NODES, SamplingPlan, _g_squared,
                              sup_grid, weight_from_gap)
-from blochdisk.numerics import BLOCK_POINTS, GL_NODES, TWO_PI, gl_panel
+from blochdisk.numerics import (BLOCK_POINTS, GL_NODES, TWO_PI, dyadic_radius, gl_panel,
+                                gl_panel_columns)
 
 from conftest import (ReciprocalGap, disk_samples, g_sq_oracle,
                       parseval_mean_sq, random_polynomial_pair)
@@ -396,6 +397,13 @@ class TestBlochWeight:
         assert weight_from_gap(1.0, 1000.0, 1e-300) == math.inf
         assert weight_from_gap(1.0, 1000.0, np.array([1e-300, 1.0])).tolist() == [math.inf, 1.0]
 
+    def test_underflow_times_overflow_is_nan_without_warning(self):
+        # 1e-300^2000 underflows to 0 and (1 - log 1e-300)^300 overflows to
+        # inf; their product is NaN, for the caller to judge
+        assert math.isnan(weight_from_gap(2000.0, 300.0, 1e-300))
+        values = weight_from_gap(2000.0, 300.0, np.array([1e-300, 1.0]))
+        assert math.isnan(values[0]) and values[1] == 1.0
+
 
 class TestBlochFunctional:
     def test_quadratic_extremal_peak(self):
@@ -543,17 +551,21 @@ def g_squared_reference(f, angle):
     raise AssertionError("reference loop did not stabilize")
 
 
-def g_squared_per_panel(f, angles):
+def g_squared_per_panel(f, angles, tol=1e-12):
     """The square-function sweep one dyadic panel at a time: one f.deriv
     call and one ``w @ vals`` over the columns still open per panel, closing
     a column at the first k >= 4 where its total is positive and finite and
-    the panel added at most 1e-12 of it.  ``_g_squared`` must match it bit
-    for bit, totals and DivergentIntegralError partials alike."""
+    the panel added at most tol of it.  ``_g_squared`` must match it bit
+    for bit, totals and DivergentIntegralError partials alike.  With tol
+    None no column closes, and the (48, angles) running totals after each
+    panel are returned: those of ``gl_panel_columns`` without tol, bit for
+    bit."""
     x, w = np.polynomial.legendre.leggauss(16)
     angles = np.asarray(angles, dtype=float)
     zetas = np.cos(angles) + 1j * np.sin(angles)
     totals = np.zeros(angles.size)
     contributions = np.zeros((48, angles.size))
+    running = np.zeros((48, angles.size))
     open_cols = np.arange(angles.size)
     for k in range(48):
         a, b = 1.0 - 0.5 ** k, 1.0 - 0.5 ** (k + 1)
@@ -563,10 +575,15 @@ def g_squared_per_panel(f, angles):
         c = half * (w @ vals)
         contributions[k, open_cols] = c
         totals[open_cols] += c
+        running[k] = totals
+        if tol is None:
+            continue
         t = totals[open_cols]
-        open_cols = open_cols[~((k >= 4) & (t > 0.0) & np.isfinite(t) & (c <= 1e-12 * t))]
+        open_cols = open_cols[~((k >= 4) & (t > 0.0) & np.isfinite(t) & (c <= tol * t))]
         if not open_cols.size:
             return totals
+    if tol is None:
+        return running
     open_cols = open_cols[totals[open_cols] != 0.0]
     if open_cols.size:
         raise DivergentIntegralError(
@@ -640,6 +657,13 @@ class TestGFunction:
         # reduced over the columns open at its first panel, so no bit moves
         angles = np.arange(columns) * (TWO_PI / columns) + 0.1
         assert np.array_equal(_g_squared(f, angles), g_squared_per_panel(f, angles))
+        # the sweep without a close, as the criterion takes it
+        zetas = np.cos(angles) + 1j * np.sin(angles)
+        partials, open_cols = gl_panel_columns(
+            lambda r, cols: np.abs(f.deriv(r * zetas[cols])) ** 2 * (1.0 - r),
+            dyadic_radius(np.arange(49)), columns)
+        assert np.array_equal(partials, g_squared_per_panel(f, angles, tol=None))
+        assert np.array_equal(open_cols, np.arange(columns))
 
     @pytest.mark.parametrize("columns", [1, 7, 8])
     def test_blocks_equal_the_per_panel_sweep_past_underflow(self, columns):
@@ -712,7 +736,6 @@ class TestGFunction:
         expected = math.sqrt(n * n * (1.0 / (2 * n - 1) - 1.0 / (2 * n)))
         assert g_function(Polynomial((0,) * n + (1,)), 0.3) == pytest.approx(expected, abs=1e-12)
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_overflowing_contributions_raise(self):
         with pytest.raises(DivergentIntegralError, match="did not stabilize") as err:
             g_function(Huge(), 0.0)
