@@ -132,6 +132,8 @@ def resolve_function(source: str):
             doc = catalog(source)
     except json.JSONDecodeError as exc:
         raise DescriptorError(f"descriptor is not valid JSON: {exc}") from exc
+    except RecursionError as exc:  # json's decoder recurses once per nesting level
+        raise DescriptorError("descriptor is nested too deeply to read") from exc
     if isinstance(doc, dict) and "h" in doc and "g" in doc:
         return harmonic_from_descriptor(doc)
     return analytic_from_descriptor(doc)
@@ -504,7 +506,9 @@ def main(argv=None) -> int:
         if config.csv_path:
             with open(config.csv_path, "w", newline="", encoding="utf-8") as fh:
                 csv.writer(fh).writerows([("truncation", "value"), *report.evidence])
-    except (BlochDiskError, ValueError, OSError) as exc:
+    except (BlochDiskError, ValueError, OSError, MemoryError) as exc:
+        # MemoryError: numpy refuses an array too large to allocate, such as
+        # the points of an enormous --pairs or --samples
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

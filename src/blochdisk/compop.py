@@ -440,7 +440,10 @@ def bounded_below_probe(phi: AnalyticMap, r: float, epsilon: float,
     The local candidates of all targets are tried first, in one array call;
     the grid candidates are built only when targets are left unmatched, and
     only those targets are measured against them, in blocks of at most
-    ``_PROBE_CHUNK_ELEMENTS`` distances.
+    ``_PROBE_CHUNK_ELEMENTS`` distances.  The grid is scanned in blocks of
+    whole rows, at most ``BLOCK_POINTS`` points each, and the candidates are
+    joined in row-major order: whole-grid temporaries would be fresh pages,
+    faulted in again on every probe.
     When every target is matched the implied lower-bound constant
     (1 - (3 sqrt(3)/2) r) * epsilon is reported.  Failure to match at this
     resolution is reported as unmatched, not as a refutation.
@@ -461,9 +464,13 @@ def bounded_below_probe(phi: AnalyticMap, r: float, epsilon: float,
     hit = _local_hits(phi, targets, r, epsilon)
     miss = np.flatnonzero(~hit)
     if miss.size:
-        z = points.ravel()
-        img = phi.eval(z)
-        candidates = img[_schwarz_pick(phi, z, img) > epsilon]
+        step = BLOCK_POINTS // points.shape[1]
+        blocks = []
+        for start in range(0, points.shape[0], step):
+            z = points[start:start + step].ravel()
+            img = phi.eval(z)
+            blocks.append(img[_schwarz_pick(phi, z, img) > epsilon])
+        candidates = np.concatenate(blocks)
         chunk = max(1, _PROBE_CHUNK_ELEMENTS // max(1, candidates.size))
         for start in range(0, miss.size, chunk):
             rows = miss[start:start + chunk]

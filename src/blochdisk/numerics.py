@@ -16,12 +16,16 @@ INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _ROUND_OFFSETS = np.arange(-7, 8) / 8.0
 # Nodes per Gauss-Legendre panel of gl_panel and gl_panel_columns.
 GL_NODES = 16
-# Point budget of one map evaluation in gl_panel_columns.  A complex temporary
-# of 2^12 points is 64 kB, below glibc malloc's 128 kB threshold; larger
-# arrays get fresh pages, and each block pays their page faults.  Past
-# BLOCK_POINTS // GL_NODES open columns one panel exceeds it: the criterion
-# sweeps rings of at most that many angles, and the square function, whose
-# bits depend on how its columns are grouped, takes the excess.
+# Point budget of one map evaluation in the loops that sweep many points:
+# gl_panel_columns (the Bloch-to-Hardy criterion and the square function) and
+# the grid scan of compop.bounded_below_probe, 16 rows of the 256-angle
+# supremum grid per block.  A complex temporary of 2^12 points is 64 kB,
+# below glibc malloc's 128 kB threshold; larger arrays get fresh pages, and
+# each call pays their page faults again.  Past BLOCK_POINTS // GL_NODES open
+# columns one panel exceeds it: the criterion sweeps rings of at most that
+# many angles, and the square function, whose bits depend on how its columns
+# are grouped, takes the excess.  The seminorm and Q grids stay whole:
+# sup_search needs every value.
 BLOCK_POINTS = 2 ** 12
 # sup_search refines its REFINE_TOP strongest grid peaks to the width of
 # GOLDEN_ITERS golden-section steps per side, which GOLDEN_ROUNDS rounds of

@@ -569,6 +569,38 @@ class TestMain:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and field in captured.err
 
+    @pytest.mark.parametrize("route", ["inline", "file"])
+    def test_exit_one_on_deeply_nested_descriptor(self, capsys, tmp_path, route):
+        # json's decoder recurses once per nesting level: 2,000 levels inline
+        # (4 kB of argv) and 100,000 in a file exceed the recursion limit
+        depth = 2_000 if route == "inline" else 100_000
+        source = '{"kind": "polynomial", "coefficients": ' + "[" * depth + "]" * depth + "}"
+        if route == "file":
+            path = tmp_path / "deep.json"
+            path.write_text(source)
+            source = str(path)
+        with pytest.raises(DescriptorError, match="nested too deeply"):
+            resolve_function(source)
+        assert main(["bounded-below-probe", "--phi", source, "--r", "0.2",
+                     "--epsilon", "0.5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: descriptor is nested too deeply to read\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["lipschitz-scan", "--func", "eta", "--pairs", str(10 ** 15)],
+        ["bounded-below-probe", "--phi", "half-identity", "--r", "0.2", "--epsilon", "0.5",
+         "--samples", str(10 ** 15)],
+    ], ids=["pairs", "samples"])
+    def test_exit_one_on_an_allocation_numpy_refuses(self, capsys, argv):
+        # 10^15 points take petabytes: numpy refuses them at once, allocating
+        # nothing, and main reports its MemoryError on one line
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: Unable to allocate ")
+        assert captured.err.count("\n") == 1
+
     def test_exit_one_on_broken_pipe(self, tmp_path, monkeypatch):
         target = open(tmp_path / "stdout", "w")
 

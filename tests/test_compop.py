@@ -788,6 +788,17 @@ class TestBoundedBelowProbe:
         expected = probe_reference(phi, 0.2, 0.4, samples, seed=3)
         assert bounded_below_probe(phi, 0.2, 0.4, samples, seed=3) == expected
 
+    @pytest.mark.parametrize("phi", [CONSTANT, HALF, Polynomial((0, 0.5, 0.4j))],
+                             ids=["constant", "half", "quadratic"])
+    def test_grid_scan_in_bounded_calls(self, phi):
+        # targets are left for the grid scan, which evaluates phi and phi'
+        # on blocks of whole rows of at most BLOCK_POINTS points, never on
+        # the whole 21,248-point grid at once
+        counting = _Counting(phi)
+        rep = bounded_below_probe(counting, 0.2, 0.4, 300, seed=3)
+        assert rep.fraction < 1.0 and rep.grid_points == sup_grid()[2].size
+        assert max(math.prod(shape) for _, shape in counting.calls) <= BLOCK_POINTS
+
     def test_identity_full_fraction(self):
         rep = bounded_below_probe(IDENTITY, 0.2, 0.5, 100, seed=7)
         assert rep.fraction == 1.0
