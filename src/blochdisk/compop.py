@@ -407,11 +407,6 @@ class ProbeReport:
 PROBE_RADIUS_SUP = 2.0 * math.sqrt(3.0) / 9.0
 
 
-# Largest targets x candidates distance block the probe's grid scan holds
-# at once (complex128: 4 MB); wider blocks raise peak memory and gain nothing.
-_PROBE_CHUNK_ELEMENTS = 2 ** 18
-
-
 def _local_hits(phi, targets, r, epsilon):
     """Which targets w are matched by their own candidates w and phi(w).
 
@@ -438,12 +433,9 @@ def bounded_below_probe(phi: AnalyticMap, r: float, epsilon: float,
     phi(w) (exact pre-images for the identity and for involutive
     automorphisms).
     The local candidates of all targets are tried first, in one array call;
-    the grid candidates are built only when targets are left unmatched, and
-    only those targets are measured against them, in blocks of at most
-    ``_PROBE_CHUNK_ELEMENTS`` distances.  The grid is scanned in blocks of
-    whole rows, at most ``BLOCK_POINTS`` points each, and the candidates are
-    joined in row-major order: whole-grid temporaries would be fresh pages,
-    faulted in again on every probe.
+    the targets left go to the grid, in blocks of 16 whole rows: each block's
+    candidates meet the targets still missed in blocks of at most
+    ``BLOCK_POINTS`` distances, and the scan stops once none is left.
     When every target is matched the implied lower-bound constant
     (1 - (3 sqrt(3)/2) r) * epsilon is reported.  Failure to match at this
     resolution is reported as unmatched, not as a refutation.
@@ -463,20 +455,19 @@ def bounded_below_probe(phi: AnalyticMap, r: float, epsilon: float,
     targets = area_uniform_points(np.random.default_rng(seed), samples)
     hit = _local_hits(phi, targets, r, epsilon)
     miss = np.flatnonzero(~hit)
-    if miss.size:
-        step = BLOCK_POINTS // points.shape[1]
-        blocks = []
-        for start in range(0, points.shape[0], step):
-            z = points[start:start + step].ravel()
-            img = phi.eval(z)
-            blocks.append(img[_schwarz_pick(phi, z, img) > epsilon])
-        candidates = np.concatenate(blocks)
-        chunk = max(1, _PROBE_CHUNK_ELEMENTS // max(1, candidates.size))
-        for start in range(0, miss.size, chunk):
-            rows = miss[start:start + chunk]
-            dist = rho_array(candidates, targets[rows, None])
-            # with no grid candidates the minimum is inf: nothing matches
-            hit[rows] = np.min(dist, axis=-1, initial=np.inf) < r
+    step = BLOCK_POINTS // points.shape[1]
+    for start in range(0, points.shape[0], step):
+        if not miss.size:
+            break
+        z = points[start:start + step].ravel()
+        img = phi.eval(z)
+        candidates = img[_schwarz_pick(phi, z, img) > epsilon]
+        if candidates.size:
+            chunk = max(1, BLOCK_POINTS // candidates.size)
+            for i in range(0, miss.size, chunk):
+                rows = miss[i:i + chunk]
+                hit[rows] = np.any(rho_array(candidates, targets[rows, None]) < r, axis=-1)
+            miss = miss[~hit[miss]]
     hits = int(np.count_nonzero(hit))
     unmatched = [complex(w) for w in targets[~hit][:8]]
     fraction = hits / samples

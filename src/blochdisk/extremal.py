@@ -66,15 +66,14 @@ def m_root(r0: float, alpha: float) -> ExtremalSolution:
     """Unique root of psi(x; alpha) = r0 in [0, a0(alpha)], by bisection.
 
     psi is strictly increasing on the bracket, so bisection is guaranteed;
-    the residual |psi(m) - r0| is driven to <= 1e-12.  m_root(1) = a0 exactly.
+    m_root(1) = a0 exactly.  A residual |psi(m) - r0| above 1e-12 or not
+    finite (psi loses precision past alpha ~3e10) raises ParameterRangeError.
     """
     r0 = float(r0)
     if not 0.0 < r0 <= 1.0:
         raise ParameterRangeError(f"r0 must lie in (0, 1], got {r0}")
     peak = a0(alpha)
-    if r0 == 1.0:
-        return ExtremalSolution(alpha, r0, peak, peak, abs(psi(peak, alpha) - 1.0))
-    lo, hi = 0.0, peak
+    lo, hi = (peak if r0 == 1.0 else 0.0), peak  # r0 = 1 is psi's peak, at a0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         if psi(mid, alpha) < r0:
@@ -84,7 +83,10 @@ def m_root(r0: float, alpha: float) -> ExtremalSolution:
         if hi - lo <= 1e-17:
             break
     m = 0.5 * (lo + hi)
-    return ExtremalSolution(alpha, r0, peak, m, abs(psi(m, alpha) - r0))
+    if not (residual := abs(psi(m, alpha) - r0)) <= 1e-12:
+        raise ParameterRangeError(
+            f"no root of psi(x; alpha) = r0 within 1e-12 at alpha = {alpha}: residual {residual}")
+    return ExtremalSolution(alpha, r0, peak, m, residual)
 
 
 def deriv_lower_bound(r0: float, alpha: float, z):

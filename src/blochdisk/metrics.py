@@ -25,8 +25,8 @@ def rho(z, w) -> float:
 
 def rho_array(z, w):
     """rho elementwise on broadcasting arrays.  Two buffers of the broadcast
-    shape instead of four temporaries: on the probe's distance blocks, fresh
-    allocations cost as much as the arithmetic."""
+    shape instead of four temporaries: on the probe's distance blocks (at most
+    ``BLOCK_POINTS``), fresh allocations cost as much as the arithmetic."""
     num = z - w
     den = np.conjugate(w) * z
     np.subtract(1.0, den, out=den)

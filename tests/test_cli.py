@@ -601,6 +601,14 @@ class TestMain:
         assert captured.err.startswith("error: Unable to allocate ")
         assert captured.err.count("\n") == 1
 
+    def test_exit_one_on_a_root_past_its_residual_bound(self, capsys):
+        # psi loses its precision for huge alpha: the root's residual is 0.25
+        assert main(["extremal-root", "--r0", "0.5", "--alpha", "1e100"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: no root of psi(x; alpha) = r0 within 1e-12")
+        assert captured.err.count("\n") == 1
+
     def test_exit_one_on_broken_pipe(self, tmp_path, monkeypatch):
         target = open(tmp_path / "stdout", "w")
 

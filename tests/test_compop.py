@@ -778,8 +778,10 @@ def probe_reference(phi, r, epsilon, samples, seed):
 
 class TestBoundedBelowProbe:
     # The Blaschke product, the quadratic and z/2 leave targets for the grid
-    # scan, whose chunks hold 12, 98 and 204 targets at epsilon = 0.4 on the
-    # default plan: 5 samples fit in one chunk, 300 span several.
+    # scan at epsilon = 0.4.  A row block of up to 4,096 candidates meets the
+    # targets still missed one to a few at a time: 5 samples of the Blaschke
+    # product are all matched after two of the six blocks, 300 samples of
+    # the quadratic and z/2 leave misses after all six.
     @pytest.mark.parametrize("phi", [
         IDENTITY, Polynomial((0, 1)), Mobius(0.3), CONSTANT, HALF,
         Blaschke((0.3 + 0.2j, -0.5j)), Polynomial((0, 0.5, 0.4j))])
@@ -798,6 +800,33 @@ class TestBoundedBelowProbe:
         rep = bounded_below_probe(counting, 0.2, 0.4, 300, seed=3)
         assert rep.fraction < 1.0 and rep.grid_points == sup_grid()[2].size
         assert max(math.prod(shape) for _, shape in counting.calls) <= BLOCK_POINTS
+
+    @pytest.mark.parametrize("phi", [Blaschke((0.3 + 0.2j, -0.5j)), HALF,
+                                     Polynomial((0, 0.5, 0.4j))],
+                             ids=["blaschke", "half", "quadratic"])
+    def test_distance_blocks_within_the_point_budget(self, phi, monkeypatch):
+        # each row block's candidates are measured against the targets still
+        # missed in blocks of at most BLOCK_POINTS distances
+        import blochdisk.compop as compop_mod
+        sizes = []
+
+        def recorded(z, w, _rho=compop_mod.rho_array):
+            sizes.append(np.broadcast(z, w).size)
+            return _rho(z, w)
+        monkeypatch.setattr(compop_mod, "rho_array", recorded)
+        bounded_below_probe(phi, 0.2, 0.4, 300, seed=3)
+        assert len(sizes) > 1  # _local_hits' call, then the grid's
+        assert max(sizes) <= BLOCK_POINTS
+
+    def test_grid_scan_stops_once_every_target_is_matched(self):
+        # no target of seed 3's five is matched by its local candidates, and
+        # the first two row blocks match them all: the scan evaluates two of
+        # the six blocks (five of 4,096 points and one of 768)
+        counting = _Counting(Blaschke((0.3 + 0.2j, -0.5j)))
+        rep = bounded_below_probe(counting, 0.2, 0.4, 5, seed=3)
+        assert rep.fraction == 1.0
+        assert counting.calls["eval", (BLOCK_POINTS,)] == 2
+        assert not counting.calls["eval", (768,)]
 
     def test_identity_full_fraction(self):
         rep = bounded_below_probe(IDENTITY, 0.2, 0.5, 100, seed=7)

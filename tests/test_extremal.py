@@ -86,6 +86,13 @@ class TestMRoot:
     def test_small_r0_gives_small_root(self):
         assert m_root(1e-8, 1.0).m < 1e-7
 
+    @pytest.mark.parametrize("alpha", [1e11, 1e100, 1e308])
+    def test_rejects_a_residual_past_its_bound(self, alpha):
+        # psi's scale loses precision for huge alpha: the residual reads
+        # 1.3e-12 at 1e11 and 0.25 at 1e100; at 1e308, a0 = 0 and psi is NaN
+        with pytest.raises(ParameterRangeError, match="within 1e-12"):
+            m_root(0.5, alpha)
+
     def test_rejects_out_of_range(self):
         with pytest.raises(ParameterRangeError):
             m_root(0.0, 1.0)
