@@ -17,11 +17,10 @@ from .core import (AnalyticMap, Blaschke, BlochParams, Composed, HarmonicMap,
                    lambda_f)
 from .extremal import LIP_CONSTANT
 from .metrics import rho_array
-from .norms import (DEFAULT_PLAN, LADDER, SamplingPlan, bloch_weight, hardy_norm,
-                    sup_grid, weight_from_gap)
-from .numerics import (BLOCK_POINTS, GL_NODES, QuadratureError, area_uniform_points,
+from .norms import DEFAULT_PLAN, SamplingPlan, bloch_weight, hardy_norm, weight_from_gap
+from .numerics import (BLOCK_POINTS, GL_NODES, LADDER, QuadratureError, area_uniform_points,
                        circle_means, dyadic_radius, extrapolate_to_zero,
-                       gl_panel_columns, sup_search)
+                       gl_panel_columns, sup_grid, sup_search)
 
 __all__ = [
     "CriterionReport", "is_admissible_symbol", "compose",
@@ -339,8 +338,7 @@ def hardy_to_bloch_verdict(phi: AnalyticMap, params: BlochParams, p: float) -> C
     def q(z):
         return _q(phi, params, p, z, phi.eval(z))
 
-    grid = sup_grid()
-    radii, _, points = grid
+    radii, _, points = sup_grid()
     row_max = np.max(q(points[np.searchsorted(radii, (0.0,) + LADDER)]), axis=1).tolist()
     # Python's max, as a per-row loop takes it: a later NaN row is skipped
     running = list(itertools.accumulate(row_max, max))[1:]
@@ -358,7 +356,7 @@ def hardy_to_bloch_verdict(phi: AnalyticMap, params: BlochParams, p: float) -> C
     else:
         verdict = "non-compact" if e == 0.0 and beta == 0.0 else "compact"
 
-    sup_q, _, res = sup_search(q, grid)
+    sup_q, _, res = sup_search(q)
     if not math.isfinite(sup_q):
         return CriterionReport("inconclusive", None, evidence, diagnostics)
     diagnostics["bounded"] = True

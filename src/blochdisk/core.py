@@ -149,10 +149,6 @@ class Polynomial(AnalyticMap):
     def deriv(self, z):
         return self._horner(self._deriv_coefficients, z)
 
-    @property
-    def degree(self):
-        return len(self.coefficients) - 1
-
 
 @dataclass(frozen=True)
 class Mobius(AnalyticMap):
@@ -265,7 +261,9 @@ class PowerKernel(AnalyticMap):
         bc = self.b.conjugate()
         base = 1.0 - bc * np.asarray(z, dtype=complex)
         scale = (1.0 - abs(self.b) ** 2) ** self.exponent
-        return scale * np.exp(-2.0 * self.exponent * np.log(base))
+        # a small p overflows exp, and scale * inf is NaN: the caller judges it
+        with np.errstate(over="ignore", invalid="ignore"):
+            return scale * np.exp(-2.0 * self.exponent * np.log(base))
 
     def deriv(self, z):
         bc = self.b.conjugate()

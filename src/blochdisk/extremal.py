@@ -13,8 +13,8 @@ from .core import (AnalyticMap, DegeneratePairError, HarmonicMap,
                    ParameterRangeError, Polynomial, ZeroSeminormError,
                    as_harmonic, classical_params, disk_point)
 from .metrics import rho, rho_array
-from .norms import LADDER, bloch_functional, bloch_seminorm, bloch_values
-from .numerics import TWO_PI, area_uniform_points
+from .norms import bloch_functional, bloch_seminorm, bloch_values
+from .numerics import LADDER, TWO_PI, area_uniform_points
 
 __all__ = [
     "LIP_CONSTANT", "a0", "psi", "ExtremalSolution", "m_root",
@@ -160,13 +160,12 @@ class AntiderivativeExtremal(AnalyticMap):
         return self._m
 
     def eval(self, z):
-        # Closed form from partial fractions in u = 1 - m z:
-        #   F(z) = (beta/m^3) [ (m^2 - 1) / (2 u^2) + 1/u ] + C,  F(0) = 0.
+        # Partial fractions in u = 1 - m z give (beta/m^3) [(m^2 - 1)/(2 u^2) +
+        # 1/u - (m^2 + 1)/2], whose O(1) terms cancel to O(m^2) for small beta:
+        # the bracket is summed exactly as m^2 z (m (2 - m z) - z) / (2 u^2).
         m, beta = self._m, self.beta
-        u = 1.0 - m * np.asarray(z, dtype=complex)
-        scale = beta / m ** 3
-        raw = scale * ((m * m - 1.0) / (2.0 * u * u) + 1.0 / u)
-        return raw - scale * ((m * m - 1.0) / 2.0 + 1.0)
+        z = np.asarray(z, dtype=complex)
+        return beta * z * (m * (2.0 - m * z) - z) / (2.0 * m * (1.0 - m * z) ** 2)
 
     def deriv(self, z):
         m, beta = self._m, self.beta
@@ -296,7 +295,8 @@ def sharpness_witness(epsilon: float) -> WitnessReport:
 
     m* = min(a0(1), sqrt(2 sqrt(3) eps)/3) and beta = (3 sqrt(3)/2) m* (1-m*^2);
     the pair is (m*, 0).  Below the branch point eps = sqrt(3)/2 the achieved
-    ratio equals 3 sqrt(3)/2 - eps identically.
+    ratio equals 3 sqrt(3)/2 - eps identically.  A ratio more than 1e-9 below
+    it, as ``m_root`` gives for eps near 1e-16, raises ParameterRangeError.
     """
     epsilon = float(epsilon)
     if not 0.0 < epsilon <= LIP_CONSTANT + 1e-15:
@@ -312,8 +312,7 @@ def sharpness_witness(epsilon: float) -> WitnessReport:
     achieved = lipschitz_ratio(fmap, z1, z2)
     floor = LIP_CONSTANT - epsilon
     if achieved < floor - 1e-9:
-        raise ArithmeticError(
-            f"witness ratio {achieved} fell below {floor}")
+        raise ParameterRangeError(f"witness ratio {achieved} fell below {floor}")
     return WitnessReport(epsilon, m_star, beta, z1, z2, achieved, floor)
 
 

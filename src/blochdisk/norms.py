@@ -5,18 +5,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import partial
 
 import numpy as np
 
 from .core import (BlochParams, Composed, DivergentIntegralError, HarmonicMap,
                    ParameterRangeError, Polynomial, classical_params, disk_point,
                    lambda_f)
-from .numerics import (TWO_PI, QuadratureError, circle_max, circle_means, dyadic_radius,
-                       gl_panel_columns, sup_search)
+from .numerics import (LADDER, QuadratureError, circle_max, circle_means, dyadic_radius,
+                       gl_panel_columns, sup_grid, sup_search)
 
 __all__ = [
-    "SamplingPlan", "DEFAULT_PLAN", "NormEstimate", "sup_grid",
+    "SamplingPlan", "DEFAULT_PLAN", "NormEstimate",
     "hardy_mean", "hardy_norm", "bloch_weight", "weight_from_gap",
     "bloch_functional", "bloch_seminorm", "bloch_norm",
     "g_function", "g_norm_check", "power_mean_inequality_check",
@@ -26,12 +26,6 @@ _GFUNC_TOL = 1e-12
 # Panel 47 of the square function is the last with 16 distinct nodes below 1.
 G_PANELS = 48
 
-# The radial ladder r_j = 1 - 2^-j, j = 1..20: rows of the supremum grid, the
-# seminorm's ridge, the verdict's evidence rows and the scan's structured pairs.
-LADDER = tuple(dyadic_radius(j) for j in range(1, 21))
-# Size of the supremum grid (see sup_grid).
-SUP_RADII = 64
-SUP_ANGLES = 256
 # The largest angular_resolution of a plan, and hardy_mean's node cap for smaller ones.
 MAX_CIRCLE_NODES = 2 ** 20
 
@@ -45,7 +39,7 @@ class SamplingPlan:
     finite and positive.
     Suprema do not depend on the plan: those of |f| lie on the unit circle
     (``numerics.circle_max``), the others are searched on the one
-    ``sup_grid``.  ``describe`` reports the two fields.
+    ``numerics.sup_grid``.  ``describe`` reports the two fields.
     """
 
     angular_resolution: int = 256
@@ -68,24 +62,6 @@ class SamplingPlan:
 
 
 DEFAULT_PLAN = SamplingPlan()
-
-
-@cache
-def sup_grid():
-    """``(radii, angles, points)`` of the suprema searched inside the disk
-    (the Bloch-type functional and Q) and of the probe's candidates:
-    SUP_RADII tanh-spaced radii up to 1 - 2^-20 joined with the 20 dyadic
-    radii of ``LADDER``, SUP_ANGLES equally spaced angles, and their outer
-    product, the points.  Suprema of |f| lie on the unit circle and are
-    ``numerics.circle_max``'s instead.  Built on first use and shared, so
-    the arrays are read-only."""
-    tanh = np.tanh(np.linspace(0.0, math.atanh(LADDER[-1]), SUP_RADII))
-    radii = np.union1d(tanh, LADDER)
-    angles = np.arange(SUP_ANGLES) * (TWO_PI / SUP_ANGLES)
-    grid = radii, angles, radii[:, None] * np.exp(1j * angles)[None, :]
-    for array in grid:
-        array.flags.writeable = False
-    return grid
 
 
 @dataclass(frozen=True)
@@ -237,8 +213,7 @@ def bloch_seminorm(f, params: BlochParams | None = None) -> NormEstimate:
     maxima, is raised instead of a value.
     """
     params = params or classical_params()
-    grid = sup_grid()
-    radii, _, points = grid
+    radii, _, points = sup_grid()
     values = bloch_values(f, params, points)
     ridge = np.max(values[np.searchsorted(radii, LADDER)], axis=1).tolist()
     peak = int(np.argmax(values))  # argmax stops at the first NaN
@@ -249,7 +224,7 @@ def bloch_seminorm(f, params: BlochParams | None = None) -> NormEstimate:
             f"Bloch-type functional peaks on the outermost grid ring, |z| = "
             f"{float(radii[-1])!r}: its supremum lies beyond the grid",
             last_values=tuple(ridge[-2:]))
-    value, _, res = sup_search(partial(bloch_values, f, params), grid, values=values)
+    value, _, res = sup_search(partial(bloch_values, f, params), values=values)
     return NormEstimate(float(value), tuple(zip(LADDER, ridge)), resolution=float(res[0]))
 
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
@@ -34,8 +34,6 @@ BLOCK_POINTS = 2 ** 12
 GOLDEN_ITERS = 40
 GOLDEN_ROUNDS = math.ceil(GOLDEN_ITERS * math.log(INV_GOLDEN) / math.log(2.0 / 16.0))
 REFINE_TOP = 4
-# Equally spaced angles at which circle_max samples the circle.
-_CIRCLE_NODES = 256
 
 
 class QuadratureError(BlochDiskError, RuntimeError):
@@ -49,7 +47,7 @@ class QuadratureError(BlochDiskError, RuntimeError):
         self.last_values = last_values
 
 
-@lru_cache(maxsize=None)
+@cache
 def _leggauss():
     return np.polynomial.legendre.leggauss(GL_NODES)
 
@@ -207,26 +205,52 @@ def circle_means(sample, n, cap, tol, p=1.0):
         added = sample((np.arange(n) + 0.5) * (TWO_PI / n))
 
 
+# The radial ladder r_j = 1 - 2^-j, j = 1..20: rows of the supremum grid, the
+# seminorm's ridge, the verdict's evidence rows and the scan's structured pairs.
+LADDER = tuple(dyadic_radius(j) for j in range(1, 21))
+# Size of the supremum grid (see sup_grid).
+SUP_RADII = 64
+SUP_ANGLES = 256
+
+
+@cache
+def sup_grid():
+    """``(radii, angles, points)`` of every supremum: SUP_RADII tanh-spaced
+    radii up to 1 - 2^-20 joined with the 20 of ``LADDER``, SUP_ANGLES equally
+    spaced angles, and their outer product.  ``sup_search`` (the Bloch-type
+    functional and Q) and the probe's candidates take the points, and
+    ``circle_max`` the angles.  Built on first use and shared read-only."""
+    tanh = np.tanh(np.linspace(0.0, math.atanh(LADDER[-1]), SUP_RADII))
+    radii = np.union1d(tanh, LADDER)
+    angles = np.arange(SUP_ANGLES) * (TWO_PI / SUP_ANGLES)
+    grid = radii, angles, radii[:, None] * np.exp(1j * angles)[None, :]
+    for array in grid:
+        array.flags.writeable = False
+    return grid
+
+
 def circle_max(sample):
     """Maximum of a 2pi-periodic ``sample`` of an array of angles of any shape.
 
-    ``sample`` is evaluated at ``_CIRCLE_NODES`` equally spaced angles, and
-    its ``REFINE_TOP`` strongest node-local maxima (ties count) are refined
+    ``sample`` is evaluated at the angles of ``sup_grid``, and its
+    ``REFINE_TOP`` strongest node-local maxima (ties count) are refined
     together by one ``golden_max`` call on boxes one step either side.
-    Returns ``(value, angle_width)``: the larger of the best refined value
-    and the node maximum, with the final width of that box.
+    Returns ``(value, angle_width)``: as in ``sup_search``, the best refined
+    value replaces the node maximum only when larger, so a NaN node is the
+    value; the width is that box's, or the step when no node is a peak.
     """
-    step = TWO_PI / _CIRCLE_NODES
-    theta = np.arange(_CIRCLE_NODES) * step
+    theta = sup_grid()[1]
+    step = TWO_PI / SUP_ANGLES
     vals = np.asarray(sample(theta), dtype=float)
+    best = float(np.max(vals))
     ring = np.concatenate((vals[-1:], vals, vals[:1]))  # the angle wraps
     peaks = np.flatnonzero((vals >= ring[:-2]) & (vals >= ring[2:]))
     if not peaks.size:  # no node compares with both neighbours, as with NaN
-        return float(np.max(vals)), step
+        return best, step
     top = theta[peaks[np.argsort(vals[peaks])[::-1][:REFINE_TOP]], None]
     _, refined, width = golden_max(lambda t: sample(t[..., 0, :]), top - step, top + step)
     k = int(np.argmax(refined))
-    return max(float(refined[k]), float(np.max(vals))), float(width[k, 0])
+    return (float(refined[k]) if refined[k] > best else best), float(width[k, 0])
 
 
 def _grid_local_maxima(vals):
@@ -243,9 +267,9 @@ def _grid_local_maxima(vals):
     return np.argwhere(mask)
 
 
-def sup_search(objective, grid, values=None):
-    """Maximum of ``objective(z)`` on the ``(radii, angles, points)`` grid of
-    ``norms.sup_grid``, plus local refinement.
+def sup_search(objective, values=None):
+    """Maximum of ``objective(z)`` on the points of ``sup_grid``, plus local
+    refinement.
 
     The ``REFINE_TOP`` strongest grid-local maxima are refined together by
     one ``golden_max`` call, which guards against near-tied peaks resolving
@@ -256,11 +280,13 @@ def sup_search(objective, grid, values=None):
     ``objective`` on each box's 15 radii times its 15 angles, taking one
     exponential per angle.  ``objective`` must act elementwise on complex
     ndarrays of any shape; ``values``, when given, are its values on the
-    points.  Returns ``(value, argmax_z, (radius_width, angle_width))``, the
-    widths being the final box of the strongest refined peak (the grid steps
-    when the grid has no peak, as when it is all NaN).
+    points.  The grid maximum is replaced by the best refined value only when
+    that is larger, so a NaN anywhere on the grid is the value.  Returns
+    ``(value, argmax_z, (radius_width, angle_width))``, the widths being the
+    final box of the strongest refined peak (the grid steps when the grid has
+    no peak, as when it is all NaN).
     """
-    r, th, zgrid = grid
+    r, th, zgrid = sup_grid()
     vals = np.asarray(objective(zgrid) if values is None else values, dtype=float)
     peaks = _grid_local_maxima(vals)
     order = np.argsort(vals[peaks[:, 0], peaks[:, 1]])[::-1]

@@ -26,6 +26,8 @@ from blochdisk.cli import (_COMMANDS, _PLAN_SETTINGS, _UNREAD, CatalogError, Run
                            parse_complex, parse_config, resolve_function, run)
 from blochdisk.core import Composed
 
+# a power kernel whose values overflow near z = 1
+_KERNEL = "kernel:0.5,0:1e-3"
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=3)
@@ -607,6 +609,37 @@ class TestMain:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: no root of psi(x; alpha) = r0 within 1e-12")
+        assert captured.err.count("\n") == 1
+
+    # (0.75 / (1 - z/2)^2)^1000 is 3^1000 at z = 1: its exp overflows and
+    # scale * inf is NaN, which each command refuses on one line, without a
+    # RuntimeWarning first
+    @pytest.mark.parametrize("argv,message", [
+        (["hardy-norm", "--func", _KERNEL, "--p", "2"], "circle mean did not stabilize"),
+        (["hardy-norm", "--func", _KERNEL, "--p", "inf"], "max |f| on the unit circle is not"),
+        (["bloch-seminorm", "--func", _KERNEL], "Bloch-type functional is not finite"),
+        (["gfunction", "--func", _KERNEL, "--angle", "0"], "square-function integral did not"),
+        (["lipschitz-scan", "--func", _KERNEL, "--pairs", "10"], "Bloch-type functional is not"),
+        (["compop-verdict", "--phi", _KERNEL, "--alpha", "2"], "power-kernel is not a self-map"),
+        (["compop-criterion", "--phi", _KERNEL], "power-kernel is not a self-map"),
+        (["bounded-below-probe", "--phi", _KERNEL, "--r", "0.2", "--epsilon", "0.5"],
+         "power-kernel is not a self-map"),
+    ], ids=["hardy-2", "hardy-inf", "seminorm", "gfunction", "scan", "verdict", "criterion",
+            "probe"])
+    def test_exit_one_on_an_overflowing_kernel(self, capsys, argv, message):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("epsilon", ["1e-16", "1e-20"])
+    def test_exit_one_on_a_witness_below_its_floor(self, capsys, epsilon):
+        # the extremal root is too coarse for so small an epsilon
+        assert main(["sharpness-witness", "--epsilon", epsilon]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: witness ratio ")
         assert captured.err.count("\n") == 1
 
     def test_exit_one_on_broken_pipe(self, tmp_path, monkeypatch):

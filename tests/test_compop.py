@@ -24,9 +24,9 @@ from blochdisk import (Blaschke, BlochParams, CriterionReport, HarmonicMap,
 from blochdisk import test_function as kernel_test_function
 from blochdisk.compop import PROBE_RADIUS_SUP, ProbeReport, _symbol
 from blochdisk.core import Composed
-from blochdisk.norms import LADDER, SamplingPlan, sup_grid
-from blochdisk.numerics import (BLOCK_POINTS, TWO_PI, area_uniform_points, circle_means,
-                                dyadic_radius)
+from blochdisk.norms import SamplingPlan
+from blochdisk.numerics import (BLOCK_POINTS, LADDER, TWO_PI, area_uniform_points, circle_means,
+                                dyadic_radius, sup_grid)
 
 from conftest import disk_samples, random_polynomial_pair
 
@@ -117,6 +117,11 @@ class TestAdmissibility:
         assert not is_admissible_symbol(QuadraticExtremal())
         assert not is_admissible_symbol(PowerKernel(0.9, 2.0))
         assert not is_admissible_symbol(Polynomial((1.5,)))
+
+    def test_overflowing_kernel_is_refused(self):
+        # (0.75 / (1 - z/2)^2)^1000 is 3^1000 at z = 1: |phi| overflows to
+        # NaN on the circle, and a NaN maximum is no self-map
+        assert not is_admissible_symbol(PowerKernel(0.5, 1e-3))
 
     @pytest.mark.parametrize("phi", [
         Polynomial((0, 1 + 1e-7)), Polynomial((0, 1.0000005)),

@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from blochdisk import (DegeneratePairError, LIP_CONSTANT, ParameterRangeError,
+from blochdisk import (BlochDiskError, DegeneratePairError, LIP_CONSTANT, ParameterRangeError,
                        Polynomial, QuadratureError, ZeroSeminormError, a0, as_harmonic,
                        bloch_functional, bloch_seminorm, classical_params,
                        deriv_lower_bound, deriv_upper_bound, f_beta,
                        lipschitz_ratio, lipschitz_scan, m_root, mobius, psi,
                        random_normalized_corpus, sharpness_witness)
+from blochdisk import extremal
 from blochdisk.extremal import AntiderivativeExtremal, QuadraticExtremal
 
 from conftest import ReciprocalGap, disk_samples, path_integral
@@ -160,6 +161,21 @@ class TestExtremalFamily:
                 via_path = path_integral(integrand, complex(z))
                 assert abs(direct - via_path) < 1e-9
 
+    @pytest.mark.parametrize("beta", [1.0, 0.3, 1e-3, 1e-6, 1e-12, 1e-100, 1e-300])
+    def test_closed_form_against_mpmath(self, beta):
+        # F(z) = z int_0^1 F'(s z) ds at 40 digits, with the map's own m; the
+        # factor beta stays outside the quadrature, whose tolerance is absolute
+        mp = pytest.importorskip("mpmath")
+        fmap = AntiderivativeExtremal(beta)
+        zs = np.array([0.5, -0.7 + 0.2j, 0.3j, 0.99, 1.0, -1.0, 0.1 + 0.1j, np.exp(2j)])
+        with mp.workdps(40):
+            m = mp.mpf(fmap.m)
+            for z, value in zip(zs, fmap.eval(zs)):
+                w = mp.mpc(z)
+                exact = beta * w * mp.quad(lambda s: (m - s * w) / (m * (1 - m * s * w) ** 3),
+                                           [0, 1])
+                assert abs(complex(value) - exact) <= 1e-13 * abs(exact), (beta, z)
+
     def test_functional_transports_to_quadratic_extremal(self, rng):
         # B_{f_beta}(z) = B_{eta}(phi_m(z)) for the classical functional
         params = classical_params()
@@ -253,6 +269,11 @@ class TestSharpnessWitness:
     def test_extreme_epsilon_trivial(self):
         rep = sharpness_witness(LIP_CONSTANT)
         assert rep.achieved_ratio >= 0.0
+
+    def test_ratio_below_its_floor_is_a_typed_error(self, monkeypatch):
+        monkeypatch.setattr(extremal, "lipschitz_ratio", lambda f, z1, z2: 0.0)
+        with pytest.raises(BlochDiskError, match="fell below"):
+            sharpness_witness(0.1)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ParameterRangeError):

@@ -18,10 +18,10 @@ from blochdisk import (Blaschke, BlochParams, HarmonicMap, Mobius,
                        power_mean_inequality_check)
 from blochdisk.core import DivergentIntegralError
 from blochdisk.extremal import AntiderivativeExtremal
-from blochdisk.norms import (DEFAULT_PLAN, LADDER, MAX_CIRCLE_NODES, SamplingPlan, _g_squared,
-                             sup_grid, weight_from_gap)
-from blochdisk.numerics import (BLOCK_POINTS, GL_NODES, TWO_PI, dyadic_radius, gl_panel,
-                                gl_panel_columns)
+from blochdisk.norms import (DEFAULT_PLAN, MAX_CIRCLE_NODES, SamplingPlan, _g_squared,
+                             weight_from_gap)
+from blochdisk.numerics import (BLOCK_POINTS, GL_NODES, LADDER, TWO_PI, dyadic_radius, gl_panel,
+                                gl_panel_columns, sup_grid)
 
 from conftest import (ReciprocalGap, disk_samples, g_sq_oracle,
                       parseval_mean_sq, random_polynomial_pair)

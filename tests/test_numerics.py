@@ -7,9 +7,8 @@ import pytest
 
 from blochdisk import Polynomial, as_harmonic, lambda_f, numerics
 from blochdisk.extremal import QuadraticExtremal
-from blochdisk.norms import sup_grid
 from blochdisk.numerics import (GOLDEN_ITERS, INV_GOLDEN, TWO_PI, area_uniform_points,
-                                golden_max, sup_search)
+                                golden_max, sup_grid, sup_search)
 
 
 # every side of a golden_max box ends at most this fraction of its start
@@ -169,8 +168,7 @@ def _functional(f):
 
 class TestSupSearch:
     def test_eta_peak_is_one(self):
-        value, z, _ = sup_search(_functional(as_harmonic(QuadraticExtremal())),
-                                 sup_grid())
+        value, z, _ = sup_search(_functional(as_harmonic(QuadraticExtremal())))
         assert value == pytest.approx(1.0, rel=1e-12)
         assert abs(z) == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-6)
 
@@ -180,8 +178,8 @@ class TestSupSearch:
         r = math.sqrt((n - 1) / (n + 1))
         exact = n * r ** (n - 1) * (1.0 - r * r)
         f = as_harmonic(Polynomial((0j,) * n + (1 + 0j,)))
-        radii, angles, _ = grid = sup_grid()
-        value, _, (wr, wa) = sup_search(_functional(f), grid)
+        radii, angles, _ = sup_grid()
+        value, _, (wr, wa) = sup_search(_functional(f))
         assert value == pytest.approx(exact, rel=1e-12)
         assert wr <= radii[1] - radii[0]
         assert wa <= TWO_PI / len(angles)
@@ -189,23 +187,21 @@ class TestSupSearch:
     def test_given_grid_values_are_used(self):
         f = as_harmonic(Polynomial((0, 0.5, 0.25j, 0.1)))
         objective = _functional(f)
-        grid = sup_grid()
-        values = objective(grid[2])
+        values = objective(sup_grid()[2])
         sizes = []
 
         def counted(z):
             sizes.append(np.size(z))
             return objective(z)
 
-        given = sup_search(counted, grid, values=values)
+        given = sup_search(counted, values=values)
         assert values.size not in sizes
-        assert given == sup_search(objective, grid)
+        assert given == sup_search(objective)
 
     def test_one_box_search_for_all_peaks(self, monkeypatch):
         # every peak is refined by one golden_max call of 10 rounds
         f = as_harmonic(Polynomial((0, 0.5, 0.25j, 0.1, 0.3 - 0.2j)))
         objective = _functional(f)
-        grid = sup_grid()
         boxes, sizes = [], []
 
         def counted_golden_max(fn, a, b):
@@ -217,10 +213,30 @@ class TestSupSearch:
             return objective(z)
 
         monkeypatch.setattr(numerics, "golden_max", counted_golden_max)
-        sup_search(counted, grid)
+        sup_search(counted)
         assert len(boxes) == 1
         assert boxes[0][1] == 2 and 1 <= boxes[0][0] <= numerics.REFINE_TOP
-        assert sizes == [grid[2].size] + [boxes[0][0] * 225] * 10
+        assert sizes == [sup_grid()[2].size] + [boxes[0][0] * 225] * 10
+
+
+class TestCircleMax:
+    def test_samples_the_supremum_grid_angles(self):
+        seen = []
+
+        def sample(theta):
+            seen.append(theta)
+            return np.cos(theta - 1.0)
+
+        value, width = numerics.circle_max(sample)
+        assert seen[0] is sup_grid()[1]
+        assert value == pytest.approx(1.0, rel=1e-15)
+        assert width <= TWO_PI / seen[0].size
+
+    def test_a_nan_node_maximum_is_the_value(self):
+        # the refined peak near angle 1 is finite, but as in sup_search it
+        # replaces the node maximum only when larger, and nothing beats NaN
+        value, _ = numerics.circle_max(lambda t: np.where(t == 0.0, np.nan, np.cos(t - 1.0)))
+        assert math.isnan(value)
 
 
 def _roll_pad_local_maxima(vals):
